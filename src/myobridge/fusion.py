@@ -15,10 +15,11 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .protocol import IMU_RATE_HZ, ImuFrame
 
-RAMP_LINEAR = "linear"
-RAMP_EQUAL_POWER = "equal_power"
+_NOMINAL_DT = 1.0 / IMU_RATE_HZ
 
 
 class NonNormalizableError(ValueError):
@@ -38,28 +39,34 @@ class EulerAngles:
 class QomConfig:
     """Quantity-of-motion definition.
 
-    "raw" sums the accelerometer magnitude (gravity included) with the
-    normalized gyro magnitude.  "compensated" (default) subtracts the 1 g
-    rest reading first, so a motionless sensor scores ~0.  Gyro magnitude
-    is divided by gyro_full_scale_dps to make the two addends commensurate.
+    QoM is the accelerometer magnitude's distance from the 1 g rest reading
+    plus the normalized gyro magnitude, so a motionless sensor scores ~0.
+    Gyro magnitude is divided by gyro_full_scale_dps to make the two
+    addends commensurate.
     """
 
-    mode: str = "compensated"
     gyro_full_scale_dps: float = 500.0
+
+    def __post_init__(self):
+        if not self.gyro_full_scale_dps > 0:
+            raise ValueError("gyro_full_scale_dps must be > 0")
 
 
 @dataclass(frozen=True)
 class GateConfig:
     """Threshold and recovery ramp for the stillness gate.
 
-    The threshold is in QoM units and is deliberately calibratable (use the
-    CLI monitor command); 0.35 is a usable default for compensated mode,
-    not a measured constant.
+    The threshold is in QoM units and is deliberately calibratable; 0.35
+    is a usable default, not a measured constant.  The gain ramps linearly
+    from 0 to 1 over ramp_seconds of stillness.
     """
 
     threshold: float = 0.35
     ramp_seconds: float = 30.0
-    ramp_shape: str = RAMP_LINEAR
+
+    def __post_init__(self):
+        if not self.ramp_seconds > 0:
+            raise ValueError("ramp_seconds must be > 0")
 
 
 @dataclass(frozen=True)
@@ -68,7 +75,10 @@ class SmoothingConfig:
     cannot mute a performer.  alpha=1 disables smoothing."""
 
     alpha: float = 0.2
-    enabled: bool = True
+
+    def __post_init__(self):
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -106,20 +116,21 @@ def quat_to_euler(quat: Sequence[float]) -> EulerAngles:
     return EulerAngles(roll, pitch, yaw)
 
 
-def euler_to_quat(euler: EulerAngles) -> tuple[float, float, float, float]:
-    """Inverse of quat_to_euler (up to quaternion sign)."""
-    cr = math.cos(euler.roll / 2.0)
-    sr = math.sin(euler.roll / 2.0)
-    cp = math.cos(euler.pitch / 2.0)
-    sp = math.sin(euler.pitch / 2.0)
-    cy = math.cos(euler.yaw / 2.0)
-    sy = math.sin(euler.yaw / 2.0)
-    return (
+def euler_to_quat(roll, pitch, yaw) -> np.ndarray:
+    """Inverse of quat_to_euler (up to quaternion sign).
+
+    Takes radians as scalars or as equal-shape arrays and returns (w, x, y, z)
+    on a new last axis: shape (4,) for scalars, (n, 4) for length-n arrays.
+    """
+    cr, sr = np.cos(roll / 2), np.sin(roll / 2)
+    cp, sp = np.cos(pitch / 2), np.sin(pitch / 2)
+    cy, sy = np.cos(yaw / 2), np.sin(yaw / 2)
+    return np.stack([
         cr * cp * cy + sr * sp * sy,
         sr * cp * cy - cr * sp * sy,
         cr * sp * cy + sr * cp * sy,
         cr * cp * sy - sr * sp * cy,
-    )
+    ], axis=-1)
 
 
 def vector_magnitude(v: Sequence[float]) -> float:
@@ -130,21 +141,7 @@ def vector_magnitude(v: Sequence[float]) -> float:
 def compute_qom(accel_mag: float, gyro_mag: float,
                 cfg: QomConfig = QomConfig()) -> float:
     """Scalar quantity of motion from acceleration and rotation magnitudes."""
-    gyro_norm = gyro_mag / cfg.gyro_full_scale_dps
-    if cfg.mode == "raw":
-        return accel_mag + gyro_norm
-    if cfg.mode == "compensated":
-        return abs(accel_mag - 1.0) + gyro_norm
-    raise ValueError(f"unknown QoM mode {cfg.mode!r}")
-
-
-def _ramp_gain(stillness_s: float, cfg: GateConfig) -> float:
-    x = min(1.0, stillness_s / cfg.ramp_seconds)
-    if cfg.ramp_shape == RAMP_LINEAR:
-        return x
-    if cfg.ramp_shape == RAMP_EQUAL_POWER:
-        return math.sin(math.pi / 2.0 * x)
-    raise ValueError(f"unknown ramp shape {cfg.ramp_shape!r}")
+    return abs(accel_mag - 1.0) + gyro_mag / cfg.gyro_full_scale_dps
 
 
 def update_gate(state: MotionState, qom: float, dt: float,
@@ -162,15 +159,16 @@ def update_gate(state: MotionState, qom: float, dt: float,
         master_gain = 0.0
     else:
         stillness_s = state.stillness_s + dt
-        master_gain = _ramp_gain(stillness_s, cfg)
+        master_gain = min(1.0, stillness_s / cfg.ramp_seconds)
     return replace(state, qom=qom, stillness_s=stillness_s,
                    master_gain=master_gain)
 
 
 def smooth_ema(prev: float, x: float, alpha: float) -> float:
-    """One step of exponential smoothing; alpha=1 passes x through."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    """One step of exponential smoothing; alpha=1 passes x through.
+
+    alpha is not range-checked here; SmoothingConfig checks it once.
+    """
     return alpha * x + (1.0 - alpha) * prev
 
 
@@ -179,17 +177,21 @@ class MotionTracker:
 
     Not safe for concurrent update; one tracker per performer stream.
     Time advances from frame timestamps only, never the wall clock.
+
+    A frame whose quaternion cannot be normalized (an all-zero IMU packet,
+    say) must not end a performance: the tracker keeps the last Euler
+    angles, still updates the magnitudes and the gate from that frame, and
+    counts it in degenerate_frames.
     """
 
     def __init__(self,
                  qom_cfg: Optional[QomConfig] = None,
                  gate_cfg: Optional[GateConfig] = None,
-                 smoothing: Optional[SmoothingConfig] = None,
-                 imu_rate_hz: float = IMU_RATE_HZ):
+                 smoothing: Optional[SmoothingConfig] = None):
         self.qom_cfg = qom_cfg or QomConfig()
         self.gate_cfg = gate_cfg or GateConfig()
         self.smoothing = smoothing or SmoothingConfig()
-        self._nominal_dt = 1.0 / imu_rate_hz
+        self.degenerate_frames = 0
         self._state = initial_state()
         self._last_t_us: Optional[int] = None
         self._qom_smoothed: Optional[float] = None
@@ -199,26 +201,29 @@ class MotionTracker:
         return self._state
 
     def update(self, frame: ImuFrame) -> MotionState:
-        euler = quat_to_euler(frame.quat)
+        try:
+            euler = quat_to_euler(frame.quat)
+        except NonNormalizableError:
+            euler = self._state.euler
+            self.degenerate_frames += 1
         accel_mag = vector_magnitude(frame.accel)
         gyro_mag = vector_magnitude(frame.gyro)
         gyro_norm = gyro_mag / self.qom_cfg.gyro_full_scale_dps
         qom = compute_qom(accel_mag, gyro_mag, self.qom_cfg)
-        if self.smoothing.enabled:
-            if self._qom_smoothed is None:
-                self._qom_smoothed = qom
-            else:
-                self._qom_smoothed = smooth_ema(self._qom_smoothed, qom,
-                                                self.smoothing.alpha)
-            qom = self._qom_smoothed
+        if self._qom_smoothed is None:
+            self._qom_smoothed = qom
+        else:
+            self._qom_smoothed = smooth_ema(self._qom_smoothed, qom,
+                                            self.smoothing.alpha)
         if self._last_t_us is None:
-            dt = self._nominal_dt
+            dt = _NOMINAL_DT
         else:
             dt = (frame.t_us - self._last_t_us) / 1e6
             if dt <= 0.0:
-                dt = self._nominal_dt
+                dt = _NOMINAL_DT
         self._last_t_us = frame.t_us
-        state = update_gate(self._state, qom, dt, self.gate_cfg)
-        self._state = replace(state, euler=euler, accel_mag=accel_mag,
-                              gyro_mag=gyro_mag, gyro_norm=gyro_norm)
+        state = MotionState(euler, accel_mag, gyro_mag, gyro_norm,
+                            stillness_s=self._state.stillness_s)
+        self._state = update_gate(state, self._qom_smoothed, dt,
+                                  self.gate_cfg)
         return self._state

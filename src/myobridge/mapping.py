@@ -14,7 +14,7 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .fusion import EulerAngles
 from .protocol import EMG_RATE_HZ, EmgFrame
@@ -69,19 +69,19 @@ class SynthParams:
     master_gain: float
 
 
-def window_samples(cfg: MapConfig, emg_rate_hz: float = EMG_RATE_HZ) -> int:
-    return max(1, round(cfg.rms_window_s * emg_rate_hz))
+def window_samples(cfg: MapConfig) -> int:
+    return max(1, round(cfg.rms_window_s * EMG_RATE_HZ))
 
 
-def emg_envelope(history: Sequence[EmgFrame], cfg: MapConfig = MapConfig(),
-                 emg_rate_hz: float = EMG_RATE_HZ) -> EmgEnvelopes:
+def emg_envelope(history: Sequence[EmgFrame],
+                 cfg: MapConfig = MapConfig()) -> EmgEnvelopes:
     """Moving RMS of the signed samples, normalized to [0, 1].
 
     The window is cfg.rms_window_s (8 samples at 200 Hz by default); a
     shorter history is zero-padded, so envelopes rise from silence rather
     than jumping.
     """
-    n = window_samples(cfg, emg_rate_hz)
+    n = window_samples(cfg)
     recent = history[-n:]
     env = []
     for ch in range(N_OSCILLATORS):
@@ -97,12 +97,9 @@ def emg_envelope(history: Sequence[EmgFrame], cfg: MapConfig = MapConfig(),
 class EnvelopeTracker:
     """Rolling EMG window for one performer; push at 200 Hz, read at 50 Hz."""
 
-    def __init__(self, cfg: MapConfig = MapConfig(),
-                 emg_rate_hz: float = EMG_RATE_HZ):
+    def __init__(self, cfg: MapConfig = MapConfig()):
         self.cfg = cfg
-        self.emg_rate_hz = emg_rate_hz
-        self._window: deque[EmgFrame] = deque(
-            maxlen=window_samples(cfg, emg_rate_hz))
+        self._window: deque[EmgFrame] = deque(maxlen=window_samples(cfg))
 
     def push(self, frame: EmgFrame) -> None:
         self._window.append(frame)
@@ -110,7 +107,7 @@ class EnvelopeTracker:
     def envelopes(self) -> EmgEnvelopes:
         if not self._window:
             return SILENT_ENVELOPES
-        return emg_envelope(list(self._window), self.cfg, self.emg_rate_hz)
+        return emg_envelope(list(self._window), self.cfg)
 
 
 def map_orientation(euler: EulerAngles, cfg: MapConfig = MapConfig()

@@ -156,9 +156,3 @@ class UdpSender:
 
     def __exit__(self, *exc_info):
         self.close()
-
-
-def send_udp(data: bytes, host: str, port: int) -> None:
-    """One-shot send of a single datagram; see UdpSender for streams."""
-    with UdpSender(host, port) as sender:
-        sender.send(data)

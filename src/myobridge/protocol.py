@@ -1,4 +1,5 @@
-"""Myo armband wire protocol: dongle serial framing and sensor packet decoding.
+"""Myo armband wire protocol, decode only: dongle serial framing and sensor
+packet decoding for the device->host direction of the link.
 
 The armband's USB dongle speaks a binary command/response/event protocol over
 a virtual serial port.  Every frame is a 4-byte header plus payload:
@@ -7,8 +8,8 @@ a virtual serial port.  Every frame is a 4-byte header plus payload:
     │ type (1B) │ len (1B) │ class(1B) │ cmd (1B) │   payload   │
     └───────────┴──────────┴───────────┴──────────┴─────────────┘
 
-Type byte: bit 7 set = event, clear = command (host→dongle) or response
-(dongle→host; same wire form, disambiguated by transfer direction).  The
+Type byte: bit 7 set = event, clear = response (a host->dongle command has
+the same wire form, but this module only reads what the dongle sends).  The
 remaining type bits are reserved and must be zero.
 
 Sensor data arrives inside attribute-value events.  An IMU notification is
@@ -20,15 +21,13 @@ two consecutive 8-channel int8 samples.
 from __future__ import annotations
 
 import enum
-import math
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Sequence, Union
 
 HEADER_LEN = 4
 TYPE_EVENT_BIT = 0x80
 TYPE_RESERVED_MASK = 0x7F
-MAX_PAYLOAD_LEN = 255
 
 # Raw sensor value -> physical unit divisors, per the device's published
 # Bluetooth interface.  Kept in one place; override via SensorScales.
@@ -39,56 +38,20 @@ GYRO_SCALE = 16.0     # raw -> deg/s
 IMU_RATE_HZ = 50.0
 EMG_RATE_HZ = 200.0
 
+# The second sample of an EMG notification is this much later than the first.
+EMG_HALF_PERIOD_US = round(1e6 / EMG_RATE_HZ / 2.0)
+
 IMU_PAYLOAD_LEN = 20
 EMG_PAYLOAD_LEN = 16
 
 # GATT attribute handles as reported by the dongle for stock firmware.
-# The handle -> packet-kind table is configurable so that logs captured
-# from other firmware revisions remain parseable.
-COMMAND_HANDLE = 0x19
+# Notifications on any other handle (such as the classifier's) are skipped.
 IMU_DATA_HANDLE = 0x1C
-CLASSIFIER_EVENT_HANDLE = 0x23
 EMG_DATA_HANDLES = (0x2B, 0x2E, 0x31, 0x34)
 
-DEFAULT_HANDLE_MAP: Mapping[int, str] = {
-    IMU_DATA_HANDLE: "imu",
-    CLASSIFIER_EVENT_HANDLE: "classifier",
-    **{h: "emg" for h in EMG_DATA_HANDLES},
-}
-
-# Dongle message classes / ids used by the bridge.
-CONNECTION_CLASS = 0x03
+# Attribute-client class and its attribute-value (notification) event id.
 ATTCLIENT_CLASS = 0x04
-GAP_CLASS = 0x06
-
-ATTCLIENT_ATTRIBUTE_WRITE = 0x05
-ATTCLIENT_WRITE_COMMAND = 0x06
 ATTCLIENT_ATTRIBUTE_VALUE_EVENT = 0x05
-
-GAP_CONNECT_DIRECT = 0x03
-GAP_DISCOVER = 0x02
-GAP_END_PROCEDURE = 0x04
-GAP_SCAN_RESPONSE_EVENT = 0x00
-
-# Device command ids written to the command characteristic.
-SET_MODE_COMMAND = 0x01
-
-EMG_MODE_NONE = 0x00
-EMG_MODE_FILTERED = 0x02
-EMG_MODE_RAW = 0x03
-VALID_EMG_MODES = (EMG_MODE_NONE, EMG_MODE_FILTERED, EMG_MODE_RAW)
-
-IMU_MODE_NONE = 0x00
-IMU_MODE_DATA = 0x01
-IMU_MODE_EVENTS = 0x02
-IMU_MODE_ALL = 0x03
-IMU_MODE_RAW = 0x04
-VALID_IMU_MODES = (IMU_MODE_NONE, IMU_MODE_DATA, IMU_MODE_EVENTS,
-                   IMU_MODE_ALL, IMU_MODE_RAW)
-
-CLASSIFIER_MODE_DISABLED = 0x00
-CLASSIFIER_MODE_ENABLED = 0x01
-VALID_CLASSIFIER_MODES = (CLASSIFIER_MODE_DISABLED, CLASSIFIER_MODE_ENABLED)
 
 _IMU_STRUCT = struct.Struct("<10h")
 _EMG_STRUCT = struct.Struct("<16b")
@@ -106,20 +69,11 @@ class InvalidHeaderError(ProtocolError):
     """Reserved header bits set; the stream needs resynchronization."""
 
 
-class PayloadTooLargeError(ProtocolError):
-    pass
-
-
 class WrongLengthError(ProtocolError):
     pass
 
 
-class InvalidModeError(ProtocolError):
-    pass
-
-
 class MsgType(enum.Enum):
-    COMMAND = "command"
     RESPONSE = "response"
     EVENT = "event"
 
@@ -132,10 +86,6 @@ class BgapiFrame:
     class_id: int
     command_id: int
     payload: bytes = b""
-
-    @property
-    def payload_len(self) -> int:
-        return len(self.payload)
 
 
 @dataclass(frozen=True)
@@ -162,10 +112,6 @@ class ImuFrame:
     accel: tuple[float, float, float]
     gyro: tuple[float, float, float]
 
-    @property
-    def quat_norm(self) -> float:
-        return math.sqrt(sum(c * c for c in self.quat))
-
 
 @dataclass(frozen=True)
 class EmgFrame:
@@ -175,36 +121,12 @@ class EmgFrame:
     channels: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MyoCommand:
-    """A device command as written to the command characteristic."""
-
-    command_id: int
-    payload: bytes = b""
-
-    def encode(self) -> bytes:
-        # Second byte of the encoded form is the payload length.
-        return bytes([self.command_id, len(self.payload)]) + self.payload
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    """One advertisement seen during discovery."""
-
-    mac: str
-    name: Optional[str]
-    rssi: int
-
-
 def decode_bgapi_frame(data: Union[bytes, bytearray, memoryview],
-                       offset: int = 0,
-                       *,
-                       from_device: bool = False) -> tuple[BgapiFrame, int]:
+                       offset: int = 0) -> tuple[BgapiFrame, int]:
     """Decode one frame starting at offset; returns (frame, next_offset).
 
-    Consumes exactly 4 + payload_len bytes and never reads past the
-    declared length.  Frames with the event bit clear decode as commands;
-    pass from_device=True to classify them as responses instead.
+    Consumes exactly 4 + the declared payload length and never reads past
+    it.  Frames with the event bit clear decode as responses.
 
     Raises TruncatedFrameError when fewer bytes than declared are
     available (caller should await more input) and InvalidHeaderError when
@@ -217,35 +139,15 @@ def decode_bgapi_frame(data: Union[bytes, bytearray, memoryview],
     type_byte = data[offset]
     if type_byte & TYPE_RESERVED_MASK:
         raise InvalidHeaderError(f"reserved type bits set: 0x{type_byte:02x}")
-    payload_len = data[offset + 1]
-    total = HEADER_LEN + payload_len
+    total = HEADER_LEN + data[offset + 1]
     if available < total:
         raise TruncatedFrameError(
             f"frame declares {total} bytes, have {available}")
-    if type_byte & TYPE_EVENT_BIT:
-        msg_type = MsgType.EVENT
-    else:
-        msg_type = MsgType.RESPONSE if from_device else MsgType.COMMAND
+    msg_type = (MsgType.EVENT if type_byte & TYPE_EVENT_BIT
+                else MsgType.RESPONSE)
     payload = bytes(data[offset + HEADER_LEN:offset + total])
     frame = BgapiFrame(msg_type, data[offset + 2], data[offset + 3], payload)
     return frame, offset + total
-
-
-def encode_bgapi_frame(frame: BgapiFrame) -> bytes:
-    """Encode a frame; decode_bgapi_frame round-trips it exactly."""
-    if len(frame.payload) > MAX_PAYLOAD_LEN:
-        raise PayloadTooLargeError(
-            f"payload is {len(frame.payload)} bytes, max {MAX_PAYLOAD_LEN}")
-    type_byte = TYPE_EVENT_BIT if frame.msg_type is MsgType.EVENT else 0x00
-    return bytes([type_byte, len(frame.payload),
-                  frame.class_id, frame.command_id]) + frame.payload
-
-
-def encode_bgapi_command(class_id: int, command_id: int,
-                         payload: bytes = b"") -> bytes:
-    """Encode a host->dongle command frame."""
-    return encode_bgapi_frame(
-        BgapiFrame(MsgType.COMMAND, class_id, command_id, bytes(payload)))
 
 
 class BgapiStream:
@@ -256,9 +158,8 @@ class BgapiStream:
     dropped byte counts are kept for diagnostics.
     """
 
-    def __init__(self, *, from_device: bool = True):
+    def __init__(self):
         self._buf = bytearray()
-        self._from_device = from_device
         self.bytes_dropped = 0
 
     def feed(self, chunk: bytes) -> list[BgapiFrame]:
@@ -268,8 +169,7 @@ class BgapiStream:
         pos = 0
         while True:
             try:
-                frame, pos = decode_bgapi_frame(
-                    self._buf, pos, from_device=self._from_device)
+                frame, pos = decode_bgapi_frame(self._buf, pos)
             except TruncatedFrameError:
                 break
             except InvalidHeaderError:
@@ -302,23 +202,16 @@ def scale_imu_values(raw: Sequence[int], t_us: int,
     )
 
 
-def parse_imu_packet(payload: bytes, t_us: int,
-                     scales: SensorScales = DEFAULT_SCALES) -> ImuFrame:
+def parse_imu_packet(payload: bytes, t_us: int) -> ImuFrame:
     """Decode a 20-byte IMU notification into physical units.
 
-    A zero-norm quaternion is not rejected here; orientation consumers
-    validate normalization.
+    A zero-norm quaternion is not rejected here; fusion.MotionTracker holds
+    the last orientation for such a frame.
     """
-    return scale_imu_values(unpack_imu_raw(payload), t_us, scales)
+    return scale_imu_values(unpack_imu_raw(payload), t_us)
 
 
-def emg_half_period_us(emg_rate_hz: float = EMG_RATE_HZ) -> int:
-    return round(1e6 / emg_rate_hz / 2.0)
-
-
-def parse_emg_packet(payload: bytes, t_us: int,
-                     emg_rate_hz: float = EMG_RATE_HZ
-                     ) -> tuple[EmgFrame, EmgFrame]:
+def parse_emg_packet(payload: bytes, t_us: int) -> tuple[EmgFrame, EmgFrame]:
     """Decode a 16-byte EMG notification into two consecutive samples.
 
     The first 8 bytes are sample A at t_us; the last 8 are sample B,
@@ -329,22 +222,8 @@ def parse_emg_packet(payload: bytes, t_us: int,
             f"EMG payload must be {EMG_PAYLOAD_LEN} bytes, got {len(payload)}")
     values = _EMG_STRUCT.unpack(payload)
     frame_a = EmgFrame(t_us=t_us, channels=values[:8])
-    frame_b = EmgFrame(t_us=t_us + emg_half_period_us(emg_rate_hz),
-                       channels=values[8:])
+    frame_b = EmgFrame(t_us=t_us + EMG_HALF_PERIOD_US, channels=values[8:])
     return frame_a, frame_b
-
-
-def build_set_mode_command(emg_mode: int, imu_mode: int,
-                           classifier_mode: int) -> bytes:
-    """Encode the streaming-mode command written to the command characteristic."""
-    if emg_mode not in VALID_EMG_MODES:
-        raise InvalidModeError(f"invalid EMG mode {emg_mode}")
-    if imu_mode not in VALID_IMU_MODES:
-        raise InvalidModeError(f"invalid IMU mode {imu_mode}")
-    if classifier_mode not in VALID_CLASSIFIER_MODES:
-        raise InvalidModeError(f"invalid classifier mode {classifier_mode}")
-    return MyoCommand(SET_MODE_COMMAND,
-                      bytes([emg_mode, imu_mode, classifier_mode])).encode()
 
 
 def parse_attribute_value_event(frame: BgapiFrame) -> tuple[int, int, bytes]:
@@ -364,89 +243,15 @@ def parse_attribute_value_event(frame: BgapiFrame) -> tuple[int, int, bytes]:
     return connection, handle, bytes(p[5:5 + value_len])
 
 
-def dispatch_attribute(handle: int, value: bytes, t_us: int,
-                       handle_map: Mapping[int, str] = DEFAULT_HANDLE_MAP,
-                       scales: SensorScales = DEFAULT_SCALES,
-                       emg_rate_hz: float = EMG_RATE_HZ
+def dispatch_attribute(handle: int, value: bytes, t_us: int
                        ) -> list[Union[ImuFrame, EmgFrame]]:
     """Route a notification value by attribute handle to its parser.
 
-    Classifier packets and unknown handles are recognized and skipped.
+    Values on the IMU and EMG handles are parsed; any other handle, such as
+    the classifier's, is skipped.
     """
-    kind = handle_map.get(handle)
-    if kind == "imu":
-        return [parse_imu_packet(value, t_us, scales)]
-    if kind == "emg":
-        return list(parse_emg_packet(value, t_us, emg_rate_hz))
+    if handle == IMU_DATA_HANDLE:
+        return [parse_imu_packet(value, t_us)]
+    if handle in EMG_DATA_HANDLES:
+        return list(parse_emg_packet(value, t_us))
     return []
-
-
-def format_mac(raw: Sequence[int]) -> str:
-    """Render a 6-byte little-endian address as colon-separated hex."""
-    return ":".join(f"{b:02x}" for b in reversed(list(raw)))
-
-
-def parse_scan_response_event(frame: BgapiFrame) -> ScanResult:
-    """Extract address, advertised name, and RSSI from a discovery event."""
-    if (frame.msg_type is not MsgType.EVENT
-            or frame.class_id != GAP_CLASS
-            or frame.command_id != GAP_SCAN_RESPONSE_EVENT):
-        raise ProtocolError("not a scan-response event")
-    p = frame.payload
-    if len(p) < 11:
-        raise WrongLengthError("scan-response payload too short")
-    rssi = struct.unpack_from("<b", p, 0)[0]
-    mac = format_mac(p[2:8])
-    data_len = p[10]
-    ad = p[11:11 + data_len]
-    name = None
-    i = 0
-    # Advertising data is a sequence of (length, type, value) structures;
-    # types 0x08/0x09 carry the shortened/complete local name.
-    while i + 1 < len(ad):
-        length = ad[i]
-        if length == 0 or i + 1 + length > len(ad) + 1:
-            break
-        ad_type = ad[i + 1]
-        ad_value = ad[i + 2:i + 1 + length]
-        if ad_type in (0x08, 0x09):
-            name = ad_value.decode("utf-8", errors="replace")
-        i += 1 + length
-    return ScanResult(mac=mac, name=name, rssi=rssi)
-
-
-def build_gap_discover() -> bytes:
-    """Start generic discovery (mode 1 = observation of all advertisers)."""
-    return encode_bgapi_command(GAP_CLASS, GAP_DISCOVER, bytes([0x01]))
-
-
-def build_gap_end_procedure() -> bytes:
-    return encode_bgapi_command(GAP_CLASS, GAP_END_PROCEDURE)
-
-
-def build_gap_connect_direct(mac: str) -> bytes:
-    """Connect to an address given as colon-separated hex."""
-    parts = mac.split(":")
-    if len(parts) != 6 or not all(len(x) == 2 for x in parts):
-        raise ProtocolError(f"malformed MAC address: {mac!r}")
-    addr = bytes(int(x, 16) for x in reversed(parts))
-    # addr_type=0, conn_interval 6-6 (7.5 ms), timeout 64, latency 0
-    payload = addr + struct.pack("<BHHHH", 0, 6, 6, 64, 0)
-    return encode_bgapi_command(GAP_CLASS, GAP_CONNECT_DIRECT, payload)
-
-
-def build_attribute_write(connection: int, handle: int, value: bytes) -> bytes:
-    """Write a GATT attribute (acknowledged write)."""
-    payload = struct.pack("<BHB", connection, handle, len(value)) + value
-    return encode_bgapi_command(ATTCLIENT_CLASS, ATTCLIENT_ATTRIBUTE_WRITE,
-                                payload)
-
-
-def iter_frames(data: bytes, *, from_device: bool = False
-                ) -> Iterator[BgapiFrame]:
-    """Decode a buffer holding a whole number of concatenated frames."""
-    offset = 0
-    while offset < len(data):
-        frame, offset = decode_bgapi_frame(data, offset,
-                                           from_device=from_device)
-        yield frame

@@ -23,15 +23,15 @@ labeled approximation, sufficient for exercising the gate.
 from __future__ import annotations
 
 import json
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
 from . import protocol
+from .fusion import euler_to_quat
 from .protocol import EmgFrame, ImuFrame, SensorScales
 
 LOG_VERSION = "1.0"
@@ -192,17 +192,24 @@ def replay(path, speed: Optional[float] = None) -> Iterator[SessionRecord]:
     """Stream a log's records in order.
 
     speed=None replays as fast as possible; a positive multiplier paces
-    delivery by scaling the recorded inter-record gaps by 1/speed.
+    delivery by scaling the recorded times by 1/speed.  Each record is due
+    at an absolute monotonic-clock deadline counted from the first record,
+    so oversleeping and parse time do not add up over a long log.
     Downstream results are identical either way: consumers take time from
     t_us, never from the wall clock.
     """
     if speed is not None and speed <= 0:
         raise ValueError("speed must be positive (or None for fast mode)")
-    last_t = None
+    start = first_t = None
     for rec in iter_log(path):
-        if speed is not None and last_t is not None and rec.t_us > last_t:
-            time.sleep((rec.t_us - last_t) / 1e6 / speed)
-        last_t = rec.t_us
+        if speed is not None:
+            if start is None:
+                start, first_t = time.monotonic(), rec.t_us
+            else:
+                due = start + (rec.t_us - first_t) / 1e6 / speed
+                wait = due - time.monotonic()
+                if wait > 0:
+                    time.sleep(wait)
         yield rec
 
 
@@ -306,15 +313,6 @@ def scenario_from_dict(obj: Mapping) -> Scenario:
     return scenario
 
 
-def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidScenarioError(f"scenario is not valid JSON: {exc}") from exc
-    return scenario_from_dict(obj)
-
-
 def default_scenario() -> Scenario:
     """The bundled ensemble scenario: four performers, four poses, nine minutes."""
     text = resources.files("myobridge").joinpath(
@@ -328,18 +326,6 @@ def _gravity_from_euler(roll: np.ndarray, pitch: np.ndarray) -> np.ndarray:
         -np.sin(pitch),
         np.sin(roll) * np.cos(pitch),
         np.cos(roll) * np.cos(pitch),
-    ], axis=1)
-
-
-def _quat_from_euler_arrays(roll, pitch, yaw) -> np.ndarray:
-    cr, sr = np.cos(roll / 2), np.sin(roll / 2)
-    cp, sp = np.cos(pitch / 2), np.sin(pitch / 2)
-    cy, sy = np.cos(yaw / 2), np.sin(yaw / 2)
-    return np.stack([
-        cr * cp * cy + sr * sp * sy,
-        sr * cp * cy - cr * sp * sy,
-        cr * sp * cy + sr * cp * sy,
-        cr * cp * sy - sr * sp * cy,
     ], axis=1)
 
 
@@ -404,7 +390,7 @@ def generate_performer_records(script: PerformerScript, transition_s: float,
         accel[in_transition, 0] += (BURST_ACCEL_G
                                     * burst[imu_pose][in_transition])
 
-    quat = _quat_from_euler_arrays(euler[:, 0], euler[:, 1], euler[:, 2])
+    quat = euler_to_quat(euler[:, 0], euler[:, 1], euler[:, 2])
     quat_raw = _clip_round(quat, protocol.QUAT_SCALE, _INT16_MIN, _INT16_MAX)
     accel_raw = _clip_round(accel, protocol.ACCEL_SCALE, _INT16_MIN, _INT16_MAX)
     gyro_raw = _clip_round(gyro, protocol.GYRO_SCALE, _INT16_MIN, _INT16_MAX)

@@ -51,18 +51,11 @@ class OscillatorBank:
     Single-owner: one bank per performer, rendered in stream order.
     """
 
-    def __init__(self, sample_rate: float = 44100.0,
-                 phases: Optional[Sequence[float]] = None):
+    def __init__(self, sample_rate: float = 44100.0):
         if sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         self.sample_rate = float(sample_rate)
-        if phases is None:
-            self._acc = np.zeros(N_OSCILLATORS, dtype=np.uint64)
-        else:
-            if len(phases) != N_OSCILLATORS:
-                raise ValueError(f"need {N_OSCILLATORS} phases")
-            turns = np.asarray(phases, dtype=np.float64) / (2.0 * math.pi)
-            self._acc = (np.mod(turns, 1.0) * _PHASE_MODULUS).astype(np.uint64)
+        self._acc = np.zeros(N_OSCILLATORS, dtype=np.uint64)
         self._prev_params: Optional[SynthParams] = None
 
     @property

@@ -16,7 +16,6 @@ from myobridge.osc import (
     UnsupportedArgTypeError,
     emit_pipeline,
     encode_message,
-    send_udp,
 )
 
 
@@ -189,7 +188,8 @@ def test_loopback_round_trip():
     receiver.settimeout(2.0)
     port = receiver.getsockname()[1]
     payload = encode_message(OscMessage("/qom", (1.0,)))
-    send_udp(payload, "127.0.0.1", port)
+    with UdpSender("127.0.0.1", port) as sender:
+        sender.send(payload)
     got, _ = receiver.recvfrom(4096)
     receiver.close()
     assert got == payload

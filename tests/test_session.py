@@ -1,5 +1,6 @@
 """Log format, replay, and scenario generator tests."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -132,6 +133,40 @@ def test_replay_timed_equals_fast(tmp_path):
     assert fast == timed
 
 
+class FakeClock:
+    """Stands in for the time module: every sleep overshoots by `late` s."""
+
+    def __init__(self, late):
+        self.now = 1000.0
+        self.late = late
+        self.slept = 0.0
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.slept += seconds
+        self.now += seconds + self.late
+
+
+def test_replay_paces_against_absolute_deadlines(tmp_path, monkeypatch):
+    recs = [SessionRecord(i * 20_000, "imu", (0,) * 10) for i in range(251)]
+    path = tmp_path / "log.jsonl"
+    record(recs, path)
+    speed, late = 4.0, 0.002
+    clock = FakeClock(late)
+    monkeypatch.setattr(session, "time", clock)
+    start = clock.now
+    for rec in replay(path, speed=speed):
+        # each record is released at its own deadline, give or take one
+        # overshoot; the overshoots do not pile up
+        due = start + rec.t_us / 1e6 / speed
+        assert due <= clock.now <= due + late + 1e-9
+    span = recs[-1].t_us / 1e6 / speed
+    assert clock.now - start == pytest.approx(span + late, abs=1e-9)
+    assert clock.slept == pytest.approx(span - 249 * late, abs=1e-9)
+
+
 def test_records_to_frames_applies_meta_scales(tmp_path):
     recs = [
         make_meta_record(device_id="x"),
@@ -211,6 +246,20 @@ def test_default_scenario_spans_nine_minutes_per_performer():
         assert abs(span_s - 540.0) <= 0.02  # one frame period
         emg = [r for r in recs if r.kind == "emg"]
         assert len(emg) == 108000
+
+
+def test_recorded_scenario_matches_golden_hash(tmp_path):
+    """Pins the generator (and its Euler -> quaternion step) and the writer."""
+    scenario = Scenario(performers=(PerformerScript(poses=(
+        Pose(duration_s=2.0, orientation=(0.4, -0.3, 1.2),
+             tension=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)),
+        Pose(duration_s=2.0, orientation=(-2.5, 0.9, -2.9),
+             tension=(0.8, 0.0, 0.6, 0.0, 0.4, 0.0, 0.2, 0.0)),
+    )),), transition_s=0.5)
+    path = tmp_path / "p0.jsonl"
+    assert record(generate_scenario(scenario, seed=2012)[0], path) == 1001
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "823f59757bb4ca6683fc91ac0b5103b00f17370756dbed4640b53e06d8f06329")
 
 
 def test_generated_logs_are_monotone_and_in_range(tmp_path):

@@ -147,15 +147,6 @@ def test_render_rejects_nonpositive_count():
         render_block(OscillatorBank(), make_params(), 0)
 
 
-def test_initial_phases_respected():
-    bank = OscillatorBank(44100.0, phases=[np.pi / 2] * 8)
-    assert np.allclose(bank.phases, np.pi / 2, atol=1e-12)
-    params = make_params(freqs=[441.0] * 8, amps=[1.0] + [0.0] * 7)
-    block = render_block(bank, params, 4)
-    # starting near the crest of the sine: first samples just below 1/8
-    assert block.samples[0] > 0.9 / 8
-
-
 # --- mixing ---------------------------------------------------------------------
 
 def test_mix_single_block_identity():
