@@ -21,6 +21,11 @@ from .protocol import IMU_RATE_HZ, ImuFrame
 
 _NOMINAL_DT = 1.0 / IMU_RATE_HZ
 
+# Longest gap between IMU frames taken at face value.  A longer one is a
+# dropout (a BLE link lost and regained), not time the performer held
+# still, so the gate advances by one nominal period across it.
+MAX_GAP_S = 0.5
+
 
 class NonNormalizableError(ValueError):
     """Quaternion norm too small to define an orientation."""
@@ -138,10 +143,10 @@ def vector_magnitude(v: Sequence[float]) -> float:
     return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
 
 
-def compute_qom(accel_mag: float, gyro_mag: float,
-                cfg: QomConfig = QomConfig()) -> float:
-    """Scalar quantity of motion from acceleration and rotation magnitudes."""
-    return abs(accel_mag - 1.0) + gyro_mag / cfg.gyro_full_scale_dps
+def compute_qom(accel_mag: float, gyro_norm: float) -> float:
+    """Scalar quantity of motion from the acceleration magnitude in g and the
+    rotation magnitude already divided by QomConfig.gyro_full_scale_dps."""
+    return abs(accel_mag - 1.0) + gyro_norm
 
 
 def update_gate(state: MotionState, qom: float, dt: float,
@@ -182,6 +187,10 @@ class MotionTracker:
     say) must not end a performance: the tracker keeps the last Euler
     angles, still updates the magnitudes and the gate from that frame, and
     counts it in degenerate_frames.
+
+    Nor may a dropout unmute a performer: a frame more than MAX_GAP_S
+    after the one before (or not after it at all) advances the gate by
+    the nominal frame period; those past MAX_GAP_S count in gap_frames.
     """
 
     def __init__(self,
@@ -192,6 +201,7 @@ class MotionTracker:
         self.gate_cfg = gate_cfg or GateConfig()
         self.smoothing = smoothing or SmoothingConfig()
         self.degenerate_frames = 0
+        self.gap_frames = 0
         self._state = initial_state()
         self._last_t_us: Optional[int] = None
         self._qom_smoothed: Optional[float] = None
@@ -209,7 +219,7 @@ class MotionTracker:
         accel_mag = vector_magnitude(frame.accel)
         gyro_mag = vector_magnitude(frame.gyro)
         gyro_norm = gyro_mag / self.qom_cfg.gyro_full_scale_dps
-        qom = compute_qom(accel_mag, gyro_mag, self.qom_cfg)
+        qom = compute_qom(accel_mag, gyro_norm)
         if self._qom_smoothed is None:
             self._qom_smoothed = qom
         else:
@@ -219,7 +229,10 @@ class MotionTracker:
             dt = _NOMINAL_DT
         else:
             dt = (frame.t_us - self._last_t_us) / 1e6
-            if dt <= 0.0:
+            if dt > MAX_GAP_S:
+                self.gap_frames += 1
+                dt = _NOMINAL_DT
+            elif dt <= 0.0:
                 dt = _NOMINAL_DT
         self._last_t_us = frame.t_us
         state = MotionState(euler, accel_mag, gyro_mag, gyro_norm,

@@ -9,6 +9,18 @@ and identical parameter sequences always produce identical samples.
 Per sample: s = sum_k amps[k] * sin(phase_k) / 8, then the normalized
 waveshaper tanh(drive * s) / tanh(drive), then the master gain.  Parameters
 changing between blocks are linearly interpolated across the block.
+
+A block is computed oscillator-major: each per-sample path (the four
+parameter ramps, the integer phase increments and their running sum, the
+phases and their sines) is an (8, n) array, one contiguous row per
+oscillator.
+
+A muted block, master gain exactly 0 at both ends, renders exact zeros
+without computing sin, mix or waveshaper; its phases still advance by the
+same integer increments, so whatever follows is unchanged.  This holds for
+the parameters the mapping produces (amps in [0, 1], finite drive >= 1);
+a muted block outside that range is rendered in full, so a NaN it makes
+still reaches write_wav's finite check.
 """
 
 from __future__ import annotations
@@ -64,9 +76,19 @@ class OscillatorBank:
         return self._acc.astype(np.float64) * _PHASE_TO_RADIANS
 
 
-def _lerp_path(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # with a == b this is exactly a for every t
-    return a + (b - a) * t
+def _skip_is_exact(prev: SynthParams, params: SynthParams) -> bool:
+    """True when a muted block renders exact zeros under the full formula.
+
+    With amps in [0, 1] (as EmgEnvelopes holds them) and a finite drive
+    >= 1 (as map_orientation gives it) at both ends, every waveshaper
+    output is finite, so gain 0 times it is 0.  Outside that range a
+    muted block can still be NaN (a NaN or inf amp or drive, drive 0 as
+    0/0, amps large enough that the mix overflows), and must be rendered
+    so that write_wav's finite check sees it.
+    """
+    return (all(0.0 <= a <= 1.0 for a in prev.amps + params.amps)
+            and 1.0 <= prev.drive < math.inf
+            and 1.0 <= params.drive < math.inf)
 
 
 def render_block(bank: OscillatorBank, params: SynthParams,
@@ -74,28 +96,43 @@ def render_block(bank: OscillatorBank, params: SynthParams,
     """Render n samples, ramping from the bank's previous parameters.
 
     Phase persists across calls; with constant parameters, rendering
-    n1 + n2 samples equals rendering n1 then n2 (sample-exact).
+    n1 + n2 samples equals rendering n1 then n2 (sample-exact), muted
+    blocks included.
     """
     if n <= 0:
         raise ValueError("sample count must be positive")
     prev = bank._prev_params or params
-
-    t = (np.arange(1, n + 1, dtype=np.float64) / n)[:, None]
-    freqs = _lerp_path(np.asarray(prev.freqs), np.asarray(params.freqs), t)
-    amps = _lerp_path(np.asarray(prev.amps), np.asarray(params.amps), t)
-    drive = _lerp_path(np.float64(prev.drive), np.float64(params.drive),
-                       t[:, 0])
-    gain = _lerp_path(np.float64(prev.master_gain),
-                      np.float64(params.master_gain), t[:, 0])
-
-    increments = np.round(
-        freqs * (_PHASE_MODULUS / bank.sample_rate)).astype(np.uint64)
-    acc_path = np.cumsum(increments, axis=0, dtype=np.uint64) + bank._acc
-    bank._acc = acc_path[-1].copy()
     bank._prev_params = params
 
-    phases = acc_path.astype(np.float64) * _PHASE_TO_RADIANS
-    s = (np.sin(phases) * amps).sum(axis=1) / N_OSCILLATORS
+    t = np.arange(1, n + 1, dtype=np.float64) / n
+    f0 = np.asarray(prev.freqs)[:, None]
+    freqs = f0 + (np.asarray(params.freqs)[:, None] - f0) * t
+    increments = np.round(
+        freqs * (_PHASE_MODULUS / bank.sample_rate)).astype(np.uint64)
+
+    if (params.master_gain == 0.0 and prev.master_gain == 0.0
+            and _skip_is_exact(prev, params)):
+        bank._acc = bank._acc + increments.sum(axis=1, dtype=np.uint64)
+        return AudioBlock(samples=np.zeros(n), sample_rate=bank.sample_rate)
+
+    acc_path = np.cumsum(increments, axis=1, dtype=np.uint64)
+    acc_path += bank._acc[:, None]
+    bank._acc = acc_path[:, -1].copy()
+
+    a0 = np.asarray(prev.amps)[:, None]
+    amps = a0 + (np.asarray(params.amps)[:, None] - a0) * t
+    d0, g0 = np.float64(prev.drive), np.float64(prev.master_gain)
+    drive = d0 + (np.float64(params.drive) - d0) * t
+    gain = g0 + (np.float64(params.master_gain) - g0) * t
+
+    x = acc_path.astype(np.float64)
+    x *= _PHASE_TO_RADIANS
+    np.sin(x, out=x)
+    x *= amps
+    # numpy's sum over a contiguous axis of 8 adds pairwise in exactly this
+    # order, so the mix equals the row-major (n, 8).sum(axis=1) bit for bit.
+    s = ((x[0] + x[1]) + (x[2] + x[3])) + ((x[4] + x[5]) + (x[6] + x[7]))
+    s /= N_OSCILLATORS
     shaped = np.tanh(drive * s) / np.tanh(drive)
     return AudioBlock(samples=gain * shaped, sample_rate=bank.sample_rate)
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from myobridge.fusion import (
+    MAX_GAP_S,
     EulerAngles,
     GateConfig,
     MotionTracker,
@@ -150,17 +151,18 @@ def test_vector_magnitude_goldens():
 
 
 def test_qom_compensated_rest():
-    assert compute_qom(1.0, 0.0, QomConfig()) == 0.0
+    assert compute_qom(1.0, 0.0) == 0.0
 
 
 def test_qom_compensated_golden():
     cfg = QomConfig(gyro_full_scale_dps=500.0)
-    assert compute_qom(1.2, 25.0, cfg) == pytest.approx(0.25, abs=1e-12)
+    assert compute_qom(1.2, 25.0 / cfg.gyro_full_scale_dps) == pytest.approx(
+        0.25, abs=1e-12)
 
 
 def test_qom_monotone_in_gyro():
     for accel_mag in (0.9, 1.1):
-        values = [compute_qom(accel_mag, g, QomConfig())
+        values = [compute_qom(accel_mag, g / QomConfig().gyro_full_scale_dps)
                   for g in np.linspace(0, 2000, 50)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
@@ -311,6 +313,29 @@ def test_tracker_holds_orientation_over_degenerate_quaternion():
     assert after.accel_mag == 0.0
     assert after.qom > before.qom
     assert after.stillness_s == before.stillness_s + 0.02
+
+
+def test_tracker_dropout_is_not_stillness():
+    # a spike mutes; 10 still frames start the ramp; then the link drops
+    # for 30 s.  The frame after the gap advances the gate by one nominal
+    # period, not by 30 s of stillness.
+    tracker = MotionTracker()
+    for i in range(50):
+        tracker.update(_still_frame(i * 20_000))
+    tracker.update(ImuFrame(t_us=50 * 20_000, quat=(1.0, 0.0, 0.0, 0.0),
+                            accel=(0.0, 0.0, 1.0), gyro=(2000.0, 0.0, 0.0)))
+    for i in range(51, 61):
+        before = tracker.update(_still_frame(i * 20_000))
+    assert 0.0 < before.master_gain < 0.01
+    after = tracker.update(_still_frame(60 * 20_000 + 30_000_000))
+    assert tracker.gap_frames == 1
+    assert after.stillness_s == before.stillness_s + 0.02
+    assert after.master_gain < 0.01
+    # a gap of MAX_GAP_S itself is taken at face value
+    t_us = 60 * 20_000 + 30_000_000 + round(MAX_GAP_S * 1e6)
+    last = tracker.update(_still_frame(t_us))
+    assert tracker.gap_frames == 1
+    assert last.stillness_s == after.stillness_s + MAX_GAP_S
 
 
 _INT16 = st.integers(-32768, 32767)

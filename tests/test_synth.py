@@ -1,10 +1,14 @@
 """Renderer tests: FFT spectral oracle, output bound, phase continuity,
-and an independent struct-level WAV reader oracle."""
+a sample-major reference renderer, and an independent struct-level WAV
+reader oracle."""
 
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from myobridge.mapping import SynthParams
 from myobridge.synth import (
@@ -54,6 +58,34 @@ def read_wav_oracle(path):
         "header_len": 44,
         "file_len": len(raw),
     }
+
+
+def reference_render_block(bank, params, n):
+    """render_block as first written: sample-major (n, 8) paths and no
+    muted-block skip.  render_block must equal it bit for bit, NaNs
+    included."""
+    prev = bank._prev_params or params
+
+    def lerp(a, b, t):
+        return a + (b - a) * t
+
+    t = (np.arange(1, n + 1, dtype=np.float64) / n)[:, None]
+    freqs = lerp(np.asarray(prev.freqs), np.asarray(params.freqs), t)
+    amps = lerp(np.asarray(prev.amps), np.asarray(params.amps), t)
+    drive = lerp(np.float64(prev.drive), np.float64(params.drive), t[:, 0])
+    gain = lerp(np.float64(prev.master_gain),
+                np.float64(params.master_gain), t[:, 0])
+
+    increments = np.round(freqs * (2.0 ** 64 / bank.sample_rate)).astype(
+        np.uint64)
+    acc_path = np.cumsum(increments, axis=0, dtype=np.uint64) + bank._acc
+    bank._acc = acc_path[-1].copy()
+    bank._prev_params = params
+
+    phases = acc_path.astype(np.float64) * (2.0 * math.pi / 2.0 ** 64)
+    s = (np.sin(phases) * amps).sum(axis=1) / 8
+    shaped = np.tanh(drive * s) / np.tanh(drive)
+    return AudioBlock(samples=gain * shaped, sample_rate=bank.sample_rate)
 
 
 # --- rendering ----------------------------------------------------------------
@@ -114,6 +146,29 @@ def test_phase_continuity_exact():
     assert np.array_equal(whole.samples, joined)
     assert np.array_equal(bank_a.phases, bank_b.phases)
 
+    # splits on both sides of muted/unmuted boundaries: phases run on
+    # while muted, so the ramps in and out of a muted span and the spans
+    # themselves come out the same however the constant spans are split
+    muted = make_params(freqs=freqs, amps=[0.7] * 8, drive=2.5,
+                        master_gain=0.0)
+    plan_whole = [(muted, 1000), (params, 700), (params, 1000),
+                  (muted, 500), (muted, 1000)]
+    plan_split = [(muted, 400), (muted, 600), (params, 700), (params, 300),
+                  (params, 700), (muted, 500), (muted, 200), (muted, 800)]
+    bank_c, bank_d = OscillatorBank(44100.0), OscillatorBank(44100.0)
+    whole = np.concatenate([render_block(bank_c, p, n).samples
+                            for p, n in plan_whole])
+    parts = np.concatenate([render_block(bank_d, p, n).samples
+                            for p, n in plan_split])
+    assert np.array_equal(whole, parts)
+    assert np.all(whole[:1000] == 0.0) and np.all(whole[-1000:] == 0.0)
+    assert np.any(whole[1000:2700] != 0.0)
+    assert np.array_equal(bank_c.phases, bank_d.phases)
+    # muted 1000 leaves the phases where a live 1000 does
+    bank_e = OscillatorBank(44100.0)
+    render_block(bank_e, muted, 1000)
+    assert np.array_equal(bank_e.phases, bank_a.phases)
+
 
 def test_determinism_across_fresh_banks():
     rng = np.random.default_rng(11)
@@ -140,6 +195,46 @@ def test_params_ramp_linearly_across_block():
     # envelope grows from (almost) zero; no full-scale jump at the seam
     assert np.max(np.abs(block.samples[:10])) < 0.05
     assert np.max(np.abs(block.samples[-200:])) > 0.05
+
+
+_ODD = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-20, 1e300,
+        1.7976931348623157e308]
+_AMP = st.one_of(st.floats(0.0, 1.0), st.sampled_from(_ODD))
+_DRIVE = st.one_of(st.floats(1.0, 4.0), st.sampled_from(_ODD))
+_GAIN = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+_PARAMS = st.builds(
+    SynthParams,
+    freqs=st.tuples(*[st.floats(0.0, 22050.0)] * 8),
+    amps=st.tuples(*[_AMP] * 8),
+    drive=_DRIVE,
+    master_gain=_GAIN,
+)
+
+
+def _p(gain, amp=0.5, drive=2.0):
+    return make_params(freqs=[110.0 * (k + 1) for k in range(8)],
+                       amps=[amp] * 8, drive=drive, master_gain=gain)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_PARAMS, st.integers(1, 4000)),
+                min_size=1, max_size=8))
+# muted at both ends, then unmuting, live, muting, and muted again
+@example([(_p(0.0), 882), (_p(0.0), 1), (_p(0.6), 4000), (_p(0.3), 7),
+          (_p(0.0), 882), (_p(0.0), 3000)])
+# non-finite amps or drive and drive 0 in muted blocks stay NaN
+@example([(_p(0.0), 100), (_p(0.0, amp=math.nan), 50), (_p(0.0), 50),
+          (_p(0.0, drive=math.inf), 50), (_p(0.0, drive=0.0), 50),
+          (_p(0.0, amp=1e300), 882)])
+def test_render_block_equals_reference(blocks):
+    bank, ref = OscillatorBank(44100.0), OscillatorBank(44100.0)
+    with np.errstate(all="ignore"):
+        for params, n in blocks:
+            got = render_block(bank, params, n).samples
+            want = reference_render_block(ref, params, n).samples
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(bank.phases, ref.phases)
+            assert np.array_equal(bank._acc, ref._acc)
 
 
 def test_render_rejects_nonpositive_count():
