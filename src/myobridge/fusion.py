@@ -93,7 +93,6 @@ class MotionState:
     euler: EulerAngles
     accel_mag: float = 0.0
     gyro_mag: float = 0.0
-    gyro_norm: float = 0.0
     qom: float = 0.0
     stillness_s: float = 0.0
     master_gain: float = 0.0
@@ -235,7 +234,7 @@ class MotionTracker:
             elif dt <= 0.0:
                 dt = _NOMINAL_DT
         self._last_t_us = frame.t_us
-        state = MotionState(euler, accel_mag, gyro_mag, gyro_norm,
+        state = MotionState(euler, accel_mag, gyro_mag,
                             stillness_s=self._state.stillness_s)
         self._state = update_gate(state, self._qom_smoothed, dt,
                                   self.gate_cfg)

@@ -6,6 +6,14 @@ sound like equal intervals), yaw fans the remaining oscillators out from
 unison into a stretched harmonic series, and roll raises distortion drive.
 The stillness gate's master gain passes through untouched, so amplitude,
 timbre, and gating stay independently testable.
+
+The mapping's ranges are module constants, not options: the base frequency
+spans F_LO..F_HI (110-880 Hz, three octaves), yaw fans the partials out by
+up to SPREAD_MAX, roll drives the waveshaper up to DRIVE_MAX, and the EMG
+RMS window is WINDOW_SAMPLES (40 ms at 200 Hz).  The piece plays one
+mapping and no caller sets another; a CLI or score file that needs a
+different one brings the option back with it.  Only assemble_params'
+sample_rate varies, with the renderer's output rate.
 """
 
 from __future__ import annotations
@@ -24,23 +32,11 @@ logger = logging.getLogger(__name__)
 N_OSCILLATORS = 8
 EMG_FULL_SCALE = 128.0
 NYQUIST_FRACTION = 0.45
-
-
-@dataclass(frozen=True)
-class MapConfig:
-    f_lo: float = 110.0
-    f_hi: float = 880.0
-    spread_max: float = 0.5
-    drive_max: float = 4.0
-    rms_window_s: float = 0.04
-
-    def __post_init__(self):
-        if not 0 < self.f_lo < self.f_hi:
-            raise ValueError("need 0 < f_lo < f_hi")
-        if self.spread_max < 0:
-            raise ValueError("spread_max must be >= 0")
-        if self.drive_max < 1:
-            raise ValueError("drive_max must be >= 1")
+F_LO = 110.0
+F_HI = 880.0
+SPREAD_MAX = 0.5
+DRIVE_MAX = 4.0
+WINDOW_SAMPLES = round(0.04 * EMG_RATE_HZ)  # 8
 
 
 @dataclass(frozen=True)
@@ -69,19 +65,13 @@ class SynthParams:
     master_gain: float
 
 
-def window_samples(cfg: MapConfig) -> int:
-    return max(1, round(cfg.rms_window_s * EMG_RATE_HZ))
-
-
-def emg_envelope(history: Sequence[EmgFrame],
-                 cfg: MapConfig = MapConfig()) -> EmgEnvelopes:
+def emg_envelope(history: Sequence[EmgFrame]) -> EmgEnvelopes:
     """Moving RMS of the signed samples, normalized to [0, 1].
 
-    The window is cfg.rms_window_s (8 samples at 200 Hz by default); a
-    shorter history is zero-padded, so envelopes rise from silence rather
-    than jumping.
+    The window is the last WINDOW_SAMPLES frames; a shorter history is
+    zero-padded, so envelopes rise from silence rather than jumping.
     """
-    n = window_samples(cfg)
+    n = WINDOW_SAMPLES
     recent = history[-n:]
     env = []
     for ch in range(N_OSCILLATORS):
@@ -97,9 +87,8 @@ def emg_envelope(history: Sequence[EmgFrame],
 class EnvelopeTracker:
     """Rolling EMG window for one performer; push at 200 Hz, read at 50 Hz."""
 
-    def __init__(self, cfg: MapConfig = MapConfig()):
-        self.cfg = cfg
-        self._window: deque[EmgFrame] = deque(maxlen=window_samples(cfg))
+    def __init__(self):
+        self._window: deque[EmgFrame] = deque(maxlen=WINDOW_SAMPLES)
 
     def push(self, frame: EmgFrame) -> None:
         self._window.append(frame)
@@ -107,21 +96,20 @@ class EnvelopeTracker:
     def envelopes(self) -> EmgEnvelopes:
         if not self._window:
             return SILENT_ENVELOPES
-        return emg_envelope(list(self._window), self.cfg)
+        return emg_envelope(list(self._window))
 
 
-def map_orientation(euler: EulerAngles, cfg: MapConfig = MapConfig()
-                    ) -> tuple[float, float, float]:
+def map_orientation(euler: EulerAngles) -> tuple[float, float, float]:
     """Orientation to (base_freq, spread, drive).
 
-    base_freq is exponential in pitch with endpoints exactly f_lo/f_hi;
+    base_freq is exponential in pitch with endpoints exactly F_LO/F_HI;
     spread is linear in yaw over (-pi, pi]; drive is linear in |roll|.
     """
-    octaves = math.log2(cfg.f_hi / cfg.f_lo)
-    base_freq = cfg.f_lo * 2.0 ** (
+    octaves = math.log2(F_HI / F_LO)
+    base_freq = F_LO * 2.0 ** (
         (euler.pitch + math.pi / 2.0) / math.pi * octaves)
-    spread = cfg.spread_max * (euler.yaw + math.pi) / (2.0 * math.pi)
-    drive = 1.0 + (cfg.drive_max - 1.0) * abs(euler.roll) / math.pi
+    spread = SPREAD_MAX * (euler.yaw + math.pi) / (2.0 * math.pi)
+    drive = 1.0 + (DRIVE_MAX - 1.0) * abs(euler.roll) / math.pi
     return base_freq, spread, drive
 
 

@@ -1,8 +1,9 @@
 """Open Sound Control 1.0 message encoding and UDP transmission.
 
 Messages only (no bundles or timetags; at a 50 Hz control rate single
-messages suffice).  Numeric arguments are sent as big-endian float32 —
-the format's native float — plus int32 and string for completeness.
+messages suffice).  Every argument is a big-endian float32, the format's
+native float: the contract below sends nothing else, so the encoder takes
+floats only and a str or bytes argument raises rather than being encoded.
 
 Address scheme, one namespace per performer (the public contract):
 
@@ -23,7 +24,6 @@ import logging
 import socket
 import struct
 from dataclasses import dataclass
-from typing import Union
 
 from .fusion import MotionState
 from .mapping import EmgEnvelopes, SynthParams
@@ -31,8 +31,6 @@ from .mapping import EmgEnvelopes, SynthParams
 logger = logging.getLogger(__name__)
 
 MAX_DATAGRAM = 1472  # stays within a standard ethernet MTU
-
-OscArg = Union[float, int, str]
 
 
 class OscError(Exception):
@@ -43,10 +41,6 @@ class InvalidAddressError(OscError):
     pass
 
 
-class UnsupportedArgTypeError(OscError):
-    pass
-
-
 class MessageTooLargeError(OscError):
     pass
 
@@ -54,7 +48,7 @@ class MessageTooLargeError(OscError):
 @dataclass(frozen=True)
 class OscMessage:
     address: str
-    args: tuple[OscArg, ...] = ()
+    args: tuple[float, ...] = ()
 
 
 def _pad4(data: bytes) -> bytes:
@@ -66,41 +60,27 @@ def _pad4(data: bytes) -> bytes:
     return data
 
 
-def _encode_string(value: str) -> bytes:
-    raw = value.encode("ascii")
+def _encode_address(address: str) -> bytes:
+    if not address.startswith("/"):
+        raise InvalidAddressError(f"address must start with '/': {address!r}")
+    try:
+        raw = address.encode("ascii")
+    except UnicodeEncodeError:
+        raise InvalidAddressError(
+            f"address must be ASCII: {address!r}") from None
     if b"\x00" in raw:
-        raise InvalidAddressError("embedded NUL in OSC string")
+        raise InvalidAddressError(f"embedded NUL in address: {address!r}")
     return _pad4(raw)
 
 
 def encode_message(msg: OscMessage) -> bytes:
-    """Encode to the OSC 1.0 wire format; total length is a multiple of 4."""
-    if not msg.address or not msg.address.startswith("/"):
-        raise InvalidAddressError(f"address must start with '/': {msg.address!r}")
-    if any(ord(c) >= 0x80 for c in msg.address):
-        raise InvalidAddressError(f"address must be ASCII: {msg.address!r}")
-    out = _encode_string(msg.address)
+    """Encode to the OSC 1.0 wire format; total length is a multiple of 4.
 
-    tags = ","
-    payload = b""
-    for arg in msg.args:
-        if isinstance(arg, bool):
-            raise UnsupportedArgTypeError("bool arguments are ambiguous")
-        if isinstance(arg, float):
-            tags += "f"
-            payload += struct.pack(">f", arg)
-        elif isinstance(arg, int):
-            if not -2**31 <= arg < 2**31:
-                raise UnsupportedArgTypeError(f"int32 out of range: {arg}")
-            tags += "i"
-            payload += struct.pack(">i", arg)
-        elif isinstance(arg, str):
-            tags += "s"
-            payload += _encode_string(arg)
-        else:
-            raise UnsupportedArgTypeError(
-                f"unsupported argument type {type(arg).__name__}")
-    return out + _pad4(tags.encode("ascii")) + payload
+    A float beyond the float32 range raises OverflowError (from struct).
+    """
+    n = len(msg.args)
+    return (_encode_address(msg.address) + _pad4(b"," + b"f" * n)
+            + struct.pack(f">{n}f", *msg.args))
 
 
 def emit_pipeline(state: MotionState, env: EmgEnvelopes, params: SynthParams,
@@ -109,17 +89,14 @@ def emit_pipeline(state: MotionState, env: EmgEnvelopes, params: SynthParams,
     prefix = f"/myo/{performer_id}"
     e = state.euler
     return [
-        OscMessage(f"{prefix}/emg", tuple(float(v) for v in env.env)),
-        OscMessage(f"{prefix}/euler", (float(e.roll), float(e.pitch),
-                                       float(e.yaw))),
-        OscMessage(f"{prefix}/accmag", (float(state.accel_mag),)),
-        OscMessage(f"{prefix}/gyrmag", (float(state.gyro_mag),)),
-        OscMessage(f"{prefix}/qom", (float(state.qom),)),
-        OscMessage(f"{prefix}/gate", (float(state.master_gain),)),
-        OscMessage(f"{prefix}/synth",
-                   tuple(float(f) for f in params.freqs)
-                   + tuple(float(a) for a in params.amps)
-                   + (float(params.drive), float(params.master_gain))),
+        OscMessage(f"{prefix}/emg", tuple(env.env)),
+        OscMessage(f"{prefix}/euler", (e.roll, e.pitch, e.yaw)),
+        OscMessage(f"{prefix}/accmag", (state.accel_mag,)),
+        OscMessage(f"{prefix}/gyrmag", (state.gyro_mag,)),
+        OscMessage(f"{prefix}/qom", (state.qom,)),
+        OscMessage(f"{prefix}/gate", (state.master_gain,)),
+        OscMessage(f"{prefix}/synth", (*params.freqs, *params.amps,
+                                       params.drive, params.master_gain)),
     ]
 
 

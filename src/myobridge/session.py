@@ -89,15 +89,14 @@ class SessionRecord:
 
 
 def make_meta_record(device_id: str = "unknown",
-                     scales: SensorScales = protocol.DEFAULT_SCALES,
                      extra: Optional[Mapping] = None) -> SessionRecord:
     data = {
         "version": LOG_VERSION,
         "device_id": device_id,
         "rng": RNG_ALGORITHM,
-        "quat_scale": scales.quat,
-        "accel_scale": scales.accel,
-        "gyro_scale": scales.gyro,
+        "quat_scale": protocol.DEFAULT_SCALES.quat,
+        "accel_scale": protocol.DEFAULT_SCALES.accel,
+        "gyro_scale": protocol.DEFAULT_SCALES.gyro,
         "imu_rate_hz": protocol.IMU_RATE_HZ,
         "emg_rate_hz": protocol.EMG_RATE_HZ,
     }

@@ -6,9 +6,13 @@ import pytest
 
 from myobridge.fusion import EulerAngles
 from myobridge.mapping import (
+    DRIVE_MAX,
+    F_HI,
+    F_LO,
+    SPREAD_MAX,
+    WINDOW_SAMPLES,
     EmgEnvelopes,
     EnvelopeTracker,
-    MapConfig,
     assemble_params,
     emg_envelope,
     map_orientation,
@@ -43,7 +47,8 @@ def test_envelope_alternating_full_scale():
     values = [127 if i % 2 == 0 else -127 for i in range(16)]
     env = emg_envelope(frames_from_channel(values, channel=3))
     assert env.env[3] == pytest.approx(0.9921875, abs=1e-12)
-    assert env.env[3] == pytest.approx(brute_force_env(values, 8), abs=1e-12)
+    assert env.env[3] == pytest.approx(
+        brute_force_env(values, WINDOW_SAMPLES), abs=1e-12)
     assert env.env[0] == 0.0
 
 
@@ -55,7 +60,8 @@ def test_envelope_constant_64():
 def test_envelope_zero_pads_short_history():
     values = [127, 127, 127]
     env = emg_envelope(frames_from_channel(values, channel=0))
-    assert env.env[0] == pytest.approx(brute_force_env(values, 8), abs=1e-12)
+    assert env.env[0] == pytest.approx(
+        brute_force_env(values, WINDOW_SAMPLES), abs=1e-12)
     assert env.env[0] < 0.99
 
 
@@ -66,7 +72,7 @@ def test_envelope_matches_oracle_on_random_windows():
         values = [rng.randint(-128, 127) for _ in range(rng.randint(1, 30))]
         env = emg_envelope(frames_from_channel(values, channel=5))
         assert env.env[5] == pytest.approx(
-            brute_force_env(values, 8), abs=1e-12)
+            brute_force_env(values, WINDOW_SAMPLES), abs=1e-12)
 
 
 def test_envelope_tracker_matches_function():
@@ -92,46 +98,41 @@ def test_envelopes_validate():
 # --- orientation map ---------------------------------------------------------
 
 def test_base_freq_geometric_mean_at_level_pitch():
-    cfg = MapConfig(f_lo=110.0, f_hi=880.0)
-    base, _, _ = map_orientation(EulerAngles(0.0, 0.0, 0.0), cfg)
-    assert base == pytest.approx(110.0 * 2.0 ** 1.5, abs=1e-9)
-    assert base == pytest.approx(math.sqrt(110.0 * 880.0), abs=1e-9)
+    base, _, _ = map_orientation(EulerAngles(0.0, 0.0, 0.0))
+    assert base == pytest.approx(F_LO * 2.0 ** 1.5, abs=1e-9)
+    assert base == pytest.approx(math.sqrt(F_LO * F_HI), abs=1e-9)
 
 
 def test_base_freq_endpoints():
-    cfg = MapConfig(f_lo=110.0, f_hi=880.0)
-    lo, _, _ = map_orientation(EulerAngles(0.0, -math.pi / 2, 0.0), cfg)
-    hi, _, _ = map_orientation(EulerAngles(0.0, math.pi / 2, 0.0), cfg)
-    assert lo == pytest.approx(110.0, rel=1e-12)
-    assert hi == pytest.approx(880.0, rel=1e-12)
+    lo, _, _ = map_orientation(EulerAngles(0.0, -math.pi / 2, 0.0))
+    hi, _, _ = map_orientation(EulerAngles(0.0, math.pi / 2, 0.0))
+    assert lo == pytest.approx(F_LO, rel=1e-12)
+    assert hi == pytest.approx(F_HI, rel=1e-12)
 
 
 def test_base_freq_strictly_increasing_in_pitch():
-    cfg = MapConfig()
     pitches = [(-math.pi / 2) + i * math.pi / 200 for i in range(201)]
-    freqs = [map_orientation(EulerAngles(0, p, 0), cfg)[0] for p in pitches]
+    freqs = [map_orientation(EulerAngles(0, p, 0))[0] for p in pitches]
     assert all(b > a for a, b in zip(freqs, freqs[1:]))
 
 
 def test_drive_clean_at_zero_roll():
-    _, _, drive = map_orientation(EulerAngles(0.0, 0.0, 0.0), MapConfig())
+    _, _, drive = map_orientation(EulerAngles(0.0, 0.0, 0.0))
     assert drive == 1.0
 
 
 def test_drive_maximum_at_half_turn():
-    cfg = MapConfig(drive_max=4.0)
-    _, _, drive = map_orientation(EulerAngles(math.pi, 0.0, 0.0), cfg)
-    assert drive == pytest.approx(4.0)
-    _, _, drive_neg = map_orientation(EulerAngles(-math.pi + 1e-9, 0.0, 0.0), cfg)
-    assert drive_neg == pytest.approx(4.0, abs=1e-6)
+    _, _, drive = map_orientation(EulerAngles(math.pi, 0.0, 0.0))
+    assert drive == pytest.approx(DRIVE_MAX)
+    _, _, drive_neg = map_orientation(EulerAngles(-math.pi + 1e-9, 0.0, 0.0))
+    assert drive_neg == pytest.approx(DRIVE_MAX, abs=1e-6)
 
 
 def test_spread_endpoints():
-    cfg = MapConfig(spread_max=0.5)
-    _, spread_lo, _ = map_orientation(EulerAngles(0.0, 0.0, -math.pi), cfg)
-    _, spread_hi, _ = map_orientation(EulerAngles(0.0, 0.0, math.pi), cfg)
+    _, spread_lo, _ = map_orientation(EulerAngles(0.0, 0.0, -math.pi))
+    _, spread_hi, _ = map_orientation(EulerAngles(0.0, 0.0, math.pi))
     assert spread_lo == 0.0
-    assert spread_hi == pytest.approx(0.5)
+    assert spread_hi == pytest.approx(SPREAD_MAX)
 
 
 # --- parameter assembly --------------------------------------------------------
@@ -176,9 +177,8 @@ def test_nyquist_clamp_warns(caplog):
 # --- separability ---------------------------------------------------------------
 
 def test_amps_respond_only_to_emg():
-    cfg = MapConfig()
     euler = EulerAngles(0.3, 0.2, -1.0)
-    base, spread, drive = map_orientation(euler, cfg)
+    base, spread, drive = map_orientation(euler)
     p1 = assemble_params(EmgEnvelopes(env=(0.1,) * 8), base, spread, drive, 0.7)
     p2 = assemble_params(EmgEnvelopes(env=(0.9,) * 8), base, spread, drive, 0.7)
     assert p1.amps != p2.amps
@@ -188,10 +188,9 @@ def test_amps_respond_only_to_emg():
 
 
 def test_freqs_respond_only_to_orientation():
-    cfg = MapConfig()
     env = EmgEnvelopes(env=(0.4,) * 8)
-    b1, s1, d1 = map_orientation(EulerAngles(0.0, -0.5, 0.5), cfg)
-    b2, s2, d2 = map_orientation(EulerAngles(0.0, 0.8, -2.0), cfg)
+    b1, s1, d1 = map_orientation(EulerAngles(0.0, -0.5, 0.5))
+    b2, s2, d2 = map_orientation(EulerAngles(0.0, 0.8, -2.0))
     p1 = assemble_params(env, b1, s1, d1, 0.5)
     p2 = assemble_params(env, b2, s2, d2, 0.5)
     assert p1.freqs != p2.freqs
@@ -200,9 +199,8 @@ def test_freqs_respond_only_to_orientation():
 
 
 def test_drive_responds_only_to_roll():
-    cfg = MapConfig()
-    b1, s1, d1 = map_orientation(EulerAngles(0.0, 0.1, 0.2), cfg)
-    b2, s2, d2 = map_orientation(EulerAngles(2.0, 0.1, 0.2), cfg)
+    b1, s1, d1 = map_orientation(EulerAngles(0.0, 0.1, 0.2))
+    b2, s2, d2 = map_orientation(EulerAngles(2.0, 0.1, 0.2))
     assert d1 != d2
     assert b1 == b2
     assert s1 == s2
