@@ -7,6 +7,13 @@ downstream mappings depend on this choice.
 The gate implements the inverse motion-to-sound rule: motion above a
 threshold mutes the master gain, which then ramps back up over a configured
 stillness interval (default 30 s).
+
+Quantity of motion (QoM) has one fixed definition, so that a threshold
+calibrated in one room means the same in the next: the accelerometer
+magnitude's distance from the 1 g rest reading plus the gyro magnitude
+divided by GYRO_FULL_SCALE_DPS, smoothed by an EMA with QOM_ALPHA before
+the gate compares it.  A motionless sensor scores ~0.  GateConfig is the
+one tuning knob.
 """
 
 from __future__ import annotations
@@ -26,6 +33,14 @@ _NOMINAL_DT = 1.0 / IMU_RATE_HZ
 # still, so the gate advances by one nominal period across it.
 MAX_GAP_S = 0.5
 
+# Gyro magnitude at which rotation adds 1 to QoM, making the accelerometer
+# and gyro addends commensurate.
+GYRO_FULL_SCALE_DPS = 500.0
+
+# EMA weight of a new QoM sample, so one noisy sample cannot mute a
+# performer.
+QOM_ALPHA = 0.2
+
 
 class NonNormalizableError(ValueError):
     """Quaternion norm too small to define an orientation."""
@@ -41,23 +56,6 @@ class EulerAngles:
 
 
 @dataclass(frozen=True)
-class QomConfig:
-    """Quantity-of-motion definition.
-
-    QoM is the accelerometer magnitude's distance from the 1 g rest reading
-    plus the normalized gyro magnitude, so a motionless sensor scores ~0.
-    Gyro magnitude is divided by gyro_full_scale_dps to make the two
-    addends commensurate.
-    """
-
-    gyro_full_scale_dps: float = 500.0
-
-    def __post_init__(self):
-        if not self.gyro_full_scale_dps > 0:
-            raise ValueError("gyro_full_scale_dps must be > 0")
-
-
-@dataclass(frozen=True)
 class GateConfig:
     """Threshold and recovery ramp for the stillness gate.
 
@@ -70,20 +68,10 @@ class GateConfig:
     ramp_seconds: float = 30.0
 
     def __post_init__(self):
+        if not 0.0 <= self.threshold < math.inf:
+            raise ValueError("threshold must be finite and >= 0")
         if not self.ramp_seconds > 0:
             raise ValueError("ramp_seconds must be > 0")
-
-
-@dataclass(frozen=True)
-class SmoothingConfig:
-    """EMA applied to QoM before the gate comparison, so one noisy sample
-    cannot mute a performer.  alpha=1 disables smoothing."""
-
-    alpha: float = 0.2
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -144,7 +132,7 @@ def vector_magnitude(v: Sequence[float]) -> float:
 
 def compute_qom(accel_mag: float, gyro_norm: float) -> float:
     """Scalar quantity of motion from the acceleration magnitude in g and the
-    rotation magnitude already divided by QomConfig.gyro_full_scale_dps."""
+    rotation magnitude already divided by GYRO_FULL_SCALE_DPS."""
     return abs(accel_mag - 1.0) + gyro_norm
 
 
@@ -169,10 +157,7 @@ def update_gate(state: MotionState, qom: float, dt: float,
 
 
 def smooth_ema(prev: float, x: float, alpha: float) -> float:
-    """One step of exponential smoothing; alpha=1 passes x through.
-
-    alpha is not range-checked here; SmoothingConfig checks it once.
-    """
+    """One step of exponential smoothing; alpha=1 passes x through."""
     return alpha * x + (1.0 - alpha) * prev
 
 
@@ -192,13 +177,8 @@ class MotionTracker:
     the nominal frame period; those past MAX_GAP_S count in gap_frames.
     """
 
-    def __init__(self,
-                 qom_cfg: Optional[QomConfig] = None,
-                 gate_cfg: Optional[GateConfig] = None,
-                 smoothing: Optional[SmoothingConfig] = None):
-        self.qom_cfg = qom_cfg or QomConfig()
+    def __init__(self, gate_cfg: Optional[GateConfig] = None):
         self.gate_cfg = gate_cfg or GateConfig()
-        self.smoothing = smoothing or SmoothingConfig()
         self.degenerate_frames = 0
         self.gap_frames = 0
         self._state = initial_state()
@@ -217,13 +197,13 @@ class MotionTracker:
             self.degenerate_frames += 1
         accel_mag = vector_magnitude(frame.accel)
         gyro_mag = vector_magnitude(frame.gyro)
-        gyro_norm = gyro_mag / self.qom_cfg.gyro_full_scale_dps
+        gyro_norm = gyro_mag / GYRO_FULL_SCALE_DPS
         qom = compute_qom(accel_mag, gyro_norm)
         if self._qom_smoothed is None:
             self._qom_smoothed = qom
         else:
             self._qom_smoothed = smooth_ema(self._qom_smoothed, qom,
-                                            self.smoothing.alpha)
+                                            QOM_ALPHA)
         if self._last_t_us is None:
             dt = _NOMINAL_DT
         else:

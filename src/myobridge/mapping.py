@@ -52,9 +52,6 @@ class EmgEnvelopes:
             raise ValueError("envelope values must lie in [0, 1]")
 
 
-SILENT_ENVELOPES = EmgEnvelopes(env=(0.0,) * N_OSCILLATORS)
-
-
 @dataclass(frozen=True)
 class SynthParams:
     """One control tick's oscillator settings."""
@@ -94,8 +91,6 @@ class EnvelopeTracker:
         self._window.append(frame)
 
     def envelopes(self) -> EmgEnvelopes:
-        if not self._window:
-            return SILENT_ENVELOPES
         return emg_envelope(list(self._window))
 
 

@@ -30,16 +30,16 @@ TYPE_EVENT_BIT = 0x80
 TYPE_RESERVED_MASK = 0x7F
 
 # Raw sensor value -> physical unit divisors, per the device's published
-# Bluetooth interface.  Kept in one place; override via SensorScales.
+# Bluetooth interface.  They are the device's units, not options: a log
+# that declares others is refused where it is read (session.iter_log).
 QUAT_SCALE = 16384.0  # raw -> dimensionless unit quaternion
 ACCEL_SCALE = 2048.0  # raw -> g
 GYRO_SCALE = 16.0     # raw -> deg/s
 
 IMU_RATE_HZ = 50.0
 EMG_RATE_HZ = 200.0
-
-# The second sample of an EMG notification is this much later than the first.
-EMG_HALF_PERIOD_US = round(1e6 / EMG_RATE_HZ / 2.0)
+IMU_PERIOD_US = round(1e6 / IMU_RATE_HZ)
+EMG_PERIOD_US = round(1e6 / EMG_RATE_HZ)
 
 IMU_PAYLOAD_LEN = 20
 EMG_PAYLOAD_LEN = 16
@@ -86,18 +86,6 @@ class BgapiFrame:
     class_id: int
     command_id: int
     payload: bytes = b""
-
-
-@dataclass(frozen=True)
-class SensorScales:
-    """Raw-integer to physical-unit divisors."""
-
-    quat: float = QUAT_SCALE
-    accel: float = ACCEL_SCALE
-    gyro: float = GYRO_SCALE
-
-
-DEFAULT_SCALES = SensorScales()
 
 
 @dataclass(frozen=True)
@@ -189,16 +177,15 @@ def unpack_imu_raw(payload: bytes) -> tuple[int, ...]:
     return _IMU_STRUCT.unpack(payload)
 
 
-def scale_imu_values(raw: Sequence[int], t_us: int,
-                     scales: SensorScales = DEFAULT_SCALES) -> ImuFrame:
+def scale_imu_values(raw: Sequence[int], t_us: int) -> ImuFrame:
     """Convert 10 raw integers (quat wxyz, accel xyz, gyro xyz) to an ImuFrame."""
     if len(raw) != 10:
         raise WrongLengthError(f"expected 10 raw IMU values, got {len(raw)}")
     return ImuFrame(
         t_us=t_us,
-        quat=tuple(v / scales.quat for v in raw[0:4]),
-        accel=tuple(v / scales.accel for v in raw[4:7]),
-        gyro=tuple(v / scales.gyro for v in raw[7:10]),
+        quat=tuple(v / QUAT_SCALE for v in raw[0:4]),
+        accel=tuple(v / ACCEL_SCALE for v in raw[4:7]),
+        gyro=tuple(v / GYRO_SCALE for v in raw[7:10]),
     )
 
 
@@ -215,14 +202,17 @@ def parse_emg_packet(payload: bytes, t_us: int) -> tuple[EmgFrame, EmgFrame]:
     """Decode a 16-byte EMG notification into two consecutive samples.
 
     The first 8 bytes are sample A at t_us; the last 8 are sample B,
-    timestamped half an EMG period later.
+    timestamped half an EMG period later.  That spacing is a known error:
+    consecutive samples are a full period apart.  The benchmark's wire
+    self-test pins the half period, so the fix lands with a change to the
+    benchmark (ROADMAP item 4).
     """
     if len(payload) != EMG_PAYLOAD_LEN:
         raise WrongLengthError(
             f"EMG payload must be {EMG_PAYLOAD_LEN} bytes, got {len(payload)}")
     values = _EMG_STRUCT.unpack(payload)
     frame_a = EmgFrame(t_us=t_us, channels=values[:8])
-    frame_b = EmgFrame(t_us=t_us + EMG_HALF_PERIOD_US, channels=values[8:])
+    frame_b = EmgFrame(t_us=t_us + EMG_PERIOD_US // 2, channels=values[8:])
     return frame_a, frame_b
 
 

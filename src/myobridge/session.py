@@ -1,17 +1,21 @@
 """Deterministic recording, replay, and synthesis of sensor streams.
 
-Logs are JSON lines, one flat record per line, storing raw pre-scaling
-sensor integers so that scaling changes never invalidate archives:
+Logs are JSON lines, one flat record per line, storing the raw sensor
+integers the armband sends, so a log holds exactly what the wire carried
+and replays through the same scaling (protocol.scale_imu_values):
 
     {"t_us":0,"kind":"meta","data":{"version":"1.0",...}}
     {"t_us":0,"kind":"imu","data":[qw,qx,qy,qz,ax,ay,az,gx,gy,gz]}
     {"t_us":0,"kind":"emg","data":[c0,...,c7]}
 
 Producers write a leading meta record carrying the format version, device
-id, scale constants, and the RNG algorithm used for synthetic streams.
-Timestamps are microseconds and must be non-decreasing.  Replay time comes
-from the stored timestamps only, never the wall clock, so paced and
-as-fast-as-possible replays feed downstream identically.
+id, the RNG algorithm used for synthetic streams and the device units
+(_DEVICE_UNITS: scale divisors and sample rates).  The units are fixed by
+the device, not options: iter_log refuses a meta record that declares
+different ones, naming its line.  Timestamps are microseconds and must be
+non-decreasing.  Replay time comes from the stored timestamps only, never
+the wall clock, so paced and as-fast-as-possible replays feed downstream
+identically.
 
 The scenario generator synthesizes ensemble performances: each performer
 holds a sequence of poses (orientation target + muscle-tension profile)
@@ -32,14 +36,20 @@ import numpy as np
 
 from . import protocol
 from .fusion import euler_to_quat
-from .protocol import EmgFrame, ImuFrame, SensorScales
+from .protocol import EMG_PERIOD_US, IMU_PERIOD_US, EmgFrame, ImuFrame
 
 LOG_VERSION = "1.0"
 LOG_MAJOR = 1
 RNG_ALGORITHM = "numpy-pcg64"
 
-IMU_PERIOD_US = round(1e6 / protocol.IMU_RATE_HZ)
-EMG_PERIOD_US = round(1e6 / protocol.EMG_RATE_HZ)
+# The meta record's device fields, in the order it writes them.
+_DEVICE_UNITS = {
+    "quat_scale": protocol.QUAT_SCALE,
+    "accel_scale": protocol.ACCEL_SCALE,
+    "gyro_scale": protocol.GYRO_SCALE,
+    "imu_rate_hz": protocol.IMU_RATE_HZ,
+    "emg_rate_hz": protocol.EMG_RATE_HZ,
+}
 
 # Micromotion / burst magnitudes per unit of the scenario's amp knobs.
 EULER_JITTER_RAD = 0.005
@@ -94,11 +104,7 @@ def make_meta_record(device_id: str = "unknown",
         "version": LOG_VERSION,
         "device_id": device_id,
         "rng": RNG_ALGORITHM,
-        "quat_scale": protocol.DEFAULT_SCALES.quat,
-        "accel_scale": protocol.DEFAULT_SCALES.accel,
-        "gyro_scale": protocol.DEFAULT_SCALES.gyro,
-        "imu_rate_hz": protocol.IMU_RATE_HZ,
-        "emg_rate_hz": protocol.EMG_RATE_HZ,
+        **_DEVICE_UNITS,
     }
     if extra:
         data.update(extra)
@@ -166,6 +172,11 @@ def _parse_line(line: str, line_no: int) -> SessionRecord:
         if not major.isdigit() or int(major) != LOG_MAJOR:
             raise UnsupportedVersionError(
                 line_no, f"unsupported log version {version!r}")
+        for key, unit in _DEVICE_UNITS.items():
+            if key in data and data[key] != unit:
+                raise LogParseError(
+                    line_no, f"meta {key} {data[key]!r} is not the device's "
+                             f"{unit!r}")
         return SessionRecord(t_us, "meta", data)
     raise LogParseError(line_no, f"unknown record kind {kind!r}")
 
@@ -174,9 +185,13 @@ def iter_log(path) -> Iterator[SessionRecord]:
     """Parse a log file; raises LogParseError/MonotonicityError with the
     offending 1-based line number."""
     last_t = None
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("ascii").strip()
+            except UnicodeDecodeError as exc:
+                raise LogParseError(
+                    line_no, f"non-ASCII byte 0x{raw[exc.start]:02x}") from exc
             if not line:
                 continue
             rec = _parse_line(line, line_no)
@@ -212,29 +227,12 @@ def replay(path, speed: Optional[float] = None) -> Iterator[SessionRecord]:
         yield rec
 
 
-def scales_from_meta(meta: Optional[Mapping]) -> SensorScales:
-    if not meta:
-        return protocol.DEFAULT_SCALES
-    return SensorScales(
-        quat=float(meta.get("quat_scale", protocol.QUAT_SCALE)),
-        accel=float(meta.get("accel_scale", protocol.ACCEL_SCALE)),
-        gyro=float(meta.get("gyro_scale", protocol.GYRO_SCALE)),
-    )
-
-
 def records_to_frames(records: Iterable[SessionRecord]
                       ) -> Iterator[Union[ImuFrame, EmgFrame]]:
-    """Scale raw records into physical-unit frames.
-
-    Scale constants come from the leading meta record when present, so
-    archives outlive changes to the defaults.
-    """
-    scales = protocol.DEFAULT_SCALES
+    """Scale raw records into physical-unit frames, skipping meta records."""
     for rec in records:
-        if rec.kind == "meta":
-            scales = scales_from_meta(rec.data)
-        elif rec.kind == "imu":
-            yield protocol.scale_imu_values(rec.data, rec.t_us, scales)
+        if rec.kind == "imu":
+            yield protocol.scale_imu_values(rec.data, rec.t_us)
         elif rec.kind == "emg":
             yield EmgFrame(t_us=rec.t_us, channels=tuple(rec.data))
 

@@ -14,13 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from myobridge.fusion import (
+    GYRO_FULL_SCALE_DPS,
     MAX_GAP_S,
     EulerAngles,
     GateConfig,
     MotionTracker,
     NonNormalizableError,
-    QomConfig,
-    SmoothingConfig,
     compute_qom,
     euler_to_quat,
     initial_state,
@@ -155,14 +154,13 @@ def test_qom_compensated_rest():
 
 
 def test_qom_compensated_golden():
-    cfg = QomConfig(gyro_full_scale_dps=500.0)
-    assert compute_qom(1.2, 25.0 / cfg.gyro_full_scale_dps) == pytest.approx(
+    assert compute_qom(1.2, 25.0 / GYRO_FULL_SCALE_DPS) == pytest.approx(
         0.25, abs=1e-12)
 
 
 def test_qom_monotone_in_gyro():
     for accel_mag in (0.9, 1.1):
-        values = [compute_qom(accel_mag, g / QomConfig().gyro_full_scale_dps)
+        values = [compute_qom(accel_mag, g / GYRO_FULL_SCALE_DPS)
                   for g in np.linspace(0, 2000, 50)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
@@ -239,21 +237,13 @@ def test_ema_passthrough_and_freeze():
     assert smooth_ema(0.0, 1.0, 0.25) == 0.25
 
 
-def test_ema_alpha_range():
-    # checked once, when the config is built, not on every frame
-    for alpha in (1.5, -0.1, math.nan):
-        with pytest.raises(ValueError):
-            SmoothingConfig(alpha=alpha)
-    SmoothingConfig(alpha=0.0)
-    SmoothingConfig(alpha=1.0)
-
-
 @pytest.mark.parametrize("cls, field, value", [
     (GateConfig, "ramp_seconds", 0),
     (GateConfig, "ramp_seconds", -1.0),
     (GateConfig, "ramp_seconds", math.nan),
-    (QomConfig, "gyro_full_scale_dps", 0),
-    (QomConfig, "gyro_full_scale_dps", -500.0),
+    (GateConfig, "threshold", math.nan),
+    (GateConfig, "threshold", -0.1),
+    (GateConfig, "threshold", math.inf),
 ])
 def test_bad_config_rejected_at_construction(cls, field, value):
     with pytest.raises(ValueError):
@@ -278,9 +268,7 @@ def test_tracker_ramps_under_stillness():
 
 
 def test_tracker_smoothing_delays_single_spike():
-    cfg = GateConfig(threshold=0.35)
-    smooth = SmoothingConfig(alpha=0.2)
-    tracker = MotionTracker(gate_cfg=cfg, smoothing=smooth)
+    tracker = MotionTracker(gate_cfg=GateConfig(threshold=0.35))
     for i in range(50):
         tracker.update(_still_frame(i * 20_000))
     # single spike of qom 1.0 (gyro 500 deg/s at rest) smooths to 0.2 < 0.35
@@ -290,14 +278,19 @@ def test_tracker_smoothing_delays_single_spike():
     assert state.master_gain > 0.0
 
 
-def test_tracker_unsmoothed_spike_mutes():
-    tracker = MotionTracker(smoothing=SmoothingConfig(alpha=1.0))
+def test_tracker_sustained_spike_mutes_on_second_frame():
+    tracker = MotionTracker(gate_cfg=GateConfig(threshold=0.35))
     for i in range(50):
         tracker.update(_still_frame(i * 20_000))
-    spike = ImuFrame(t_us=50 * 20_000, quat=(1.0, 0.0, 0.0, 0.0),
-                     accel=(0.0, 0.0, 1.0), gyro=(500.0, 0.0, 0.0))
-    state = tracker.update(spike)
-    assert state.master_gain == 0.0
+    # qom 1.0 per frame smooths to 0.2, then 0.36 > 0.35
+    states = [tracker.update(ImuFrame(t_us=(50 + k) * 20_000,
+                                      quat=(1.0, 0.0, 0.0, 0.0),
+                                      accel=(0.0, 0.0, 1.0),
+                                      gyro=(500.0, 0.0, 0.0)))
+              for k in range(2)]
+    assert [s.qom for s in states] == pytest.approx([0.2, 0.36], abs=1e-12)
+    assert states[0].master_gain > 0.0
+    assert states[1].master_gain == 0.0
 
 
 def test_tracker_holds_orientation_over_degenerate_quaternion():

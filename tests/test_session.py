@@ -93,6 +93,16 @@ def test_corrupt_json_names_line(tmp_path):
     assert excinfo.value.line_no == 17
 
 
+def test_non_ascii_byte_names_line(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'{"t_us":0,"kind":"emg","data":[0,0,0,0,0,0,0,0]}\n'
+                     b'{"t_us":5000,"kind":"emg\xff","data":[]}\n')
+    with pytest.raises(LogParseError) as excinfo:
+        list(iter_log(path))
+    assert excinfo.value.line_no == 2
+    assert "0xff" in str(excinfo.value)
+
+
 def test_unknown_major_version_rejected(tmp_path):
     path = tmp_path / "v2.jsonl"
     path.write_text('{"t_us":0,"kind":"meta","data":{"version":"2.0"}}\n')
@@ -182,14 +192,18 @@ def test_records_to_frames_applies_meta_scales(tmp_path):
     assert frames[1].channels == (5,) * 8
 
 
-def test_records_to_frames_honors_custom_scales():
-    meta = make_meta_record()
-    data = dict(meta.data)
-    data["quat_scale"] = 8192.0
-    recs = [SessionRecord(0, "meta", data),
-            SessionRecord(0, "imu", (8192, 0, 0, 0, 0, 0, 0, 0, 0, 0))]
-    frames = list(records_to_frames(recs))
-    assert frames[0].quat == (1.0, 0.0, 0.0, 0.0)
+def test_log_declaring_other_units_names_line(tmp_path):
+    path = tmp_path / "log.jsonl"
+    other = dict(make_meta_record().data, quat_scale=8192.0)
+    record([SessionRecord(0, "imu", (0,) * 10),
+            SessionRecord(0, "meta", other)], path)
+    with pytest.raises(LogParseError) as excinfo:
+        list(iter_log(path))
+    assert excinfo.value.line_no == 2
+    assert "quat_scale" in str(excinfo.value)
+    # a meta record that leaves the units out is accepted
+    record([SessionRecord(0, "meta", {"version": "1.0"})], path)
+    assert len(list(iter_log(path))) == 1
 
 
 # --- scenario generation ---------------------------------------------------------

@@ -4,6 +4,7 @@ reader oracle."""
 
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ def make_params(freqs=None, amps=None, drive=1.0, master_gain=1.0):
 
 def read_wav_oracle(path):
     """Independent RIFF/WAVE reader built from the container spec."""
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     assert raw[0:4] == b"RIFF"
     riff_size = struct.unpack("<I", raw[4:8])[0]
     assert riff_size == len(raw) - 8
@@ -289,7 +290,7 @@ def test_wav_golden_four_zero_samples(tmp_path):
 def test_wav_full_scale_sample_encoding(tmp_path):
     path = tmp_path / "one.wav"
     write_wav(AudioBlock(np.array([1.0]), 44100.0), path)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     assert raw[44:46] == b"\xff\x7f"
     assert read_wav_oracle(path)["samples"] == (32767,)
 
@@ -317,7 +318,7 @@ def test_wav_byte_exact_across_runs(tmp_path):
     p1, p2 = tmp_path / "a.wav", tmp_path / "b.wav"
     write_wav(AudioBlock(samples, 44100.0), p1)
     write_wav(AudioBlock(samples.copy(), 44100.0), p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_wav_rejects_out_of_range(tmp_path):
