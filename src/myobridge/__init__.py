@@ -1,4 +1,4 @@
 """Myo armband bridge: protocol decoding, motion features, sound mapping,
-OSC output, offline synthesis, and deterministic record/replay."""
+OSC output, offline synthesis, and deterministic session logs."""
 
 __version__ = "0.1.0"

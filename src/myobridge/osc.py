@@ -30,18 +30,12 @@ from .mapping import EmgEnvelopes, SynthParams
 
 logger = logging.getLogger(__name__)
 
-MAX_DATAGRAM = 1472  # stays within a standard ethernet MTU
-
 
 class OscError(Exception):
     pass
 
 
 class InvalidAddressError(OscError):
-    pass
-
-
-class MessageTooLargeError(OscError):
     pass
 
 
@@ -103,9 +97,10 @@ def emit_pipeline(state: MotionState, env: EmgEnvelopes, params: SynthParams,
 class UdpSender:
     """Fire-and-forget datagram sender for a live stream.
 
-    Transport failures are logged and swallowed: a performance must not
-    halt on a transient network error.  Oversized datagrams are rejected
-    before any send is attempted.
+    Transport failures, a datagram too large for the socket included, are
+    counted in send_errors and swallowed: a performance must not halt on a
+    network error.  An outage logs one warning when it starts and one, with
+    its count of failed sends, when a send next succeeds.
     """
 
     def __init__(self, host: str, port: int):
@@ -113,17 +108,23 @@ class UdpSender:
         self.port = port
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self.send_errors = 0
+        self._outage_errors = 0
 
     def send(self, data: bytes) -> None:
-        if len(data) > MAX_DATAGRAM:
-            raise MessageTooLargeError(
-                f"datagram is {len(data)} bytes, max {MAX_DATAGRAM}")
         try:
             self._sock.sendto(data, (self.host, self.port))
         except OSError as exc:
             self.send_errors += 1
-            logger.warning("OSC send to %s:%d failed: %s",
-                           self.host, self.port, exc)
+            self._outage_errors += 1
+            if self._outage_errors == 1:
+                logger.warning("OSC send to %s:%d failed: %s; counting "
+                               "failures until a send succeeds",
+                               self.host, self.port, exc)
+            return
+        if self._outage_errors:
+            logger.warning("OSC send to %s:%d recovered after %d failed sends",
+                           self.host, self.port, self._outage_errors)
+            self._outage_errors = 0
 
     def close(self) -> None:
         self._sock.close()

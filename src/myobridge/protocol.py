@@ -205,7 +205,7 @@ def parse_emg_packet(payload: bytes, t_us: int) -> tuple[EmgFrame, EmgFrame]:
     timestamped half an EMG period later.  That spacing is a known error:
     consecutive samples are a full period apart.  The benchmark's wire
     self-test pins the half period, so the fix lands with a change to the
-    benchmark (ROADMAP item 4).
+    benchmark (ROADMAP item 3).
     """
     if len(payload) != EMG_PAYLOAD_LEN:
         raise WrongLengthError(

@@ -1,8 +1,8 @@
-"""Deterministic recording, replay, and synthesis of sensor streams.
+"""Deterministic recording, reading, and synthesis of sensor streams.
 
 Logs are JSON lines, one flat record per line, storing the raw sensor
 integers the armband sends, so a log holds exactly what the wire carried
-and replays through the same scaling (protocol.scale_imu_values):
+and is read back through the same scaling (protocol.scale_imu_values):
 
     {"t_us":0,"kind":"meta","data":{"version":"1.0",...}}
     {"t_us":0,"kind":"imu","data":[qw,qx,qy,qz,ax,ay,az,gx,gy,gz]}
@@ -13,9 +13,7 @@ id, the RNG algorithm used for synthetic streams and the device units
 (_DEVICE_UNITS: scale divisors and sample rates).  The units are fixed by
 the device, not options: iter_log refuses a meta record that declares
 different ones, naming its line.  Timestamps are microseconds and must be
-non-decreasing.  Replay time comes from the stored timestamps only, never
-the wall clock, so paced and as-fast-as-possible replays feed downstream
-identically.
+non-decreasing, and they are the only clock a reader uses.
 
 The scenario generator synthesizes ensemble performances: each performer
 holds a sequence of poses (orientation target + muscle-tension profile)
@@ -27,10 +25,11 @@ labeled approximation, sufficient for exercising the gate.
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from importlib import resources
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -65,11 +64,7 @@ _INT8_MIN, _INT8_MAX = -128, 127
 _BUNDLED_SCENARIO = "ensemble_9min.json"
 
 
-class LogError(Exception):
-    pass
-
-
-class LogParseError(LogError):
+class LogParseError(Exception):
     """Malformed log content; carries the 1-based line number."""
 
     def __init__(self, line_no: int, message: str):
@@ -98,17 +93,13 @@ class SessionRecord:
     data: Union[tuple, Mapping]
 
 
-def make_meta_record(device_id: str = "unknown",
-                     extra: Optional[Mapping] = None) -> SessionRecord:
-    data = {
+def make_meta_record(device_id: str = "unknown") -> SessionRecord:
+    return SessionRecord(t_us=0, kind="meta", data={
         "version": LOG_VERSION,
         "device_id": device_id,
         "rng": RNG_ALGORITHM,
         **_DEVICE_UNITS,
-    }
-    if extra:
-        data.update(extra)
-    return SessionRecord(t_us=0, kind="meta", data=data)
+    })
 
 
 def _serialize(rec: SessionRecord) -> str:
@@ -120,7 +111,7 @@ def _serialize(rec: SessionRecord) -> str:
 def record(records: Iterable[SessionRecord], path) -> int:
     """Write records to a log file, one line each, in arrival order.
 
-    Lossless: replaying the file reproduces the exact record sequence.
+    Lossless: iter_log on the file yields the exact record sequence.
     Returns the number of lines written.
     """
     count = 0
@@ -202,31 +193,6 @@ def iter_log(path) -> Iterator[SessionRecord]:
             yield rec
 
 
-def replay(path, speed: Optional[float] = None) -> Iterator[SessionRecord]:
-    """Stream a log's records in order.
-
-    speed=None replays as fast as possible; a positive multiplier paces
-    delivery by scaling the recorded times by 1/speed.  Each record is due
-    at an absolute monotonic-clock deadline counted from the first record,
-    so oversleeping and parse time do not add up over a long log.
-    Downstream results are identical either way: consumers take time from
-    t_us, never from the wall clock.
-    """
-    if speed is not None and speed <= 0:
-        raise ValueError("speed must be positive (or None for fast mode)")
-    start = first_t = None
-    for rec in iter_log(path):
-        if speed is not None:
-            if start is None:
-                start, first_t = time.monotonic(), rec.t_us
-            else:
-                due = start + (rec.t_us - first_t) / 1e6 / speed
-                wait = due - time.monotonic()
-                if wait > 0:
-                    time.sleep(wait)
-        yield rec
-
-
 def records_to_frames(records: Iterable[SessionRecord]
                       ) -> Iterator[Union[ImuFrame, EmgFrame]]:
     """Scale raw records into physical-unit frames, skipping meta records."""
@@ -258,56 +224,72 @@ class PerformerScript:
 
 @dataclass(frozen=True)
 class Scenario:
+    """The poses each performer holds; bad values are refused when built."""
+
     performers: tuple[PerformerScript, ...]
     transition_s: float = 2.0
     name: str = ""
 
+    def __post_init__(self):
+        if not self.performers:
+            raise InvalidScenarioError("scenario has no performers")
+        if not 0.0 <= self.transition_s < math.inf:
+            raise InvalidScenarioError("transition_s must be finite and >= 0")
+        for p, script in enumerate(self.performers):
+            if not script.poses:
+                raise InvalidScenarioError(f"performer {p} has no poses")
+            for k, pose in enumerate(script.poses):
+                for ok, problem in (
+                    (0.0 < pose.duration_s < math.inf,
+                     "duration must be finite and > 0"),
+                    (len(pose.orientation) == 3
+                     and all(-math.inf < a < math.inf
+                             for a in pose.orientation),
+                     "orientation needs 3 finite angles"),
+                    (len(pose.tension) == 8, "tension needs 8 channels"),
+                    (all(0.0 <= t <= 1.0 for t in pose.tension),
+                     "tension values must be in [0, 1]"),
+                    (0.0 <= pose.micromotion_amp < math.inf
+                     and 0.0 <= pose.transition_motion_amp < math.inf,
+                     "amplitudes must be finite and >= 0"),
+                ):
+                    if not ok:
+                        raise InvalidScenarioError(
+                            f"performer {p} pose {k}: {problem}")
 
-def _validate_pose(pose: Pose, where: str) -> None:
-    if pose.duration_s <= 0:
-        raise InvalidScenarioError(f"{where}: duration must be positive")
-    if len(pose.orientation) != 3:
-        raise InvalidScenarioError(f"{where}: orientation needs 3 angles")
-    if len(pose.tension) != 8:
-        raise InvalidScenarioError(f"{where}: tension needs 8 channels")
-    if any(not 0.0 <= t <= 1.0 for t in pose.tension):
-        raise InvalidScenarioError(f"{where}: tension values must be in [0, 1]")
-    if pose.micromotion_amp < 0 or pose.transition_motion_amp < 0:
-        raise InvalidScenarioError(f"{where}: amplitudes must be >= 0")
+
+def _known_keys(obj, cls) -> Mapping:
+    """obj, once it is an object with no key that cls lacks a field for."""
+    if not isinstance(obj, Mapping):
+        raise TypeError(f"{cls.__name__} must be an object")
+    unknown = set(obj) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} key(s) {sorted(unknown)}")
+    return obj
 
 
-def validate_scenario(scenario: Scenario) -> None:
-    if not scenario.performers:
-        raise InvalidScenarioError("scenario has no performers")
-    if scenario.transition_s < 0:
-        raise InvalidScenarioError("transition_s must be >= 0")
-    for p, script in enumerate(scenario.performers):
-        if not script.poses:
-            raise InvalidScenarioError(f"performer {p} has no poses")
-        for k, pose in enumerate(script.poses):
-            _validate_pose(pose, f"performer {p} pose {k}")
+def _pose_from_dict(obj) -> Pose:
+    return Pose(**{key: tuple(map(float, value))
+                   if key in ("orientation", "tension") else float(value)
+                   for key, value in _known_keys(obj, Pose).items()})
 
 
 def scenario_from_dict(obj: Mapping) -> Scenario:
+    """A Scenario from its JSON form; absent keys take the field defaults,
+    and an unknown key or a malformed value raises InvalidScenarioError."""
     try:
-        performers = []
-        for script in obj["performers"]:
-            poses = tuple(
-                Pose(duration_s=float(p["duration_s"]),
-                     orientation=tuple(float(a) for a in p["orientation"]),
-                     tension=tuple(float(t) for t in p["tension"]),
-                     micromotion_amp=float(p.get("micromotion_amp", 1.0)),
-                     transition_motion_amp=float(
-                         p.get("transition_motion_amp", 4.0)))
-                for p in script["poses"])
-            performers.append(PerformerScript(poses=poses))
-    except (KeyError, TypeError, ValueError) as exc:
+        kwargs = dict(_known_keys(obj, Scenario))
+        kwargs["performers"] = tuple(
+            PerformerScript(poses=tuple(
+                _pose_from_dict(pose)
+                for pose in _known_keys(script, PerformerScript)["poses"]))
+            for script in kwargs["performers"])
+        for key, convert in (("transition_s", float), ("name", str)):
+            if key in kwargs:
+                kwargs[key] = convert(kwargs[key])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidScenarioError(f"malformed scenario: {exc}") from exc
-    scenario = Scenario(performers=tuple(performers),
-                        transition_s=float(obj.get("transition_s", 2.0)),
-                        name=str(obj.get("name", "")))
-    validate_scenario(scenario)
-    return scenario
+    return Scenario(**kwargs)
 
 
 def default_scenario() -> Scenario:
@@ -344,10 +326,8 @@ def generate_performer_records(script: PerformerScript, transition_s: float,
     imu_t = np.arange(n_imu, dtype=np.int64) * IMU_PERIOD_US
     emg_t = np.arange(n_emg, dtype=np.int64) * EMG_PERIOD_US
 
-    imu_pose = np.searchsorted(starts_us[1:], imu_t, side="right") \
-        if len(script.poses) > 1 else np.zeros(n_imu, dtype=np.int64)
-    emg_pose = np.searchsorted(starts_us[1:], emg_t, side="right") \
-        if len(script.poses) > 1 else np.zeros(n_emg, dtype=np.int64)
+    imu_pose = np.searchsorted(starts_us[1:], imu_t, side="right")
+    emg_pose = np.searchsorted(starts_us[1:], emg_t, side="right")
 
     micro = np.array([p.micromotion_amp for p in script.poses])
     burst = np.array([p.transition_motion_amp for p in script.poses])
@@ -360,32 +340,23 @@ def generate_performer_records(script: PerformerScript, transition_s: float,
     accel_noise = rng.standard_normal((n_imu, 3))
     emg_noise = rng.standard_normal((n_emg, 8))
 
-    imu_micro = micro[imu_pose][:, None]
-    euler = targets[imu_pose] + euler_noise * (EULER_JITTER_RAD * imu_micro)
-    gyro = gyro_noise * (GYRO_JITTER_DPS * imu_micro)
-
     # pose changes: lerp orientation from the previous target and inject a
     # rectangular supra-threshold burst for transition_s
     transition_us = transition_s * 1e6
     since_start = imu_t - starts_us[imu_pose]
     in_transition = (imu_pose > 0) & (since_start < transition_us)
-    if transition_us > 0 and np.any(in_transition):
-        u = np.clip(since_start / max(transition_us, 1.0), 0.0, 1.0)
-        prev_idx = np.maximum(imu_pose - 1, 0)
-        lerped = (targets[prev_idx] * (1.0 - u[:, None])
-                  + targets[imu_pose] * u[:, None])
-        euler[in_transition] = (lerped[in_transition]
-                                + euler_noise[in_transition]
-                                * (EULER_JITTER_RAD
-                                   * imu_micro[in_transition]))
-        amp = burst[imu_pose][:, None]
-        gyro[in_transition, 0] += (BURST_GYRO_DPS * amp[in_transition, 0])
-
+    u = np.clip(since_start / max(transition_us, 1.0), 0.0, 1.0)[:, None]
+    lerped = (targets[np.maximum(imu_pose - 1, 0)] * (1.0 - u)
+              + targets[imu_pose] * u)
+    imu_micro = micro[imu_pose][:, None]
+    imu_burst = burst[imu_pose][in_transition]
+    euler = (np.where(in_transition[:, None], lerped, targets[imu_pose])
+             + euler_noise * (EULER_JITTER_RAD * imu_micro))
+    gyro = gyro_noise * (GYRO_JITTER_DPS * imu_micro)
+    gyro[in_transition, 0] += BURST_GYRO_DPS * imu_burst
     accel = (_gravity_from_euler(euler[:, 0], euler[:, 1])
              + accel_noise * (ACCEL_JITTER_G * imu_micro))
-    if transition_us > 0 and np.any(in_transition):
-        accel[in_transition, 0] += (BURST_ACCEL_G
-                                    * burst[imu_pose][in_transition])
+    accel[in_transition, 0] += BURST_ACCEL_G * imu_burst
 
     quat = euler_to_quat(euler[:, 0], euler[:, 1], euler[:, 2])
     quat_raw = _clip_round(quat, protocol.QUAT_SCALE, _INT16_MIN, _INT16_MAX)
@@ -398,28 +369,18 @@ def generate_performer_records(script: PerformerScript, transition_s: float,
     emg_values = signs * amp_per_sample + emg_noise * (EMG_JITTER_RAW * emg_micro)
     emg_raw = _clip_round(emg_values, 1.0, _INT8_MIN, _INT8_MAX)
 
-    records = [make_meta_record(
-        device_id=f"synthetic-{performer_index}",
-        extra={"seed": seed, "performer": performer_index})]
-
     imu_data = np.concatenate([quat_raw, accel_raw, gyro_raw], axis=1)
-    imu_times = imu_t.tolist()
-    emg_times = emg_t.tolist()
-    imu_rows = imu_data.tolist()
-    emg_rows = emg_raw.tolist()
-    i = j = 0
-    while i < n_imu or j < n_emg:
-        # EMG sorts before IMU at equal timestamps so a control tick sees
-        # the coincident sample
-        if j < n_emg and (i >= n_imu or emg_times[j] <= imu_times[i]):
-            records.append(SessionRecord(emg_times[j], "emg",
-                                         tuple(emg_rows[j])))
-            j += 1
-        else:
-            records.append(SessionRecord(imu_times[i], "imu",
-                                         tuple(imu_rows[i])))
-            i += 1
-    return records
+    records = (
+        [SessionRecord(t, "emg", tuple(row))
+         for t, row in zip(emg_t.tolist(), emg_raw.tolist())]
+        + [SessionRecord(t, "imu", tuple(row))
+           for t, row in zip(imu_t.tolist(), imu_data.tolist())])
+    # a stable sort keeps EMG before IMU at equal timestamps, so a control
+    # tick sees the coincident sample
+    records.sort(key=attrgetter("t_us"))
+    meta = make_meta_record(device_id=f"synthetic-{performer_index}")
+    meta.data.update(seed=seed, performer=performer_index)
+    return [meta] + records
 
 
 def generate_scenario(scenario: Scenario, seed: int
@@ -430,7 +391,6 @@ def generate_scenario(scenario: Scenario, seed: int
     streams use independent child seeds so adding a performer never
     perturbs the others.
     """
-    validate_scenario(scenario)
     children = np.random.SeedSequence(seed).spawn(len(scenario.performers))
     logs = []
     for idx, (script, child) in enumerate(zip(scenario.performers, children)):

@@ -13,7 +13,6 @@ from myobridge.fusion import EulerAngles, MotionState
 from myobridge.mapping import EmgEnvelopes, SynthParams
 from myobridge.osc import (
     InvalidAddressError,
-    MessageTooLargeError,
     OscMessage,
     UdpSender,
     emit_pipeline,
@@ -213,15 +212,6 @@ def test_loopback_round_trip():
     assert got == payload
 
 
-def test_oversized_datagram_rejected_before_send():
-    with UdpSender("127.0.0.1", 9) as sender:
-        with pytest.raises(MessageTooLargeError):
-            sender.send(b"\x00" * 1473)
-    # the largest pipeline message stays comfortably within the MTU guard
-    synth = emit_pipeline(_state(), EmgEnvelopes((1.0,) * 8), _params(), 99)[-1]
-    assert len(encode_message(synth)) <= 1472
-
-
 def test_unresolvable_host_logged_not_raised(caplog):
     with caplog.at_level(logging.WARNING, logger="myobridge.osc"):
         with UdpSender("host.invalid.", 9000) as sender:
@@ -229,3 +219,39 @@ def test_unresolvable_host_logged_not_raised(caplog):
             sender.send(b"abcd")
             assert sender.send_errors == 2
     assert "failed" in caplog.text
+
+
+class FlakySocket:
+    """Stands in for a UDP socket: the sends listed in `fail` raise."""
+
+    def __init__(self, fail):
+        self.fail = fail
+        self.calls = 0
+        self.sent = []
+
+    def sendto(self, data, address):
+        self.calls += 1
+        if self.calls in self.fail:
+            raise OSError("network is unreachable")
+        self.sent.append(data)
+
+    def close(self):
+        pass
+
+
+def test_send_outage_logs_its_start_and_its_end_only(caplog):
+    # 350 failed sends are one second of a dropped network for one performer
+    fail = set(range(2, 352)) | {400, 401, 402}
+    with caplog.at_level(logging.WARNING, logger="myobridge.osc"):
+        with UdpSender("127.0.0.1", 9) as sender:
+            sender._sock.close()
+            sender._sock = FlakySocket(fail)
+            for _ in range(410):
+                sender.send(b"abcd")
+            assert sender.send_errors == 353
+            assert len(sender._sock.sent) == 410 - 353
+    lines = [r.getMessage() for r in caplog.records]
+    assert len(lines) == 4
+    assert "failed" in lines[0] and "failed" in lines[2]
+    assert "after 350 failed sends" in lines[1]
+    assert "after 3 failed sends" in lines[3]

@@ -1,10 +1,15 @@
-"""Log format, replay, and scenario generator tests."""
+"""Log format and scenario generator tests."""
 
 import hashlib
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from myobridge import session
 from myobridge.protocol import EmgFrame, ImuFrame
@@ -23,7 +28,6 @@ from myobridge.session import (
     make_meta_record,
     record,
     records_to_frames,
-    replay,
     scenario_from_dict,
 )
 
@@ -45,7 +49,7 @@ def test_record_empty_stream_writes_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     assert record([], path) == 0
     assert path.read_bytes() == b""
-    assert list(replay(path)) == []
+    assert list(iter_log(path)) == []
 
 
 def test_record_preserves_arrival_order(tmp_path):
@@ -67,7 +71,7 @@ def test_record_replay_record_round_trip(tmp_path):
     p1 = tmp_path / "a.jsonl"
     p2 = tmp_path / "b.jsonl"
     record(logs[0], p1)
-    record(replay(p1), p2)
+    record(iter_log(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -125,56 +129,6 @@ def test_unknown_kind_rejected(tmp_path):
     path.write_text('{"t_us":0,"kind":"wat","data":[]}\n')
     with pytest.raises(LogParseError):
         list(iter_log(path))
-
-
-def test_replay_speed_validation(tmp_path):
-    path = tmp_path / "log.jsonl"
-    record([SessionRecord(0, "imu", (0,) * 10)], path)
-    with pytest.raises(ValueError):
-        list(replay(path, speed=0))
-
-
-def test_replay_timed_equals_fast(tmp_path):
-    logs = generate_scenario(tiny_scenario(), seed=77)
-    path = tmp_path / "log.jsonl"
-    record(logs[0], path)
-    fast = list(replay(path))
-    timed = list(replay(path, speed=1e7))
-    assert fast == timed
-
-
-class FakeClock:
-    """Stands in for the time module: every sleep overshoots by `late` s."""
-
-    def __init__(self, late):
-        self.now = 1000.0
-        self.late = late
-        self.slept = 0.0
-
-    def monotonic(self):
-        return self.now
-
-    def sleep(self, seconds):
-        self.slept += seconds
-        self.now += seconds + self.late
-
-
-def test_replay_paces_against_absolute_deadlines(tmp_path, monkeypatch):
-    recs = [SessionRecord(i * 20_000, "imu", (0,) * 10) for i in range(251)]
-    path = tmp_path / "log.jsonl"
-    record(recs, path)
-    speed, late = 4.0, 0.002
-    clock = FakeClock(late)
-    monkeypatch.setattr(session, "time", clock)
-    start = clock.now
-    for rec in replay(path, speed=speed):
-        # each record is released at its own deadline, give or take one
-        # overshoot; the overshoots do not pile up
-        due = start + rec.t_us / 1e6 / speed
-        assert due <= clock.now <= due + late + 1e-9
-    span = recs[-1].t_us / 1e6 / speed
-    assert clock.now - start == pytest.approx(span + late, abs=1e-9)
-    assert clock.slept == pytest.approx(span - 249 * late, abs=1e-9)
 
 
 def test_records_to_frames_applies_meta_scales(tmp_path):
@@ -301,20 +255,103 @@ def test_transitions_inject_supra_threshold_motion():
     assert min(abs(f.gyro[0]) for f in burst) > 1000.0
 
 
+def pose_dict(**overrides):
+    return {"duration_s": 1.0, "orientation": [0.0, 0.0, 0.0],
+            "tension": [0.0] * 8, **overrides}
+
+
 def test_scenario_validation_errors():
-    with pytest.raises(InvalidScenarioError):
-        generate_scenario(Scenario(performers=()), seed=0)
-    with pytest.raises(InvalidScenarioError):
+    inf, nan = math.inf, math.nan
+    # (scenario keys, pose keys, text the error names)
+    rows = [
+        ({"transition_s": -1.0}, {}, "transition_s"),
+        ({"transition_s": nan}, {}, "transition_s"),
+        ({"transition_s": inf}, {}, "transition_s"),
+        ({}, {"duration_s": -1}, "duration"),
+        ({}, {"duration_s": 0.0}, "duration"),
+        ({}, {"duration_s": nan}, "duration"),
+        ({}, {"duration_s": inf}, "duration"),
+        ({}, {"orientation": [0.0, 0.0]}, "orientation"),
+        ({}, {"orientation": [nan, 0.0, 0.0]}, "orientation"),
+        ({}, {"orientation": [0.0, -inf, 0.0]}, "orientation"),
+        ({}, {"tension": [2.0] + [0] * 7}, "tension"),
+        ({}, {"tension": [nan] * 8}, "tension"),
+        ({}, {"tension": [0.0] * 7}, "tension"),
+        ({}, {"micromotion_amp": -1.0}, "amplitudes"),
+        ({}, {"micromotion_amp": nan}, "amplitudes"),
+        ({}, {"micromotion_amp": inf}, "amplitudes"),
+        ({}, {"transition_motion_amp": nan}, "amplitudes"),
+    ]
+    for top, pose, what in rows:
+        obj = {"performers": [{"poses": [pose_dict(), pose_dict(**pose)]}],
+               **top}
+        where = "performer 0 pose 1: " if pose else ""
+        with pytest.raises(InvalidScenarioError, match=where + what):
+            scenario_from_dict(obj)
+    # the constructor refuses the same values without the loader
+    with pytest.raises(InvalidScenarioError, match="no performers"):
+        Scenario(performers=())
+    with pytest.raises(InvalidScenarioError, match="performer 0 has no poses"):
         Scenario(performers=(PerformerScript(poses=()),))
-        validate = session.validate_scenario
-        validate(Scenario(performers=(PerformerScript(poses=()),)))
-    with pytest.raises(InvalidScenarioError):
-        scenario_from_dict({"performers": [{"poses": [
-            {"duration_s": -1, "orientation": [0, 0, 0],
-             "tension": [0] * 8}]}]})
-    with pytest.raises(InvalidScenarioError):
-        scenario_from_dict({"performers": [{"poses": [
-            {"duration_s": 1, "orientation": [0, 0, 0],
-             "tension": [2.0] + [0] * 7}]}]})
+    with pytest.raises(InvalidScenarioError, match="performer 0 pose 0"):
+        Scenario(performers=(PerformerScript(poses=(still_pose(micro=nan),)),))
+    with pytest.raises(InvalidScenarioError, match="transition_s"):
+        tiny_scenario(transition_s=nan)
     with pytest.raises(InvalidScenarioError):
         scenario_from_dict({"wrong": []})
+    # JSON's NaN literal is refused too
+    with pytest.raises(InvalidScenarioError, match="transition_s"):
+        scenario_from_dict(json.loads(
+            '{"transition_s": NaN, "performers": [{"poses": [{'
+            '"duration_s": 1, "orientation": [0, 0, 0], "tension": '
+            '[0, 0, 0, 0, 0, 0, 0, 0]}]}]}'))
+
+
+def test_scenario_from_dict_refuses_unknown_keys_and_malformed_values():
+    loaded = scenario_from_dict({"performers": [{"poses": [pose_dict()]}]})
+    assert loaded == Scenario(performers=(PerformerScript(poses=(Pose(
+        duration_s=1.0, orientation=(0.0, 0.0, 0.0), tension=(0.0,) * 8),)),))
+    bad = [
+        {"performers": [{"poses": [pose_dict(micromotion_amps=0.0)]}]},
+        {"performers": [{"poses": [pose_dict()], "pose": []}]},
+        {"performers": [{"poses": [pose_dict()]}], "transition": 1.0},
+        {"performers": [{"poses": [pose_dict()]}], "transition_s": "soon"},
+        {"performers": [{"poses": [pose_dict()]}], "transition_s": None},
+        {"performers": [{"poses": [pose_dict(duration_s="long")]}]},
+        {"performers": [{"poses": [pose_dict(duration_s=10**400)]}]},
+        {"performers": [{"poses": [pose_dict(orientation=1.0)]}]},
+        {"performers": [{"poses": [pose_dict(tension="tight")]}]},
+        {"performers": [{"poses": [{"orientation": [0.0, 0.0, 0.0],
+                                    "tension": [0.0] * 8}]}]},
+        {"performers": [{"poses": ["still"]}]},
+        {"performers": {"poses": []}},
+        [],
+    ]
+    for obj in bad:
+        with pytest.raises(InvalidScenarioError, match="malformed scenario"):
+            scenario_from_dict(obj)
+
+
+_angle = st.floats(-2 * math.pi, 2 * math.pi)
+_amp = st.floats(0.0, 100.0)
+_poses = st.lists(st.builds(
+    Pose,
+    duration_s=st.floats(0.0, 0.2, exclude_min=True),
+    orientation=st.tuples(_angle, _angle, _angle),
+    tension=st.tuples(*[st.floats(0.0, 1.0)] * 8),
+    micromotion_amp=_amp,
+    transition_motion_amp=_amp), min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poses=_poses, transition_s=st.floats(0.0, 0.5),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_accepted_scenario_generates_logs_that_read_back(
+        poses, transition_s, seed):
+    scenario = Scenario(performers=(PerformerScript(poses=tuple(poses)),),
+                        transition_s=transition_s)
+    logs = generate_scenario(scenario, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p0.jsonl"
+        record(logs[0], path)
+        assert list(iter_log(path)) == logs[0]
