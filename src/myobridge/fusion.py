@@ -70,8 +70,8 @@ class GateConfig:
     def __post_init__(self):
         if not 0.0 <= self.threshold < math.inf:
             raise ValueError("threshold must be finite and >= 0")
-        if not self.ramp_seconds > 0:
-            raise ValueError("ramp_seconds must be > 0")
+        if not 0.0 < self.ramp_seconds < math.inf:
+            raise ValueError("ramp_seconds must be finite and > 0")
 
 
 @dataclass(frozen=True)

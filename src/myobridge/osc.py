@@ -97,23 +97,33 @@ def emit_pipeline(state: MotionState, env: EmgEnvelopes, params: SynthParams,
 class UdpSender:
     """Fire-and-forget datagram sender for a live stream.
 
-    Transport failures, a datagram too large for the socket included, are
-    counted in send_errors and swallowed: a performance must not halt on a
-    network error.  An outage logs one warning when it starts and one, with
-    its count of failed sends, when a send next succeeds.
+    The host name is resolved by the first send that succeeds in resolving
+    it, and that IPv4 address is used from then on: a name is not looked up
+    again for every datagram.  Transport failures, a name that does not
+    resolve and a datagram too large for the socket included, are counted
+    in send_errors and swallowed: a performance must not halt on a network
+    error.  An outage logs one warning when it starts and one, with its
+    count of failed sends, when a send next succeeds.
     """
 
     def __init__(self, host: str, port: int):
+        if not 0 <= port <= 0xFFFF:
+            raise ValueError(f"port must be 0-65535: {port}")
         self.host = host
         self.port = port
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self._address = None
         self.send_errors = 0
         self._outage_errors = 0
 
     def send(self, data: bytes) -> None:
         try:
-            self._sock.sendto(data, (self.host, self.port))
-        except OSError as exc:
+            if self._address is None:
+                self._address = socket.getaddrinfo(
+                    self.host, self.port, socket.AF_INET,
+                    socket.SOCK_DGRAM)[0][4]
+            self._sock.sendto(data, self._address)
+        except OSError as exc:  # socket.gaierror included
             self.send_errors += 1
             self._outage_errors += 1
             if self._outage_errors == 1:

@@ -21,6 +21,11 @@ same integer increments, so whatever follows is unchanged.  This holds for
 the parameters the mapping produces (amps in [0, 1], finite drive >= 1);
 a muted block outside that range is rendered in full, so a NaN it makes
 still reaches write_wav's finite check.
+
+Mixdown and PCM output work in bounded memory: mix_performers allocates
+one output array, and write_wav checks and converts fixed-size chunks
+through one buffer.  write_wav checks every chunk before it opens the
+file, so a refused input writes no file.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ _PHASE_MODULUS = 2.0 ** 64
 _PHASE_TO_RADIANS = 2.0 * math.pi / _PHASE_MODULUS
 
 PCM_FULL_SCALE = 32767.0
+# samples per write_wav chunk: 512 KiB of float64 working memory
+_PCM_CHUNK = 1 << 16
 
 
 class LengthMismatchError(ValueError):
@@ -138,7 +145,12 @@ def render_block(bank: OscillatorBank, params: SynthParams,
 
 
 def mix_performers(blocks: Sequence[AudioBlock]) -> AudioBlock:
-    """Samplewise mean across performers; never clips for inputs in [-1, 1]."""
+    """Samplewise mean across performers; never clips for inputs in [-1, 1].
+
+    Accumulates into one float64 array, from +0.0 and in track order,
+    then divides in place: bit for bit np.stack(...).sum(axis=0) / n,
+    whose sum also starts from +0.0 (so -0.0 comes out +0.0).
+    """
     if not blocks:
         raise ValueError("nothing to mix")
     length = len(blocks[0].samples)
@@ -150,25 +162,43 @@ def mix_performers(blocks: Sequence[AudioBlock]) -> AudioBlock:
         if b.sample_rate != rate:
             raise RateMismatchError(
                 f"sample rates differ: {b.sample_rate} vs {rate}")
-    stacked = np.stack([b.samples for b in blocks])
-    return AudioBlock(samples=stacked.sum(axis=0) / len(blocks),
-                      sample_rate=rate)
+    out = np.zeros(length)
+    for b in blocks:
+        out += b.samples
+    out /= len(blocks)
+    return AudioBlock(samples=out, sample_rate=rate)
 
 
 def write_wav(block: AudioBlock, path) -> None:
     """Write mono 16-bit PCM, little-endian; byte-exact across runs.
 
-    Sample s maps to rint(s * 32767).  Samples must already be finite and
-    within [-1, 1]; the renderer guarantees that bound.
+    Sample s maps to rint(s * 32767).  Samples must be finite and within
+    [-1, 1]; the renderer guarantees that bound.  Every chunk is checked
+    before the file is opened, so a refused input writes no file.  The
+    conversion then runs chunk by chunk through one _PCM_CHUNK-sample
+    buffer, so its working memory does not grow with the length.
     """
     samples = np.asarray(block.samples, dtype=np.float64)
-    if samples.size and not np.all(np.isfinite(samples)):
-        raise ValueError("samples must be finite")
-    if samples.size and np.max(np.abs(samples)) > 1.0:
+    buf = np.empty(min(samples.size, _PCM_CHUNK))
+    out_of_range = False
+    for i in range(0, samples.size, _PCM_CHUNK):
+        chunk = samples[i:i + _PCM_CHUNK]
+        peak = np.max(np.abs(chunk, out=buf[:chunk.size]))
+        if not math.isfinite(peak):  # max propagates NaN
+            raise ValueError("samples must be finite")
+        # keep looking: a NaN further on is reported as such
+        out_of_range = out_of_range or peak > 1.0
+    if out_of_range:
         raise ValueError("samples must lie in [-1, 1]")
-    pcm = np.rint(samples * PCM_FULL_SCALE).astype("<i2")
     with wave.open(str(path), "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
         w.setframerate(int(block.sample_rate))
-        w.writeframes(pcm.tobytes())
+        # the header is written once, with the final length, so the raw
+        # writes need no header patch per chunk
+        w.setnframes(samples.size)
+        for i in range(0, samples.size, _PCM_CHUNK):
+            chunk = samples[i:i + _PCM_CHUNK]
+            c = np.multiply(chunk, PCM_FULL_SCALE, out=buf[:chunk.size])
+            np.rint(c, out=c)
+            w.writeframesraw(c.astype("<i2"))

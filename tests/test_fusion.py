@@ -241,6 +241,7 @@ def test_ema_passthrough_and_freeze():
     (GateConfig, "ramp_seconds", 0),
     (GateConfig, "ramp_seconds", -1.0),
     (GateConfig, "ramp_seconds", math.nan),
+    (GateConfig, "ramp_seconds", math.inf),
     (GateConfig, "threshold", math.nan),
     (GateConfig, "threshold", -0.1),
     (GateConfig, "threshold", math.inf),

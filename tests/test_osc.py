@@ -228,15 +228,63 @@ class FlakySocket:
         self.fail = fail
         self.calls = 0
         self.sent = []
+        self.addresses = []
 
     def sendto(self, data, address):
         self.calls += 1
         if self.calls in self.fail:
             raise OSError("network is unreachable")
         self.sent.append(data)
+        self.addresses.append(address)
 
     def close(self):
         pass
+
+
+def test_host_name_resolved_once_and_numeric_address_sent(monkeypatch):
+    lookups = []
+    real_getaddrinfo = socket.getaddrinfo
+
+    def counting_getaddrinfo(*args, **kwargs):
+        lookups.append(args[0])
+        return real_getaddrinfo(*args, **kwargs)
+
+    monkeypatch.setattr(socket, "getaddrinfo", counting_getaddrinfo)
+    with UdpSender("localhost", 9) as sender:
+        sender._sock.close()
+        sender._sock = FlakySocket(fail=set())
+        for _ in range(100):
+            sender.send(b"abcd")
+        assert sender._sock.addresses == [("127.0.0.1", 9)] * 100
+    assert lookups == ["localhost"]
+
+
+def test_unresolved_name_is_looked_up_again_on_each_send(monkeypatch):
+    real_getaddrinfo = socket.getaddrinfo
+    calls = []
+
+    def resolves_on_third_try(host, *args, **kwargs):
+        calls.append(host)
+        if len(calls) < 3:
+            raise socket.gaierror(socket.EAI_NONAME, "not known")
+        return real_getaddrinfo("127.0.0.1", *args, **kwargs)
+
+    monkeypatch.setattr(socket, "getaddrinfo", resolves_on_third_try)
+    with UdpSender("performer-hub.local", 9) as sender:
+        sender._sock.close()
+        sender._sock = FlakySocket(fail=set())
+        for _ in range(5):
+            sender.send(b"abcd")
+        assert sender.send_errors == 2
+        assert sender._sock.addresses == [("127.0.0.1", 9)] * 3
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("port", [-1, 65536, 70000])
+def test_port_out_of_range_rejected_at_construction(port):
+    # the resolver would wrap 70000 to 4464 without a word
+    with pytest.raises(ValueError, match="port"):
+        UdpSender("127.0.0.1", port)
 
 
 def test_send_outage_logs_its_start_and_its_end_only(caplog):

@@ -1,9 +1,12 @@
 """Renderer tests: FFT spectral oracle, output bound, phase continuity,
-a sample-major reference renderer, and an independent struct-level WAV
-reader oracle."""
+a sample-major reference renderer, whole-array reference mix and WAV
+writers, an independent struct-level WAV reader oracle, and traced memory
+bounds for the mix and the WAV writer."""
 
 import math
 import struct
+import tracemalloc
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 from myobridge.mapping import SynthParams
 from myobridge.synth import (
+    _PCM_CHUNK,
     AudioBlock,
     LengthMismatchError,
     OscillatorBank,
@@ -87,6 +91,36 @@ def reference_render_block(bank, params, n):
     s = (np.sin(phases) * amps).sum(axis=1) / 8
     shaped = np.tanh(drive * s) / np.tanh(drive)
     return AudioBlock(samples=gain * shaped, sample_rate=bank.sample_rate)
+
+
+def reference_mix(blocks):
+    """mix_performers as first written: a stacked copy of every track,
+    summed down the rows and divided.  mix_performers must equal it bit
+    for bit."""
+    return np.stack([b.samples for b in blocks]).sum(axis=0) / len(blocks)
+
+
+def reference_write_wav(block, path):
+    """write_wav as first written: the whole track converted at once and
+    written in one call.  write_wav must write the same bytes."""
+    pcm = np.rint(np.asarray(block.samples, dtype=np.float64)
+                  * 32767).astype("<i2")
+    with wave.open(str(path), "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(int(block.sample_rate))
+        w.writeframes(pcm.tobytes())
+
+
+def traced_peak_bytes(fn, *args):
+    """Peak bytes allocated while fn runs; numpy reports its buffers to
+    tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # --- rendering ----------------------------------------------------------------
@@ -273,6 +307,48 @@ def test_mix_mismatches():
         mix_performers([])
 
 
+_MAX = 1.7976931348623157e308
+_MIX_VALUE = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.floats(),  # NaN, +-inf, subnormals and the whole range
+    st.sampled_from([-0.0, 0.0, 1.0, -1.0, 5e-324, -5e-324,
+                     2.2250738585072014e-308, -1e-310, _MAX, -_MAX,
+                     _MAX / 2, _MAX / 3, math.nextafter(_MAX / 2, 0.0)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda n: st.lists(
+    st.lists(_MIX_VALUE, min_size=n, max_size=n), min_size=1, max_size=6)))
+# -0.0 alone and in every row: the stacked sum starts from +0.0
+@example([[-0.0, 1.0]])
+@example([[-0.0, -0.0]] * 3)
+# rounding that depends on the order of the rows
+@example([[1.0], [1e16], [-1e16]])
+@example([[_MAX], [_MAX], [-_MAX]])
+def test_mix_equals_stacked_reference_bitwise(rows):
+    arrays = [np.array(r, dtype=np.float64) for r in rows]
+    before = [a.tobytes() for a in arrays]
+    blocks = [AudioBlock(a, 44100.0) for a in arrays]
+    with np.errstate(all="ignore"):
+        got = mix_performers(blocks)
+        want = reference_mix(blocks)
+    assert got.samples.dtype == np.float64
+    assert got.sample_rate == 44100.0
+    assert got.samples.tobytes() == want.tobytes()
+    assert [a.tobytes() for a in arrays] == before
+    assert all(got.samples is not a for a in arrays)
+
+
+def test_mix_peak_memory_is_one_track():
+    rng = np.random.default_rng(3)
+    blocks = [AudioBlock(rng.uniform(-1, 1, 1 << 20), 44100.0)
+              for _ in range(4)]
+    track_bytes = blocks[0].samples.nbytes
+    # the stacked mix peaked at 5 tracks: the stack of 4 and its sum
+    assert traced_peak_bytes(mix_performers, blocks) <= 1.25 * track_bytes
+
+
 # --- WAV output -------------------------------------------------------------------
 
 def test_wav_golden_four_zero_samples(tmp_path):
@@ -326,3 +402,48 @@ def test_wav_rejects_out_of_range(tmp_path):
         write_wav(AudioBlock(np.array([1.5]), 44100.0), tmp_path / "x.wav")
     with pytest.raises(ValueError):
         write_wav(AudioBlock(np.array([np.nan]), 44100.0), tmp_path / "y.wav")
+
+
+@pytest.mark.parametrize("n", [0, 1, _PCM_CHUNK - 1, _PCM_CHUNK,
+                               _PCM_CHUNK + 1, 3 * _PCM_CHUNK + 7])
+def test_wav_chunked_bytes_equal_whole_array_reference(tmp_path, n):
+    rng = np.random.default_rng(n)
+    samples = rng.uniform(-1, 1, n)
+    # ends of the range, signed zeros and rint ties at chunk seams
+    special = [1.0, -1.0, -0.0, 0.0, 0.5 / 32767, -1.5 / 32767]
+    for k, at in enumerate([0, _PCM_CHUNK - 1, _PCM_CHUNK, n - 1]):
+        if 0 <= at < n:
+            samples[at] = special[k]
+    block = AudioBlock(samples, 44100.0)
+    got, want = tmp_path / "got.wav", tmp_path / "want.wav"
+    write_wav(block, got)
+    reference_write_wav(block, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert read_wav_oracle(got)["data_size"] == 2 * n
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({-1: math.nan}, "finite"),
+    ({-1: math.inf}, "finite"),
+    ({-1: 1.5}, r"\[-1, 1\]"),
+    ({-1: -1.0000000000000002}, r"\[-1, 1\]"),
+    # out of range early and NaN late: reported as not finite
+    ({0: 1.5, -1: math.nan}, "finite"),
+])
+def test_wav_refuses_bad_last_chunk_and_writes_no_file(tmp_path, bad,
+                                                       message):
+    samples = np.zeros(3 * _PCM_CHUNK + 7)
+    for at, value in bad.items():
+        samples[at] = value
+    path = tmp_path / "refused.wav"
+    with pytest.raises(ValueError, match=message):
+        write_wav(AudioBlock(samples, 44100.0), path)
+    assert not path.exists()
+
+
+def test_wav_peak_memory_is_bounded(tmp_path):
+    samples = np.random.default_rng(5).uniform(-1, 1, 1 << 21)
+    block = AudioBlock(samples, 44100.0)
+    # the whole-array writer peaked near twice the samples' bytes
+    peak = traced_peak_bytes(write_wav, block, tmp_path / "long.wav")
+    assert peak <= samples.nbytes / 8
