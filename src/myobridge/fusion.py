@@ -19,7 +19,7 @@ one tuning knob.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -136,6 +136,15 @@ def compute_qom(accel_mag: float, gyro_norm: float) -> float:
     return abs(accel_mag - 1.0) + gyro_norm
 
 
+def _gate_step(stillness_s: float, qom: float, dt: float,
+               cfg: GateConfig) -> tuple[float, float]:
+    """The gate arithmetic: (stillness_s, master_gain) after one period."""
+    if qom > cfg.threshold:
+        return 0.0, 0.0
+    stillness_s += dt
+    return stillness_s, min(1.0, stillness_s / cfg.ramp_seconds)
+
+
 def update_gate(state: MotionState, qom: float, dt: float,
                 cfg: GateConfig = GateConfig()) -> MotionState:
     """Advance the stillness gate by one control period.
@@ -146,14 +155,9 @@ def update_gate(state: MotionState, qom: float, dt: float,
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if qom > cfg.threshold:
-        stillness_s = 0.0
-        master_gain = 0.0
-    else:
-        stillness_s = state.stillness_s + dt
-        master_gain = min(1.0, stillness_s / cfg.ramp_seconds)
-    return replace(state, qom=qom, stillness_s=stillness_s,
-                   master_gain=master_gain)
+    stillness_s, master_gain = _gate_step(state.stillness_s, qom, dt, cfg)
+    return MotionState(state.euler, state.accel_mag, state.gyro_mag, qom,
+                       stillness_s, master_gain)
 
 
 def smooth_ema(prev: float, x: float, alpha: float) -> float:
@@ -197,13 +201,10 @@ class MotionTracker:
             self.degenerate_frames += 1
         accel_mag = vector_magnitude(frame.accel)
         gyro_mag = vector_magnitude(frame.gyro)
-        gyro_norm = gyro_mag / GYRO_FULL_SCALE_DPS
-        qom = compute_qom(accel_mag, gyro_norm)
-        if self._qom_smoothed is None:
-            self._qom_smoothed = qom
-        else:
-            self._qom_smoothed = smooth_ema(self._qom_smoothed, qom,
-                                            QOM_ALPHA)
+        qom = compute_qom(accel_mag, gyro_mag / GYRO_FULL_SCALE_DPS)
+        if self._qom_smoothed is not None:
+            qom = smooth_ema(self._qom_smoothed, qom, QOM_ALPHA)
+        self._qom_smoothed = qom
         if self._last_t_us is None:
             dt = _NOMINAL_DT
         else:
@@ -214,8 +215,8 @@ class MotionTracker:
             elif dt <= 0.0:
                 dt = _NOMINAL_DT
         self._last_t_us = frame.t_us
-        state = MotionState(euler, accel_mag, gyro_mag,
-                            stillness_s=self._state.stillness_s)
-        self._state = update_gate(state, self._qom_smoothed, dt,
-                                  self.gate_cfg)
+        stillness_s, master_gain = _gate_step(self._state.stillness_s, qom,
+                                              dt, self.gate_cfg)
+        self._state = MotionState(euler, accel_mag, gyro_mag, qom,
+                                  stillness_s, master_gain)
         return self._state

@@ -67,18 +67,25 @@ def emg_envelope(history: Sequence[EmgFrame]) -> EmgEnvelopes:
 
     The window is the last WINDOW_SAMPLES frames; a shorter history is
     zero-padded, so envelopes rise from silence rather than jumping.
+    Squares of the int8 samples are summed as exact integers, one pass
+    per frame; every sum stays far below 2**53, so each is the float a
+    float accumulator would reach.
     """
     n = WINDOW_SAMPLES
-    recent = history[-n:]
-    env = []
-    for ch in range(N_OSCILLATORS):
-        acc = 0.0
-        for frame in recent:
-            v = frame.channels[ch]
-            acc += v * v
-        rms = math.sqrt(acc / n)
-        env.append(min(1.0, rms / EMG_FULL_SCALE))
-    return EmgEnvelopes(env=tuple(env))
+    s0 = s1 = s2 = s3 = s4 = s5 = s6 = s7 = 0
+    for frame in history[-n:]:
+        c0, c1, c2, c3, c4, c5, c6, c7 = frame.channels
+        s0 += c0 * c0
+        s1 += c1 * c1
+        s2 += c2 * c2
+        s3 += c3 * c3
+        s4 += c4 * c4
+        s5 += c5 * c5
+        s6 += c6 * c6
+        s7 += c7 * c7
+    return EmgEnvelopes(env=tuple([
+        min(1.0, math.sqrt(acc / n) / EMG_FULL_SCALE)
+        for acc in (s0, s1, s2, s3, s4, s5, s6, s7)]))
 
 
 class EnvelopeTracker:
@@ -116,17 +123,19 @@ def assemble_params(env: EmgEnvelopes, base_freq: float, spread: float,
     Partials at or above Nyquist are clamped to 0.45 * sample_rate with a
     warning rather than erroring out mid-performance.
     """
-    limit = NYQUIST_FRACTION * sample_rate
-    freqs = []
-    clamped = 0
-    for k in range(N_OSCILLATORS):
-        f = base_freq * (1.0 + k * spread)
-        if f >= sample_rate / 2.0:
-            clamped += 1
-            f = limit
-        freqs.append(f)
-    if clamped:
-        logger.warning("clamped %d partial(s) above Nyquist to %.0f Hz",
-                       clamped, limit)
+    freqs = [base_freq * (1.0 + k * spread) for k in range(N_OSCILLATORS)]
+    # A NaN first partial hides every other from max(), so the test is
+    # "not below" rather than ">=": that runs the loop, which is exact.
+    nyquist = sample_rate / 2.0
+    if not max(freqs) < nyquist:
+        limit = NYQUIST_FRACTION * sample_rate
+        clamped = 0
+        for k, f in enumerate(freqs):
+            if f >= nyquist:
+                clamped += 1
+                freqs[k] = limit
+        if clamped:
+            logger.warning("clamped %d partial(s) above Nyquist to %.0f Hz",
+                           clamped, limit)
     return SynthParams(freqs=tuple(freqs), amps=env.env, drive=drive,
                        master_gain=master_gain)

@@ -16,10 +16,17 @@ Address scheme, one namespace per performer (the public contract):
     /myo/{id}/synth   18 floats  8 freqs, 8 amps, drive, master gain
 
 Messages are emitted in exactly that order on every control tick.
+
+The encoder caches, per (address, arg count), the padded address and type
+tags and a packer for the float32 arguments, in a bounded LRU cache; the
+seven addresses of a performer are cached the same way.  A miss checks
+the address as a first call would, and an address that fails the check
+is never cached, so a bad address raises on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import socket
 import struct
@@ -29,6 +36,11 @@ from .fusion import MotionState
 from .mapping import EmgEnvelopes, SynthParams
 
 logger = logging.getLogger(__name__)
+
+# Entries per cache: every address in use repeats on every tick, so a
+# bound far above an ensemble's 7 addresses per performer only guards
+# memory against a caller that varies its addresses.
+_CACHE_SIZE = 256
 
 
 class OscError(Exception):
@@ -67,30 +79,45 @@ def _encode_address(address: str) -> bytes:
     return _pad4(raw)
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _header_and_packer(address: str, n: int):
+    """(padded address + type tags, packer of n float32 args)."""
+    header = _encode_address(address) + _pad4(b"," + b"f" * n)
+    return header, struct.Struct(f">{n}f").pack
+
+
 def encode_message(msg: OscMessage) -> bytes:
     """Encode to the OSC 1.0 wire format; total length is a multiple of 4.
 
     A float beyond the float32 range raises OverflowError (from struct).
     """
-    n = len(msg.args)
-    return (_encode_address(msg.address) + _pad4(b"," + b"f" * n)
-            + struct.pack(f">{n}f", *msg.args))
+    header, pack = _header_and_packer(msg.address, len(msg.args))
+    return header + pack(*msg.args)
+
+
+# typed: True and 1 format differently but hash alike
+@functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
+def _performer_addresses(performer_id: int) -> tuple[str, ...]:
+    prefix = f"/myo/{performer_id}"
+    return tuple(f"{prefix}/{name}" for name in
+                 ("emg", "euler", "accmag", "gyrmag", "qom", "gate", "synth"))
 
 
 def emit_pipeline(state: MotionState, env: EmgEnvelopes, params: SynthParams,
                   performer_id: int) -> list[OscMessage]:
     """One control tick's messages, in the documented stable order."""
-    prefix = f"/myo/{performer_id}"
+    emg, euler, accmag, gyrmag, qom, gate, synth = _performer_addresses(
+        performer_id)
     e = state.euler
     return [
-        OscMessage(f"{prefix}/emg", tuple(env.env)),
-        OscMessage(f"{prefix}/euler", (e.roll, e.pitch, e.yaw)),
-        OscMessage(f"{prefix}/accmag", (state.accel_mag,)),
-        OscMessage(f"{prefix}/gyrmag", (state.gyro_mag,)),
-        OscMessage(f"{prefix}/qom", (state.qom,)),
-        OscMessage(f"{prefix}/gate", (state.master_gain,)),
-        OscMessage(f"{prefix}/synth", (*params.freqs, *params.amps,
-                                       params.drive, params.master_gain)),
+        OscMessage(emg, tuple(env.env)),
+        OscMessage(euler, (e.roll, e.pitch, e.yaw)),
+        OscMessage(accmag, (state.accel_mag,)),
+        OscMessage(gyrmag, (state.gyro_mag,)),
+        OscMessage(qom, (state.qom,)),
+        OscMessage(gate, (state.master_gain,)),
+        OscMessage(synth, (*params.freqs, *params.amps,
+                           params.drive, params.master_gain)),
     ]
 
 

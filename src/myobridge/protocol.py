@@ -119,6 +119,7 @@ def decode_bgapi_frame(data: Union[bytes, bytearray, memoryview],
     Raises TruncatedFrameError when fewer bytes than declared are
     available (caller should await more input) and InvalidHeaderError when
     reserved type bits are set (resynchronization required).
+    BgapiStream.feed applies the same rule without raising.
     """
     available = len(data) - offset
     if available < HEADER_LEN:
@@ -141,9 +142,14 @@ def decode_bgapi_frame(data: Union[bytes, bytearray, memoryview],
 class BgapiStream:
     """Incremental frame extractor over a serial byte stream.
 
-    Single-owner: feed() must not be called concurrently.  On a corrupt
-    header the stream resynchronizes by dropping one byte at a time;
-    dropped byte counts are kept for diagnostics.
+    Framing rule, the same as decode_bgapi_frame's: with fewer than 4
+    bytes buffered, or fewer than the header declares, wait for more
+    input; a type byte with reserved bits set is dropped, one byte at a
+    time, and counted in bytes_dropped for diagnostics; otherwise the
+    header and its payload are one frame.  Bytes not yet framed stay
+    buffered for the next feed().
+
+    Single-owner: feed() must not be called concurrently.
     """
 
     def __init__(self):
@@ -152,20 +158,27 @@ class BgapiStream:
 
     def feed(self, chunk: bytes) -> list[BgapiFrame]:
         """Append raw bytes; return all complete frames now available."""
-        self._buf.extend(chunk)
+        buf = self._buf
+        buf.extend(chunk)
         frames: list[BgapiFrame] = []
-        pos = 0
-        while True:
-            try:
-                frame, pos = decode_bgapi_frame(self._buf, pos)
-            except TruncatedFrameError:
-                break
-            except InvalidHeaderError:
+        end = len(buf)
+        pos = dropped = 0
+        while end - pos >= HEADER_LEN:
+            type_byte = buf[pos]
+            if type_byte & TYPE_RESERVED_MASK:
                 pos += 1
-                self.bytes_dropped += 1
+                dropped += 1
                 continue
-            frames.append(frame)
-        del self._buf[:pos]
+            nxt = pos + HEADER_LEN + buf[pos + 1]
+            if nxt > end:
+                break
+            frames.append(BgapiFrame(
+                MsgType.EVENT if type_byte & TYPE_EVENT_BIT
+                else MsgType.RESPONSE,
+                buf[pos + 2], buf[pos + 3], bytes(buf[pos + HEADER_LEN:nxt])))
+            pos = nxt
+        self.bytes_dropped += dropped
+        del buf[:pos]
         return frames
 
 
@@ -181,11 +194,12 @@ def scale_imu_values(raw: Sequence[int], t_us: int) -> ImuFrame:
     """Convert 10 raw integers (quat wxyz, accel xyz, gyro xyz) to an ImuFrame."""
     if len(raw) != 10:
         raise WrongLengthError(f"expected 10 raw IMU values, got {len(raw)}")
+    qw, qx, qy, qz, ax, ay, az, gx, gy, gz = raw
     return ImuFrame(
-        t_us=t_us,
-        quat=tuple(v / QUAT_SCALE for v in raw[0:4]),
-        accel=tuple(v / ACCEL_SCALE for v in raw[4:7]),
-        gyro=tuple(v / GYRO_SCALE for v in raw[7:10]),
+        t_us,
+        (qw / QUAT_SCALE, qx / QUAT_SCALE, qy / QUAT_SCALE, qz / QUAT_SCALE),
+        (ax / ACCEL_SCALE, ay / ACCEL_SCALE, az / ACCEL_SCALE),
+        (gx / GYRO_SCALE, gy / GYRO_SCALE, gz / GYRO_SCALE),
     )
 
 
@@ -211,9 +225,8 @@ def parse_emg_packet(payload: bytes, t_us: int) -> tuple[EmgFrame, EmgFrame]:
         raise WrongLengthError(
             f"EMG payload must be {EMG_PAYLOAD_LEN} bytes, got {len(payload)}")
     values = _EMG_STRUCT.unpack(payload)
-    frame_a = EmgFrame(t_us=t_us, channels=values[:8])
-    frame_b = EmgFrame(t_us=t_us + EMG_PERIOD_US // 2, channels=values[8:])
-    return frame_a, frame_b
+    return (EmgFrame(t_us, values[:8]),
+            EmgFrame(t_us + EMG_PERIOD_US // 2, values[8:]))
 
 
 def parse_attribute_value_event(frame: BgapiFrame) -> tuple[int, int, bytes]:
@@ -226,7 +239,7 @@ def parse_attribute_value_event(frame: BgapiFrame) -> tuple[int, int, bytes]:
     if len(p) < 5:
         raise WrongLengthError("attribute-value event payload too short")
     connection = p[0]
-    handle = struct.unpack_from("<H", p, 1)[0]
+    handle = p[1] | p[2] << 8  # little-endian uint16
     value_len = p[4]
     if len(p) < 5 + value_len:
         raise WrongLengthError("attribute value shorter than declared")

@@ -46,6 +46,8 @@ _PHASE_TO_RADIANS = 2.0 * math.pi / _PHASE_MODULUS
 PCM_FULL_SCALE = 32767.0
 # samples per write_wav chunk: 512 KiB of float64 working memory
 _PCM_CHUNK = 1 << 16
+# the WAV header holds the byte rate, 2 bytes per mono sample, as a uint32
+_WAV_MAX_RATE = 0xFFFFFFFF // 2
 
 
 class LengthMismatchError(ValueError):
@@ -71,8 +73,9 @@ class OscillatorBank:
     """
 
     def __init__(self, sample_rate: float = 44100.0):
-        if sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not 0 < sample_rate < math.inf:  # NaN fails too
+            raise ValueError(
+                f"sample_rate must be finite and positive: {sample_rate}")
         self.sample_rate = float(sample_rate)
         self._acc = np.zeros(N_OSCILLATORS, dtype=np.uint64)
         self._prev_params: Optional[SynthParams] = None
@@ -173,11 +176,18 @@ def write_wav(block: AudioBlock, path) -> None:
     """Write mono 16-bit PCM, little-endian; byte-exact across runs.
 
     Sample s maps to rint(s * 32767).  Samples must be finite and within
-    [-1, 1]; the renderer guarantees that bound.  Every chunk is checked
-    before the file is opened, so a refused input writes no file.  The
-    conversion then runs chunk by chunk through one _PCM_CHUNK-sample
-    buffer, so its working memory does not grow with the length.
+    [-1, 1]; the renderer guarantees that bound.  The sample rate must be
+    a whole number of Hz that the header can hold.  The rate and every
+    chunk are checked before the file is opened, so a refused input
+    (ValueError) writes no file.  The conversion then runs chunk by chunk
+    through one _PCM_CHUNK-sample buffer, so its working memory does not
+    grow with the length.
     """
+    rate = block.sample_rate
+    if not (0 < rate <= _WAV_MAX_RATE and float(rate).is_integer()):
+        raise ValueError(
+            f"sample_rate must be a whole number of Hz in 1..{_WAV_MAX_RATE}:"
+            f" {rate}")
     samples = np.asarray(block.samples, dtype=np.float64)
     buf = np.empty(min(samples.size, _PCM_CHUNK))
     out_of_range = False
@@ -193,7 +203,7 @@ def write_wav(block: AudioBlock, path) -> None:
     with wave.open(str(path), "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
-        w.setframerate(int(block.sample_rate))
+        w.setframerate(int(rate))
         # the header is written once, with the final length, so the raw
         # writes need no header patch per chunk
         w.setnframes(samples.size)

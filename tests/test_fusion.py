@@ -5,6 +5,7 @@ quaternion and the Euler output are expanded to rotation matrices and
 compared entrywise.
 """
 
+import dataclasses
 import math
 import struct
 
@@ -14,10 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from myobridge.fusion import (
+    _NOMINAL_DT,
     GYRO_FULL_SCALE_DPS,
     MAX_GAP_S,
+    QOM_ALPHA,
     EulerAngles,
     GateConfig,
+    MotionState,
     MotionTracker,
     NonNormalizableError,
     compute_qom,
@@ -346,3 +350,127 @@ def test_tracker_never_raises_on_arbitrary_imu_packets(packets):
                                                 t_us))
         assert 0.0 <= state.master_gain <= 1.0
         assert (state.master_gain == 0.0) == (state.stillness_s == 0.0)
+
+
+# --- reference control state -------------------------------------------------
+
+def reference_update_gate(state, qom, dt, cfg):
+    """update_gate as first written, through dataclasses.replace."""
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if qom > cfg.threshold:
+        stillness_s = 0.0
+        master_gain = 0.0
+    else:
+        stillness_s = state.stillness_s + dt
+        master_gain = min(1.0, stillness_s / cfg.ramp_seconds)
+    return dataclasses.replace(state, qom=qom, stillness_s=stillness_s,
+                               master_gain=master_gain)
+
+
+class ReferenceTracker:
+    """MotionTracker.update as first written, built from the public
+    functions: quat_to_euler, vector_magnitude, compute_qom, smooth_ema
+    and update_gate."""
+
+    def __init__(self, gate_cfg):
+        self.gate_cfg = gate_cfg
+        self.degenerate_frames = 0
+        self.gap_frames = 0
+        self.state = initial_state()
+        self.last_t_us = None
+        self.qom_smoothed = None
+
+    def update(self, frame):
+        try:
+            euler = quat_to_euler(frame.quat)
+        except NonNormalizableError:
+            euler = self.state.euler
+            self.degenerate_frames += 1
+        accel_mag = vector_magnitude(frame.accel)
+        gyro_mag = vector_magnitude(frame.gyro)
+        qom = compute_qom(accel_mag, gyro_mag / GYRO_FULL_SCALE_DPS)
+        if self.qom_smoothed is None:
+            self.qom_smoothed = qom
+        else:
+            self.qom_smoothed = smooth_ema(self.qom_smoothed, qom, QOM_ALPHA)
+        if self.last_t_us is None:
+            dt = _NOMINAL_DT
+        else:
+            dt = (frame.t_us - self.last_t_us) / 1e6
+            if dt > MAX_GAP_S:
+                self.gap_frames += 1
+                dt = _NOMINAL_DT
+            elif dt <= 0.0:
+                dt = _NOMINAL_DT
+        self.last_t_us = frame.t_us
+        state = MotionState(euler, accel_mag, gyro_mag,
+                            stillness_s=self.state.stillness_s)
+        self.state = update_gate(state, self.qom_smoothed, dt, self.gate_cfg)
+        return self.state
+
+
+def state_bits(state):
+    """Every MotionState field as its float64 bytes: -0.0 differs from 0.0."""
+    e = state.euler
+    return struct.pack("<8d", e.roll, e.pitch, e.yaw, state.accel_mag,
+                       state.gyro_mag, state.qom, state.stillness_s,
+                       state.master_gain)
+
+
+_STILL_RAW = (16384, 0, 0, 0, 0, 0, 2048, 0, 0, 0)
+_IMU_RAW = st.one_of(
+    st.just(_STILL_RAW),
+    st.just((0,) * 10),  # zero quaternion, zero magnitudes
+    st.lists(_INT16, min_size=10, max_size=10).map(tuple),
+    # a zero quaternion with motion in the magnitudes
+    st.lists(_INT16, min_size=6, max_size=6).map(lambda v: (0,) * 4 + tuple(v)),
+    # small rotations and jitter around rest, under and over the threshold
+    st.tuples(st.integers(-300, 300), st.integers(-300, 300),
+              st.integers(-400, 400)).map(
+        lambda v: (16384, v[0], 0, 0, 0, v[1], 2048 + v[2], v[0], 0, 0)),
+)
+_GAP_US = st.one_of(
+    st.just(20_000),
+    st.sampled_from([0, -20_000, round(MAX_GAP_S * 1e6),
+                     round(MAX_GAP_S * 1e6) + 1, 30_000_000, 1]),
+    st.integers(-2 * 10**6, 2 * 10**6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0.0, 0.05, 0.35]),
+       st.sampled_from([0.05, 1.0, 30.0]),
+       st.integers(-2**40, 2**40),
+       st.lists(st.tuples(_IMU_RAW, _GAP_US), min_size=1, max_size=60))
+def test_tracker_matches_reference_bitwise(threshold, ramp, t0, frames):
+    cfg = GateConfig(threshold=threshold, ramp_seconds=ramp)
+    tracker, reference = MotionTracker(gate_cfg=cfg), ReferenceTracker(cfg)
+    t_us = t0
+    for raw, gap in frames:
+        t_us += gap
+        frame = parse_imu_packet(struct.pack("<10h", *raw), t_us)
+        got, want = tracker.update(frame), reference.update(frame)
+        assert state_bits(got) == state_bits(want)
+        assert tracker.state is got
+    assert tracker.degenerate_frames == reference.degenerate_frames
+    assert tracker.gap_frames == reference.gap_frames
+
+
+_GATE_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1e6), _GATE_FLOATS,
+       st.one_of(st.floats(min_value=1e-9, max_value=10.0),
+                 st.just(_NOMINAL_DT)),
+       st.sampled_from([0.0, 0.35, 1e9]), st.sampled_from([1e-3, 30.0]))
+def test_update_gate_matches_reference_bitwise(stillness_s, qom, dt,
+                                               threshold, ramp):
+    cfg = GateConfig(threshold=threshold, ramp_seconds=ramp)
+    state = MotionState(EulerAngles(-0.0, 0.5, -1.0), 1.01, 3.5, 0.25,
+                        stillness_s, min(1.0, stillness_s / ramp))
+    got = update_gate(state, qom, dt, cfg)
+    want = reference_update_gate(state, qom, dt, cfg)
+    assert type(got) is MotionState
+    assert state_bits(got) == state_bits(want)

@@ -1,8 +1,12 @@
 """Mapping tests: RMS envelope oracle, orientation map arithmetic, separability."""
 
+import logging
 import math
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from myobridge.fusion import EulerAngles
 from myobridge.mapping import (
@@ -11,6 +15,9 @@ from myobridge.mapping import (
     F_LO,
     SPREAD_MAX,
     WINDOW_SAMPLES,
+    EMG_FULL_SCALE,
+    N_OSCILLATORS,
+    NYQUIST_FRACTION,
     EmgEnvelopes,
     EnvelopeTracker,
     assemble_params,
@@ -46,22 +53,20 @@ def test_envelope_all_zero():
 def test_envelope_alternating_full_scale():
     values = [127 if i % 2 == 0 else -127 for i in range(16)]
     env = emg_envelope(frames_from_channel(values, channel=3))
-    assert env.env[3] == pytest.approx(0.9921875, abs=1e-12)
-    assert env.env[3] == pytest.approx(
-        brute_force_env(values, WINDOW_SAMPLES), abs=1e-12)
+    assert env.env[3] == 0.9921875
+    assert env.env[3] == brute_force_env(values, WINDOW_SAMPLES)
     assert env.env[0] == 0.0
 
 
 def test_envelope_constant_64():
     env = emg_envelope(frames_from_channel([64] * 8, channel=1))
-    assert env.env[1] == pytest.approx(0.5, abs=1e-12)
+    assert env.env[1] == 0.5
 
 
 def test_envelope_zero_pads_short_history():
     values = [127, 127, 127]
     env = emg_envelope(frames_from_channel(values, channel=0))
-    assert env.env[0] == pytest.approx(
-        brute_force_env(values, WINDOW_SAMPLES), abs=1e-12)
+    assert env.env[0] == brute_force_env(values, WINDOW_SAMPLES)
     assert env.env[0] < 0.99
 
 
@@ -71,8 +76,36 @@ def test_envelope_matches_oracle_on_random_windows():
     for _ in range(100):
         values = [rng.randint(-128, 127) for _ in range(rng.randint(1, 30))]
         env = emg_envelope(frames_from_channel(values, channel=5))
-        assert env.env[5] == pytest.approx(
-            brute_force_env(values, WINDOW_SAMPLES), abs=1e-12)
+        assert env.env[5] == brute_force_env(values, WINDOW_SAMPLES)
+
+
+def reference_emg_envelope(history):
+    """emg_envelope as first written: channel by channel, accumulating the
+    squares in a float."""
+    n = WINDOW_SAMPLES
+    recent = history[-n:]
+    env = []
+    for ch in range(N_OSCILLATORS):
+        acc = 0.0
+        for frame in recent:
+            v = frame.channels[ch]
+            acc += v * v
+        rms = math.sqrt(acc / n)
+        env.append(min(1.0, rms / EMG_FULL_SCALE))
+    return tuple(env)
+
+
+_INT8 = st.integers(-128, 127)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_INT8, min_size=8, max_size=8), max_size=20))
+def test_envelope_matches_float_reference_on_8_channel_windows(rows):
+    frames = [EmgFrame(t_us=i * 5000, channels=tuple(r))
+              for i, r in enumerate(rows)]
+    got = emg_envelope(frames).env
+    assert [struct.pack("<d", e) for e in got] == [
+        struct.pack("<d", e) for e in reference_emg_envelope(frames)]
 
 
 def test_envelope_tracker_matches_function():
@@ -172,6 +205,46 @@ def test_nyquist_clamp_warns(caplog):
     assert params.freqs[4:] == (0.45 * 44100.0,) * 4
     assert params.freqs[:4] == (8000.0, 12000.0, 16000.0, 20000.0)
     assert "Nyquist" in caplog.text
+
+
+def reference_assemble_params(env, base_freq, spread, drive, master_gain,
+                              sample_rate):
+    """assemble_params' partials as first written: one loop that clamps
+    each partial as it goes.  Returns (freqs, number clamped)."""
+    limit = NYQUIST_FRACTION * sample_rate
+    freqs = []
+    clamped = 0
+    for k in range(N_OSCILLATORS):
+        f = base_freq * (1.0 + k * spread)
+        if f >= sample_rate / 2.0:
+            clamped += 1
+            f = limit
+        freqs.append(f)
+    return tuple(freqs), clamped
+
+
+@pytest.mark.parametrize("base, spread, rate", [
+    (220.0, 0.3, 44100.0),
+    (3000.0, 0.5, 8000.0),          # only the upper partials clamp
+    (100.0, math.inf, 44100.0),     # NaN first partial, inf above it
+    (math.nan, 0.5, 44100.0),
+    (220.0, math.nan, 44100.0),
+    (220.0, 0.5, math.nan),
+    (-math.inf, 0.5, 44100.0),
+    (22050.0, 0.0, 44100.0),        # exactly Nyquist clamps
+    (22049.999999999996, 0.0, 44100.0),
+])
+def test_assemble_params_matches_reference_loop(caplog, base, spread, rate):
+    env = EmgEnvelopes(env=(0.5,) * 8)
+    with caplog.at_level(logging.WARNING, logger="myobridge.mapping"):
+        params = assemble_params(env, base, spread, 2.0, 0.5, rate)
+    freqs, clamped = reference_assemble_params(env, base, spread, 2.0, 0.5,
+                                               rate)
+    assert [struct.pack("<d", f) for f in params.freqs] == [
+        struct.pack("<d", f) for f in freqs]
+    assert len(caplog.records) == (1 if clamped else 0)
+    if clamped:
+        assert f"clamped {clamped} partial(s)" in caplog.text
 
 
 # --- separability ---------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from myobridge.fusion import EulerAngles, MotionState
 from myobridge.mapping import EmgEnvelopes, SynthParams
+from myobridge import osc
 from myobridge.osc import (
     InvalidAddressError,
     OscMessage,
@@ -100,9 +101,33 @@ def test_float_args_round_trip_bitwise(args):
 
 
 def test_invalid_addresses():
+    # the second call must check again: a refused address is never cached
     for bad in ("", "noslash", "/café", "/a\x00b"):
-        with pytest.raises(InvalidAddressError):
-            encode_message(OscMessage(bad))
+        for args in ((), (1.0,), (), (1.0,)):
+            with pytest.raises(InvalidAddressError):
+                encode_message(OscMessage(bad, args))
+
+
+def reference_encode(msg):
+    """encode_message as first written, with no cache."""
+    n = len(msg.args)
+    return (osc._encode_address(msg.address) + osc._pad4(b"," + b"f" * n)
+            + struct.pack(f">{n}f", *msg.args))
+
+
+def test_cache_eviction_changes_no_bytes():
+    # more performers than either cache holds, visited twice, so the second
+    # pass misses on every address; True and 1.0 format unlike 1
+    ids = list(range(osc._CACHE_SIZE + 44)) + [True, 1.0, 1]
+    env = EmgEnvelopes((0.0, 0.1, 0.2, 1 / 3, 0.5, 2 / 3, 0.9, 1.0))
+    for _ in range(2):
+        for pid in ids:
+            msgs = emit_pipeline(_state(0.7), env, _params(0.7), pid)
+            assert [m.address for m in msgs] == [
+                f"/myo/{pid}/{name}" for name in
+                ("emg", "euler", "accmag", "gyrmag", "qom", "gate", "synth")]
+            for m in msgs:
+                assert encode_message(m) == reference_encode(m)
 
 
 def test_unsupported_arg_types():

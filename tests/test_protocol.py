@@ -6,6 +6,8 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from myobridge import protocol
 from myobridge.protocol import (
@@ -131,6 +133,61 @@ def test_fuzz_random_bytes_never_overread_or_hang():
             assert nxt == offset + 4 + len(frame.payload)
             assert nxt <= len(blob)
             offset = nxt
+
+
+def reference_feed(buf, chunk):
+    """BgapiStream.feed as first written: a loop over decode_bgapi_frame
+    that ends on TruncatedFrameError and drops a byte on each
+    InvalidHeaderError.  Works on the bytearray buf in place and returns
+    (frames, bytes dropped)."""
+    buf.extend(chunk)
+    frames = []
+    pos = dropped = 0
+    while True:
+        try:
+            frame, pos = decode_bgapi_frame(buf, pos)
+        except TruncatedFrameError:
+            break
+        except InvalidHeaderError:
+            pos += 1
+            dropped += 1
+            continue
+        frames.append(frame)
+    del buf[:pos]
+    return frames, dropped
+
+
+# type bytes that pass the header check, and lengths of real notifications
+# (attribute-value events with an EMG or an IMU value), among any others
+_TYPE_BYTE = st.one_of(st.sampled_from([0x00, 0x80]), st.integers(0, 255))
+_LEN_BYTE = st.one_of(st.sampled_from([0, 1, 5 + 16, 5 + 20]),
+                      st.integers(0, 255))
+_WIRE_PIECE = st.one_of(
+    # a well-formed frame of a valid or corrupt type
+    st.tuples(_TYPE_BYTE, st.binary(max_size=30)).map(
+        lambda t: bytes([t[0], len(t[1]), 4, 5]) + t[1]),
+    # a header whose declared length need not match what follows
+    st.tuples(_TYPE_BYTE, _LEN_BYTE, st.binary(max_size=40)).map(
+        lambda t: bytes([t[0], t[1]]) + t[2]),
+    st.binary(max_size=6),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_WIRE_PIECE, max_size=25).map(b"".join),
+       st.lists(st.integers(0, 1200), max_size=12))
+def test_feed_matches_reference_after_every_chunk(wire, cuts):
+    bounds = [0] + sorted(c for c in cuts if c <= len(wire)) + [len(wire)]
+    stream = BgapiStream()
+    ref_buf = bytearray()
+    ref_dropped = 0
+    for a, b in zip(bounds, bounds[1:]):
+        frames = stream.feed(wire[a:b])
+        want, dropped = reference_feed(ref_buf, wire[a:b])
+        ref_dropped += dropped
+        assert frames == want
+        assert stream.bytes_dropped == ref_dropped
+        assert bytes(stream._buf) == bytes(ref_buf)
 
 
 # --- IMU packets -----------------------------------------------------------

@@ -272,6 +272,13 @@ def test_render_block_equals_reference(blocks):
             assert np.array_equal(bank._acc, ref._acc)
 
 
+@pytest.mark.parametrize("rate", [0.0, -44100.0, math.nan, math.inf])
+def test_bank_rejects_rate_that_is_not_finite_and_positive(rate):
+    # NaN rendered ~1e-16 noise and inf rendered silence
+    with pytest.raises(ValueError, match="sample_rate"):
+        OscillatorBank(rate)
+
+
 def test_render_rejects_nonpositive_count():
     with pytest.raises(ValueError):
         render_block(OscillatorBank(), make_params(), 0)
@@ -439,6 +446,23 @@ def test_wav_refuses_bad_last_chunk_and_writes_no_file(tmp_path, bad,
     with pytest.raises(ValueError, match=message):
         write_wav(AudioBlock(samples, 44100.0), path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("rate", [0.0, -44100.0, math.nan, math.inf,
+                                  44100.7, 2.0 ** 31])
+def test_wav_refuses_bad_rate_and_writes_no_file(tmp_path, rate):
+    # 44100.7 was cut to 44100; 2**31 Hz overflows the header's byte rate
+    path = tmp_path / "refused.wav"
+    with pytest.raises(ValueError, match="sample_rate"):
+        write_wav(AudioBlock(np.zeros(4), rate), path)
+    assert not path.exists()
+
+
+def test_wav_whole_float_rate_is_written(tmp_path):
+    path = tmp_path / "float_rate.wav"
+    write_wav(AudioBlock(np.zeros(4), 48000.0), path)
+    with wave.open(str(path), "rb") as r:
+        assert r.getframerate() == 48000
 
 
 def test_wav_peak_memory_is_bounded(tmp_path):
