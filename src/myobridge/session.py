@@ -8,6 +8,11 @@ and is read back through the same scaling (protocol.scale_imu_values):
     {"t_us":0,"kind":"imu","data":[qw,qx,qy,qz,ax,ay,az,gx,gy,gz]}
     {"t_us":0,"kind":"emg","data":[c0,...,c7]}
 
+Every line is byte for byte the json.dumps(separators=(",", ":")) form of
+its record.  The writer prints IMU and EMG lines whose values are all
+plain ints from one %-format template per kind, built at import, and
+every other record with json.dumps itself.
+
 Producers write a leading meta record carrying the format version, device
 id, the RNG algorithm used for synthetic streams and the device units
 (_DEVICE_UNITS: scale divisors and sample rates).  The units are fixed by
@@ -60,6 +65,7 @@ BURST_ACCEL_G = 0.25
 
 _INT16_MIN, _INT16_MAX = -32768, 32767
 _INT8_MIN, _INT8_MAX = -128, 127
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 _BUNDLED_SCENARIO = "ensemble_9min.json"
 
@@ -102,8 +108,29 @@ def make_meta_record(device_id: str = "unknown") -> SessionRecord:
     })
 
 
+def _line_template(kind: str, n: int) -> str:
+    return ('{"t_us":%d,"kind":"' + kind + '","data":['
+            + ",".join(["%d"] * n) + "]}")
+
+
+# kind -> (value count, line template).  %d prints an exact int as json.dumps
+# does, so a template line is byte for byte the json.dumps line.
+_TEMPLATES = {"imu": (10, _line_template("imu", 10)),
+              "emg": (8, _line_template("emg", 8))}
+_INTS_ONLY = frozenset({int})
+
+
 def _serialize(rec: SessionRecord) -> str:
-    data = rec.data if isinstance(rec.data, dict) else list(rec.data)
+    data = rec.data
+    template = _TEMPLATES.get(rec.kind) if type(rec.kind) is str else None
+    # exact types only: %d prints True as 1 where json.dumps prints true,
+    # and formats numpy ints that json.dumps refuses
+    if (template is not None and type(rec.t_us) is int
+            and (type(data) is tuple or type(data) is list)
+            and len(data) == template[0]
+            and set(map(type, data)) == _INTS_ONLY):
+        return template[1] % (rec.t_us, *data)
+    data = data if isinstance(data, dict) else list(data)
     return json.dumps({"t_us": rec.t_us, "kind": rec.kind, "data": data},
                       separators=(",", ":"))
 
@@ -111,14 +138,17 @@ def _serialize(rec: SessionRecord) -> str:
 def record(records: Iterable[SessionRecord], path) -> int:
     """Write records to a log file, one line each, in arrival order.
 
-    Lossless: iter_log on the file yields the exact record sequence.
-    Returns the number of lines written.
+    Lines are written as records arrive, so records may be a generator
+    and memory does not grow with the log.  iter_log on the file yields
+    back every record it accepts, equal to the one written except that
+    list data reads back as a tuple; it refuses out-of-range values and
+    decreasing timestamps, naming the line.  Returns the number of lines
+    written.
     """
     count = 0
     with open(path, "w", encoding="ascii") as fh:
         for rec in records:
-            fh.write(_serialize(rec))
-            fh.write("\n")
+            fh.write(_serialize(rec) + "\n")
             count += 1
     return count
 
@@ -137,8 +167,11 @@ def _check_int_list(values, n, lo, hi, line_no, what):
 def _parse_line(line: str, line_no: int) -> SessionRecord:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise LogParseError(line_no, f"invalid JSON ({exc.msg})") from exc
+    except ValueError as exc:
+        # JSONDecodeError, or a plain ValueError for an integer longer than
+        # Python's int/str conversion limit
+        raise LogParseError(
+            line_no, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
     if not isinstance(obj, dict):
         raise LogParseError(line_no, "record must be an object")
     try:
@@ -149,6 +182,9 @@ def _parse_line(line: str, line_no: int) -> SessionRecord:
         raise LogParseError(line_no, f"missing field {exc.args[0]!r}") from exc
     if not isinstance(t_us, int) or isinstance(t_us, bool):
         raise LogParseError(line_no, "t_us must be an integer")
+    # a reader's clock arithmetic converts t_us to float
+    if not _INT64_MIN <= t_us <= _INT64_MAX:
+        raise LogParseError(line_no, "t_us outside the signed 64-bit range")
     if kind == "imu":
         _check_int_list(data, 10, _INT16_MIN, _INT16_MAX, line_no, "imu")
         return SessionRecord(t_us, "imu", tuple(data))

@@ -1,5 +1,6 @@
 """Log format and scenario generator tests."""
 
+import enum
 import hashlib
 import json
 import math
@@ -97,6 +98,30 @@ def test_corrupt_json_names_line(tmp_path):
     assert excinfo.value.line_no == 17
 
 
+@pytest.mark.parametrize("t_us, error", [
+    (str(2**63 - 1), None),
+    (str(-2**63), None),
+    (str(2**63), "signed 64-bit"),
+    (str(-2**63 - 1), "signed 64-bit"),
+    ("1" + "0" * 400, "signed 64-bit"),  # parses; float time would overflow
+    # past Python's int/str digit limit, where json.loads raises a plain
+    # ValueError rather than JSONDecodeError
+    ("1" + "0" * 5000, "invalid JSON"),
+])
+def test_t_us_outside_int64_names_line(tmp_path, t_us, error):
+    path = tmp_path / "log.jsonl"
+    path.write_text('{"t_us":-9223372036854775808,"kind":"meta",'
+                    '"data":{"version":"1.0"}}\n'
+                    '{"t_us":%s,"kind":"emg","data":[0,0,0,0,0,0,0,0]}\n'
+                    % t_us)
+    if error is None:
+        assert [r.t_us for r in iter_log(path)] == [-2**63, int(t_us)]
+        return
+    with pytest.raises(LogParseError, match=error) as excinfo:
+        list(iter_log(path))
+    assert excinfo.value.line_no == 2
+
+
 def test_non_ascii_byte_names_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_bytes(b'{"t_us":0,"kind":"emg","data":[0,0,0,0,0,0,0,0]}\n'
@@ -158,6 +183,99 @@ def test_log_declaring_other_units_names_line(tmp_path):
     # a meta record that leaves the units out is accepted
     record([SessionRecord(0, "meta", {"version": "1.0"})], path)
     assert len(list(iter_log(path))) == 1
+
+
+def reference_serialize(rec):
+    """The writer's line before per-kind templates: json.dumps alone."""
+    data = rec.data if isinstance(rec.data, dict) else list(rec.data)
+    return json.dumps({"t_us": rec.t_us, "kind": rec.kind, "data": data},
+                      separators=(",", ":"))
+
+
+class Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 40000
+
+
+_odd_value = st.one_of(
+    st.integers(),
+    st.sampled_from([2**63, -2**63 - 1, 10**30, 10**5000, -10**5000]),
+    st.booleans(),
+    st.floats(),  # NaN and infinities included
+    st.sampled_from([Level.LOW, Level.HIGH, np.int64(7), np.int16(-2)]),
+)
+
+
+@st.composite
+def odd_records(draw):
+    """Mostly near-valid records: the kind's length or one off, int16
+    values with up to two odd ones, and t_us of any int, bool or float."""
+    kind = draw(st.sampled_from(["imu", "emg", "meta", "other"]))
+    t_us = draw(st.integers() | st.sampled_from(
+        [True, False, 2.0, math.nan, 10**5000]))
+    form = draw(st.sampled_from([list, tuple, tuple, dict]))
+    if form is dict:
+        data = draw(st.dictionaries(st.text(max_size=3), _odd_value,
+                                    max_size=3))
+    else:
+        n = {"imu": 10, "emg": 8}.get(kind, 8) + draw(
+            st.sampled_from([0, 0, 0, -1, 1]))
+        values = draw(st.lists(st.integers(-32768, 32767),
+                               min_size=n, max_size=n))
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            values[i] = draw(_odd_value)
+        data = form(values)
+    return SessionRecord(t_us, kind, data)
+
+
+@settings(max_examples=500, deadline=None)
+@given(rec=odd_records())
+def test_serialize_matches_json_dumps_or_raises_alike(rec):
+    try:
+        expected = reference_serialize(rec)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        with pytest.raises(type(exc)):
+            session._serialize(rec)
+        return
+    assert session._serialize(rec) == expected
+
+
+_valid_record = st.one_of(
+    st.builds(SessionRecord, t_us=st.integers(-2**63, 2**63 - 1),
+              kind=st.just("imu"),
+              data=st.tuples(*[st.integers(-32768, 32767)] * 10)),
+    st.builds(SessionRecord, t_us=st.integers(-2**63, 2**63 - 1),
+              kind=st.just("emg"),
+              data=st.tuples(*[st.integers(-128, 127)] * 8)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(recs=st.lists(_valid_record, max_size=30),
+       device_id=st.text(max_size=5))
+def test_record_then_iter_log_gives_back_every_valid_record(recs, device_id):
+    meta = make_meta_record(device_id)
+    recs = [SessionRecord(-2**63, "meta", meta.data)] + sorted(
+        recs, key=lambda r: r.t_us)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.jsonl"
+        assert record(iter(recs), path) == len(recs)
+        assert list(iter_log(path)) == recs
+
+
+def test_record_writes_lines_while_the_stream_is_still_running(tmp_path):
+    path = tmp_path / "log.jsonl"
+    sizes = []
+
+    def live_bridge():
+        for i in range(20_000):
+            if i % 5000 == 0:
+                sizes.append(path.stat().st_size)
+            yield SessionRecord(i, "emg", (i % 128,) * 8)
+
+    assert record(live_bridge(), path) == 20_000
+    # earlier lines reach the file before the generator is exhausted
+    assert sizes[0] == 0 and sizes[-1] > 0
 
 
 # --- scenario generation ---------------------------------------------------------
