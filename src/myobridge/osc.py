@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import operator
 import socket
 import struct
 from dataclasses import dataclass
@@ -131,9 +132,19 @@ class UdpSender:
     in send_errors and swallowed: a performance must not halt on a network
     error.  An outage logs one warning when it starts and one, with its
     count of failed sends, when a send next succeeds.
+
+    The port is any integer in 0-65535, numpy integers included, and is
+    kept as a plain int; a float or a bool raises TypeError here, where
+    the resolver would refuse it on every send.
     """
 
     def __init__(self, host: str, port: int):
+        if isinstance(port, bool):
+            raise TypeError(f"port must be an integer: {port!r}")
+        try:
+            port = int(operator.index(port))
+        except TypeError:
+            raise TypeError(f"port must be an integer: {port!r}") from None
         if not 0 <= port <= 0xFFFF:
             raise ValueError(f"port must be 0-65535: {port}")
         self.host = host

@@ -215,7 +215,9 @@ def iter_log(path) -> Iterator[SessionRecord]:
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("ascii").strip()
+                # JSON's whitespace only: str.strip would also drop form
+                # feeds and other control bytes that json.loads refuses
+                line = raw.decode("ascii").strip(" \t\r\n")
             except UnicodeDecodeError as exc:
                 raise LogParseError(
                     line_no, f"non-ASCII byte 0x{raw[exc.start]:02x}") from exc

@@ -20,12 +20,16 @@ without computing sin, mix or waveshaper; its phases still advance by the
 same integer increments, so whatever follows is unchanged.  This holds for
 the parameters the mapping produces (amps in [0, 1], finite drive >= 1);
 a muted block outside that range is rendered in full, so a NaN it makes
-still reaches write_wav's finite check.
+still reaches write_wav's finite check.  Its samples are a read-only,
+stride-0 view of one immutable +0.0: silence held for a whole piece
+takes no sample memory.
 
-Mixdown and PCM output work in bounded memory: mix_performers allocates
-one output array, and write_wav checks and converts fixed-size chunks
-through one buffer.  write_wav checks every chunk before it opens the
-file, so a refused input writes no file.
+Mixdown and PCM output work in bounded memory.  mix_performers checks
+its tracks and returns a block that holds them; the mean is computed a
+chunk at a time when it is read.  write_wav pulls fixed-size chunks
+through one buffer, so writing a mix never builds it whole.  write_wav
+checks every chunk before it opens the file, so a refused input writes
+no file.
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ PCM_FULL_SCALE = 32767.0
 _PCM_CHUNK = 1 << 16
 # the WAV header holds the byte rate, 2 bytes per mono sample, as a uint32
 _WAV_MAX_RATE = 0xFFFFFFFF // 2
+# the one +0.0 every muted block's stride-0 view reads; bytes are
+# immutable, so the views are read-only
+_SILENCE = bytes(8)
 
 
 class LengthMismatchError(ValueError):
@@ -64,6 +71,47 @@ class AudioBlock:
 
     samples: np.ndarray
     sample_rate: float
+
+    def _size(self) -> int:
+        return len(self.samples)
+
+    def _chunk(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Samples [lo, hi) as float64 in out, hi - lo scratch samples."""
+        out[...] = self.samples[lo:hi]
+        return out
+
+
+class _Mix(AudioBlock):
+    """The samplewise mean of equal-length tracks, computed when read.
+
+    samples builds the whole mean once and keeps it; _chunk computes a
+    part of it without building the rest.
+    """
+
+    def __init__(self, tracks: list, sample_rate: float):
+        self._tracks = tracks
+        self.sample_rate = sample_rate
+        self._mean: Optional[np.ndarray] = None
+
+    @property
+    def samples(self) -> np.ndarray:
+        if self._mean is None:
+            n = self._size()
+            self._mean = self._chunk(0, n, np.empty(n))
+        return self._mean
+
+    def _size(self) -> int:
+        return len(self._tracks[0])
+
+    def _chunk(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        # from +0.0, in track order, then one division: bit for bit
+        # np.stack(...).sum(axis=0) / n, whose sum also starts from +0.0
+        # (so -0.0 comes out +0.0)
+        out.fill(0.0)
+        for t in self._tracks:
+            out += t[lo:hi]
+        out /= len(self._tracks)
+        return out
 
 
 class OscillatorBank:
@@ -107,7 +155,8 @@ def render_block(bank: OscillatorBank, params: SynthParams,
 
     Phase persists across calls; with constant parameters, rendering
     n1 + n2 samples equals rendering n1 then n2 (sample-exact), muted
-    blocks included.
+    blocks included.  A muted block's samples are a read-only view of
+    shared zeros (+0.0, float64): writing into them raises ValueError.
     """
     if n <= 0:
         raise ValueError("sample count must be positive")
@@ -123,7 +172,8 @@ def render_block(bank: OscillatorBank, params: SynthParams,
     if (params.master_gain == 0.0 and prev.master_gain == 0.0
             and _skip_is_exact(prev, params)):
         bank._acc = bank._acc + increments.sum(axis=1, dtype=np.uint64)
-        return AudioBlock(samples=np.zeros(n), sample_rate=bank.sample_rate)
+        silence = np.ndarray(n, np.float64, _SILENCE, strides=(0,))
+        return AudioBlock(samples=silence, sample_rate=bank.sample_rate)
 
     acc_path = np.cumsum(increments, axis=1, dtype=np.uint64)
     acc_path += bank._acc[:, None]
@@ -150,9 +200,13 @@ def render_block(bank: OscillatorBank, params: SynthParams,
 def mix_performers(blocks: Sequence[AudioBlock]) -> AudioBlock:
     """Samplewise mean across performers; never clips for inputs in [-1, 1].
 
-    Accumulates into one float64 array, from +0.0 and in track order,
-    then divides in place: bit for bit np.stack(...).sum(axis=0) / n,
-    whose sum also starts from +0.0 (so -0.0 comes out +0.0).
+    The checks run now; the mean does not.  The block returned holds the
+    tracks, and its mean is computed from +0.0, in track order, then
+    divided: bit for bit np.stack(...).sum(axis=0) / n.  write_wav
+    computes it a chunk at a time; reading .samples builds it whole, once.
+    So the arithmetic, and any numpy floating-point warning it gives,
+    happens when the mix is read or written, and the tracks must not be
+    changed before then.
     """
     if not blocks:
         raise ValueError("nothing to mix")
@@ -165,11 +219,7 @@ def mix_performers(blocks: Sequence[AudioBlock]) -> AudioBlock:
         if b.sample_rate != rate:
             raise RateMismatchError(
                 f"sample rates differ: {b.sample_rate} vs {rate}")
-    out = np.zeros(length)
-    for b in blocks:
-        out += b.samples
-    out /= len(blocks)
-    return AudioBlock(samples=out, sample_rate=rate)
+    return _Mix([b.samples for b in blocks], rate)
 
 
 def write_wav(block: AudioBlock, path) -> None:
@@ -181,19 +231,21 @@ def write_wav(block: AudioBlock, path) -> None:
     chunk are checked before the file is opened, so a refused input
     (ValueError) writes no file.  The conversion then runs chunk by chunk
     through one _PCM_CHUNK-sample buffer, so its working memory does not
-    grow with the length.
+    grow with the length.  A block from mix_performers is mixed chunk by
+    chunk into that buffer in both passes and is never built whole.
     """
     rate = block.sample_rate
     if not (0 < rate <= _WAV_MAX_RATE and float(rate).is_integer()):
         raise ValueError(
             f"sample_rate must be a whole number of Hz in 1..{_WAV_MAX_RATE}:"
             f" {rate}")
-    samples = np.asarray(block.samples, dtype=np.float64)
-    buf = np.empty(min(samples.size, _PCM_CHUNK))
+    n = block._size()
+    buf = np.empty(min(n, _PCM_CHUNK))
+    spans = [(lo, min(lo + _PCM_CHUNK, n)) for lo in range(0, n, _PCM_CHUNK)]
     out_of_range = False
-    for i in range(0, samples.size, _PCM_CHUNK):
-        chunk = samples[i:i + _PCM_CHUNK]
-        peak = np.max(np.abs(chunk, out=buf[:chunk.size]))
+    for lo, hi in spans:
+        chunk = block._chunk(lo, hi, buf[:hi - lo])
+        peak = np.max(np.abs(chunk, out=chunk))
         if not math.isfinite(peak):  # max propagates NaN
             raise ValueError("samples must be finite")
         # keep looking: a NaN further on is reported as such
@@ -206,9 +258,9 @@ def write_wav(block: AudioBlock, path) -> None:
         w.setframerate(int(rate))
         # the header is written once, with the final length, so the raw
         # writes need no header patch per chunk
-        w.setnframes(samples.size)
-        for i in range(0, samples.size, _PCM_CHUNK):
-            chunk = samples[i:i + _PCM_CHUNK]
-            c = np.multiply(chunk, PCM_FULL_SCALE, out=buf[:chunk.size])
+        w.setnframes(n)
+        for lo, hi in spans:
+            c = block._chunk(lo, hi, buf[:hi - lo])
+            c *= PCM_FULL_SCALE
             np.rint(c, out=c)
             w.writeframesraw(c.astype("<i2"))

@@ -5,6 +5,7 @@ import math
 import socket
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -310,6 +311,27 @@ def test_port_out_of_range_rejected_at_construction(port):
     # the resolver would wrap 70000 to 4464 without a word
     with pytest.raises(ValueError, match="port"):
         UdpSender("127.0.0.1", port)
+
+
+@pytest.mark.parametrize("port", [9000.0, 9000.5, True])
+def test_port_that_is_not_an_integer_rejected_at_construction(port):
+    # each send failed in getaddrinfo and was counted as an outage
+    with pytest.raises(TypeError, match="port"):
+        UdpSender("127.0.0.1", port)
+
+
+def test_numpy_integer_port_sends():
+    receiver = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    receiver.bind(("127.0.0.1", 0))
+    receiver.settimeout(2.0)
+    port = np.int64(receiver.getsockname()[1])
+    with UdpSender("127.0.0.1", port) as sender:
+        assert type(sender.port) is int
+        sender.send(b"abcd")
+        assert sender.send_errors == 0
+    got, _ = receiver.recvfrom(4096)
+    receiver.close()
+    assert got == b"abcd"
 
 
 def test_send_outage_logs_its_start_and_its_end_only(caplog):

@@ -132,6 +132,32 @@ def test_non_ascii_byte_names_line(tmp_path):
     assert "0xff" in str(excinfo.value)
 
 
+_EMG_LINE = b'{"t_us":%d,"kind":"emg","data":[0,0,0,0,0,0,0,0]}'
+
+
+@pytest.mark.parametrize("line", [
+    b"\x0c" + _EMG_LINE % 5000,
+    _EMG_LINE % 5000 + b"\x1f",
+    _EMG_LINE % 5000 + b"\x0b\r",
+    b"\x1c" + _EMG_LINE % 5000 + b"\x1d",
+    b"\x1e",
+])
+def test_control_bytes_json_refuses_name_their_line(tmp_path, line):
+    # str.strip() dropped these, so the line was read as a valid record
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(_EMG_LINE % 0 + b"\n" + line + b"\n")
+    with pytest.raises(LogParseError, match="invalid JSON") as excinfo:
+        list(iter_log(path))
+    assert excinfo.value.line_no == 2
+
+
+def test_json_whitespace_and_blank_lines_are_accepted(tmp_path):
+    path = tmp_path / "ok.jsonl"
+    path.write_bytes(b"\n \t\r\n" + _EMG_LINE % 0 + b"\r\n\n"
+                     + b" \t" + _EMG_LINE % 5000 + b" \t\r\n")
+    assert [r.t_us for r in iter_log(path)] == [0, 5000]
+
+
 def test_unknown_major_version_rejected(tmp_path):
     path = tmp_path / "v2.jsonl"
     path.write_text('{"t_us":0,"kind":"meta","data":{"version":"2.0"}}\n')

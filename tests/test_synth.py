@@ -1,10 +1,11 @@
 """Renderer tests: FFT spectral oracle, output bound, phase continuity,
 a sample-major reference renderer, whole-array reference mix and WAV
 writers, an independent struct-level WAV reader oracle, and traced memory
-bounds for the mix and the WAV writer."""
+bounds for muted blocks, the mix and the WAV writer."""
 
 import math
 import struct
+import tempfile
 import tracemalloc
 import wave
 from pathlib import Path
@@ -284,6 +285,30 @@ def test_render_rejects_nonpositive_count():
         render_block(OscillatorBank(), make_params(), 0)
 
 
+def test_muted_block_is_read_only_float64_positive_zero():
+    block = render_block(OscillatorBank(44100.0), _p(0.0), 882)
+    samples = block.samples
+    assert samples.dtype == np.float64 and samples.shape == (882,)
+    assert np.all(samples == 0.0) and not np.any(np.signbit(samples))
+    assert not samples.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        samples[0] = 1.0
+
+
+def test_kept_muted_blocks_hold_no_sample_memory():
+    bank = OscillatorBank(44100.0)
+    render_block(bank, _p(0.0), 882)
+    tracemalloc.start()
+    try:
+        kept = [render_block(bank, _p(0.0), 882) for _ in range(1000)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 1000
+    # np.zeros per block held the nominal 1000 * 882 * 8 bytes
+    assert held < 1000 * 882 * 8 / 16
+
+
 # --- mixing ---------------------------------------------------------------------
 
 def test_mix_single_block_identity():
@@ -339,6 +364,7 @@ def test_mix_equals_stacked_reference_bitwise(rows):
     blocks = [AudioBlock(a, 44100.0) for a in arrays]
     with np.errstate(all="ignore"):
         got = mix_performers(blocks)
+        got.samples  # the mean is computed, once, when first read
         want = reference_mix(blocks)
     assert got.samples.dtype == np.float64
     assert got.sample_rate == 44100.0
@@ -353,7 +379,75 @@ def test_mix_peak_memory_is_one_track():
               for _ in range(4)]
     track_bytes = blocks[0].samples.nbytes
     # the stacked mix peaked at 5 tracks: the stack of 4 and its sum
-    assert traced_peak_bytes(mix_performers, blocks) <= 1.25 * track_bytes
+    peak = traced_peak_bytes(lambda: mix_performers(blocks).samples)
+    assert peak <= 1.25 * track_bytes
+
+
+def test_writing_a_mix_never_builds_it(tmp_path):
+    rng = np.random.default_rng(6)
+    blocks = [AudioBlock(rng.uniform(-1, 1, 1 << 20), 44100.0)
+              for _ in range(4)]
+    path = tmp_path / "mix.wav"
+    peak = traced_peak_bytes(
+        lambda: write_wav(mix_performers(blocks), path))
+    # a mix built whole before writing peaked at one track
+    assert peak < blocks[0].samples.nbytes / 8
+    want = tmp_path / "want.wav"
+    reference_write_wav(AudioBlock(reference_mix(blocks), 44100.0), want)
+    assert path.read_bytes() == want.read_bytes()
+
+
+# ends of the range, signed zeros and values whose scaled mean lands on
+# or next to a rint tie
+_SPECIAL = [1.0, -1.0, -0.0, 0.0, 0.5 / 32767, -1.5 / 32767, 2.5 / 32767,
+            math.nextafter(0.5 / 32767, 1.0)]
+_SEAMS = [0, 1, _PCM_CHUNK - 1, _PCM_CHUNK, _PCM_CHUNK + 1,
+          2 * _PCM_CHUNK + 3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from(_SEAMS), tracks=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1),
+       marks=st.lists(st.tuples(st.sampled_from(_SEAMS), st.integers(-2, 2),
+                                st.sampled_from(_SPECIAL),
+                                st.booleans()), max_size=8))
+def test_written_mix_equals_reference_mix_written_whole(n, tracks, seed,
+                                                        marks):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.uniform(-1, 1, n) for _ in range(tracks)]
+    # each mark puts a special value near a seam in one track or in all
+    for k, (seam, offset, value, everywhere) in enumerate(marks):
+        at = seam + offset
+        if 0 <= at < n:
+            for a in (arrays if everywhere else [arrays[k % tracks]]):
+                a[at] = value
+    blocks = [AudioBlock(a, 44100.0) for a in arrays]
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.wav", Path(tmp) / "want.wav"
+        write_wav(mix_performers(blocks), got)
+        reference_write_wav(AudioBlock(reference_mix(blocks), 44100.0), want)
+        assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("last, message", [
+    # inf + -inf makes the mean NaN only when the mix is computed
+    ([math.inf, -math.inf], "finite"),
+    ([1.5, 1.5], r"\[-1, 1\]"),
+    ([1.5, -0.5], None),  # out-of-range tracks, mean 0.5: written
+])
+def test_mix_is_checked_when_written(tmp_path, last, message):
+    arrays = [np.zeros(3 * _PCM_CHUNK + 7) for _ in last]
+    for a, value in zip(arrays, last):
+        a[-1] = value
+    blocks = [AudioBlock(a, 44100.0) for a in arrays]
+    path = tmp_path / "mix.wav"
+    if message is None:
+        write_wav(mix_performers(blocks), path)
+        assert read_wav_oracle(path)["samples"][-1] == 16384  # rint(16383.5)
+        return
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
+        write_wav(mix_performers(blocks), path)
+    assert not path.exists()
 
 
 # --- WAV output -------------------------------------------------------------------
