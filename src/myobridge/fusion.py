@@ -138,26 +138,16 @@ def compute_qom(accel_mag: float, gyro_norm: float) -> float:
 
 def _gate_step(stillness_s: float, qom: float, dt: float,
                cfg: GateConfig) -> tuple[float, float]:
-    """The gate arithmetic: (stillness_s, master_gain) after one period."""
+    """Advance the stillness gate by one period of dt seconds.
+
+    Returns (stillness_s, master_gain).  QoM above the threshold zeroes
+    the master gain immediately; otherwise the stillness timer
+    accumulates and the gain ramps toward 1 over cfg.ramp_seconds.
+    """
     if qom > cfg.threshold:
         return 0.0, 0.0
     stillness_s += dt
     return stillness_s, min(1.0, stillness_s / cfg.ramp_seconds)
-
-
-def update_gate(state: MotionState, qom: float, dt: float,
-                cfg: GateConfig = GateConfig()) -> MotionState:
-    """Advance the stillness gate by one control period.
-
-    QoM above the threshold zeroes the master gain immediately; otherwise
-    the stillness timer accumulates and the gain ramps toward 1 over
-    cfg.ramp_seconds.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    stillness_s, master_gain = _gate_step(state.stillness_s, qom, dt, cfg)
-    return MotionState(state.euler, state.accel_mag, state.gyro_mag, qom,
-                       stillness_s, master_gain)
 
 
 def smooth_ema(prev: float, x: float, alpha: float) -> float:

@@ -133,12 +133,17 @@ class UdpSender:
     error.  An outage logs one warning when it starts and one, with its
     count of failed sends, when a send next succeeds.
 
+    The host is a str, a name or a numeric IPv4 address; anything else
+    raises TypeError here, where the resolver would raise it out of the
+    first send (an int or bytes) or quietly send to 127.0.0.1 (None).
     The port is any integer in 0-65535, numpy integers included, and is
     kept as a plain int; a float or a bool raises TypeError here, where
     the resolver would refuse it on every send.
     """
 
     def __init__(self, host: str, port: int):
+        if not isinstance(host, str):
+            raise TypeError(f"host must be a str: {host!r}")
         if isinstance(port, bool):
             raise TypeError(f"port must be an integer: {port!r}")
         try:

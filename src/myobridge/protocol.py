@@ -61,14 +61,6 @@ class ProtocolError(Exception):
     """Base class for wire-protocol failures."""
 
 
-class TruncatedFrameError(ProtocolError):
-    """Fewer bytes available than the frame header declares; await more input."""
-
-
-class InvalidHeaderError(ProtocolError):
-    """Reserved header bits set; the stream needs resynchronization."""
-
-
 class WrongLengthError(ProtocolError):
     pass
 
@@ -109,45 +101,15 @@ class EmgFrame:
     channels: tuple[int, ...]
 
 
-def decode_bgapi_frame(data: Union[bytes, bytearray, memoryview],
-                       offset: int = 0) -> tuple[BgapiFrame, int]:
-    """Decode one frame starting at offset; returns (frame, next_offset).
-
-    Consumes exactly 4 + the declared payload length and never reads past
-    it.  Frames with the event bit clear decode as responses.
-
-    Raises TruncatedFrameError when fewer bytes than declared are
-    available (caller should await more input) and InvalidHeaderError when
-    reserved type bits are set (resynchronization required).
-    BgapiStream.feed applies the same rule without raising.
-    """
-    available = len(data) - offset
-    if available < HEADER_LEN:
-        raise TruncatedFrameError(
-            f"need {HEADER_LEN} header bytes, have {available}")
-    type_byte = data[offset]
-    if type_byte & TYPE_RESERVED_MASK:
-        raise InvalidHeaderError(f"reserved type bits set: 0x{type_byte:02x}")
-    total = HEADER_LEN + data[offset + 1]
-    if available < total:
-        raise TruncatedFrameError(
-            f"frame declares {total} bytes, have {available}")
-    msg_type = (MsgType.EVENT if type_byte & TYPE_EVENT_BIT
-                else MsgType.RESPONSE)
-    payload = bytes(data[offset + HEADER_LEN:offset + total])
-    frame = BgapiFrame(msg_type, data[offset + 2], data[offset + 3], payload)
-    return frame, offset + total
-
-
 class BgapiStream:
     """Incremental frame extractor over a serial byte stream.
 
-    Framing rule, the same as decode_bgapi_frame's: with fewer than 4
-    bytes buffered, or fewer than the header declares, wait for more
-    input; a type byte with reserved bits set is dropped, one byte at a
-    time, and counted in bytes_dropped for diagnostics; otherwise the
-    header and its payload are one frame.  Bytes not yet framed stay
-    buffered for the next feed().
+    Framing rule: with fewer than 4 bytes buffered, or fewer than the
+    header declares, wait for more input; a type byte with reserved bits
+    set is dropped, one byte at a time, and counted in bytes_dropped for
+    diagnostics; otherwise the header and its payload are one frame,
+    decoded as an event when the event bit is set and as a response when
+    it is clear.  Bytes not yet framed stay buffered for the next feed().
 
     Single-owner: feed() must not be called concurrently.
     """

@@ -10,10 +10,13 @@ Per sample: s = sum_k amps[k] * sin(phase_k) / 8, then the normalized
 waveshaper tanh(drive * s) / tanh(drive), then the master gain.  Parameters
 changing between blocks are linearly interpolated across the block.
 
-A block is computed oscillator-major: each per-sample path (the four
-parameter ramps, the integer phase increments and their running sum, the
-phases and their sines) is an (8, n) array, one contiguous row per
-oscillator.
+A block is computed oscillator-major, one contiguous row per path: the
+four parameter ramps are one (18, n) array (8 freqs, 8 amps, drive,
+gain), the integer phase increments and their running sum one uint64
+(8, n) array, and the freq rows then hold the phases and their sines.
+These are scratch the bank owns, rebuilt only when the block length
+changes; the samples returned are always a fresh array, never a view of
+it, so a caller may keep every block.
 
 A muted block, master gain exactly 0 at both ends, renders exact zeros
 without computing sin, mix or waveshaper; its phases still advance by the
@@ -46,6 +49,10 @@ from .mapping import N_OSCILLATORS, SynthParams
 # Phase lives in uint64 turns: 2**64 == one full cycle.
 _PHASE_MODULUS = 2.0 ** 64
 _PHASE_TO_RADIANS = 2.0 * math.pi / _PHASE_MODULUS
+# render_block's ramp rows: N_OSCILLATORS freqs, N_OSCILLATORS amps,
+# drive, gain
+_RAMP_ROWS = 2 * N_OSCILLATORS + 2
+_DRIVE, _GAIN = 2 * N_OSCILLATORS, 2 * N_OSCILLATORS + 1
 
 PCM_FULL_SCALE = 32767.0
 # samples per write_wav chunk: 512 KiB of float64 working memory
@@ -117,7 +124,9 @@ class _Mix(AudioBlock):
 class OscillatorBank:
     """Eight phase accumulators plus the previous block's parameters.
 
-    Single-owner: one bank per performer, rendered in stream order.
+    Single-owner: one bank per performer, rendered in stream order.  The
+    bank also owns render_block's scratch buffers, sized for the last
+    block length and rebuilt only when it changes.
     """
 
     def __init__(self, sample_rate: float = 44100.0):
@@ -127,11 +136,21 @@ class OscillatorBank:
         self.sample_rate = float(sample_rate)
         self._acc = np.zeros(N_OSCILLATORS, dtype=np.uint64)
         self._prev_params: Optional[SynthParams] = None
+        self._scratch: Optional[_Scratch] = None
 
-    @property
-    def phases(self) -> np.ndarray:
-        """Current phases in radians, wrapped to [0, 2*pi)."""
-        return self._acc.astype(np.float64) * _PHASE_TO_RADIANS
+
+class _Scratch:
+    """render_block's working arrays for blocks of n samples: the ramp
+    positions t = 1/n .. n/n, the (18, n) ramps, and grid, which holds
+    the ramp operands while the ramps are built and the increments (inc)
+    after."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.t = np.arange(1, n + 1, dtype=np.float64) / n
+        self.ramps = np.empty((_RAMP_ROWS, n))
+        self.grid = np.empty((_RAMP_ROWS, n))
+        self.inc = self.grid[:N_OSCILLATORS].view(np.uint64)
 
 
 def _skip_is_exact(prev: SynthParams, params: SynthParams) -> bool:
@@ -149,6 +168,12 @@ def _skip_is_exact(prev: SynthParams, params: SynthParams) -> bool:
             and 1.0 <= params.drive < math.inf)
 
 
+def _vector(p: SynthParams) -> np.ndarray:
+    """The parameters in ramp-row order, as float64."""
+    return np.array((*p.freqs, *p.amps, p.drive, p.master_gain),
+                    dtype=np.float64)
+
+
 def render_block(bank: OscillatorBank, params: SynthParams,
                  n: int) -> AudioBlock:
     """Render n samples, ramping from the bank's previous parameters.
@@ -157,44 +182,66 @@ def render_block(bank: OscillatorBank, params: SynthParams,
     n1 + n2 samples equals rendering n1 then n2 (sample-exact), muted
     blocks included.  A muted block's samples are a read-only view of
     shared zeros (+0.0, float64): writing into them raises ValueError.
+    Any other block's samples are a fresh array that later renders do
+    not touch.
     """
     if n <= 0:
         raise ValueError("sample count must be positive")
     prev = bank._prev_params or params
     bank._prev_params = params
+    muted = (params.master_gain == 0.0 and prev.master_gain == 0.0
+             and _skip_is_exact(prev, params))
 
-    t = np.arange(1, n + 1, dtype=np.float64) / n
-    f0 = np.asarray(prev.freqs)[:, None]
-    freqs = f0 + (np.asarray(params.freqs)[:, None] - f0) * t
-    increments = np.round(
-        freqs * (_PHASE_MODULUS / bank.sample_rate)).astype(np.uint64)
+    w = bank._scratch
+    if w is None or w.n != n:
+        w = bank._scratch = _Scratch(n)
+    # every ramp is start + (end - start) * t, rounded twice as written.
+    # Each operand is spread to the full (rows, n) by assignment first:
+    # numpy buffers a ufunc that broadcasts over rows this short, which
+    # costs more than the copy.  A muted block needs the freq rows only.
+    start = _vector(prev)
+    rows = N_OSCILLATORS if muted else _RAMP_ROWS
+    ramps, grid = w.ramps[:rows], w.grid[:rows]
+    grid[...] = w.t
+    ramps[...] = (_vector(params) - start)[:rows, None]
+    ramps *= grid
+    grid[...] = start[:rows, None]
+    ramps += grid
 
-    if (params.master_gain == 0.0 and prev.master_gain == 0.0
-            and _skip_is_exact(prev, params)):
-        bank._acc = bank._acc + increments.sum(axis=1, dtype=np.uint64)
+    freqs, inc = w.ramps[:N_OSCILLATORS], w.inc
+    freqs *= _PHASE_MODULUS / bank.sample_rate
+    np.rint(freqs, out=freqs)
+    inc[...] = freqs
+    if muted:
+        bank._acc = bank._acc + inc.sum(axis=1, dtype=np.uint64)
         silence = np.ndarray(n, np.float64, _SILENCE, strides=(0,))
         return AudioBlock(samples=silence, sample_rate=bank.sample_rate)
 
-    acc_path = np.cumsum(increments, axis=1, dtype=np.uint64)
-    acc_path += bank._acc[:, None]
-    bank._acc = acc_path[:, -1].copy()
+    # uint64 sums wrap mod 2**64, so the running sum from the accumulator
+    # plus the first increment equals the old running sum plus the
+    # accumulator
+    inc[:, 0] += bank._acc
+    np.cumsum(inc, axis=1, out=inc)
+    bank._acc = inc[:, -1].copy()
 
-    a0 = np.asarray(prev.amps)[:, None]
-    amps = a0 + (np.asarray(params.amps)[:, None] - a0) * t
-    d0, g0 = np.float64(prev.drive), np.float64(prev.master_gain)
-    drive = d0 + (np.float64(params.drive) - d0) * t
-    gain = g0 + (np.float64(params.master_gain) - g0) * t
-
-    x = acc_path.astype(np.float64)
+    x = freqs
+    x[...] = inc
     x *= _PHASE_TO_RADIANS
     np.sin(x, out=x)
-    x *= amps
+    x *= w.ramps[N_OSCILLATORS:2 * N_OSCILLATORS]
     # numpy's sum over a contiguous axis of 8 adds pairwise in exactly this
-    # order, so the mix equals the row-major (n, 8).sum(axis=1) bit for bit.
-    s = ((x[0] + x[1]) + (x[2] + x[3])) + ((x[4] + x[5]) + (x[6] + x[7]))
+    # order, ((x0+x1)+(x2+x3))+((x4+x5)+(x6+x7)), so the mix equals the
+    # row-major (n, 8).sum(axis=1) bit for bit
+    pairs = x[0::2] + x[1::2]
+    pairs = pairs[0::2] + pairs[1::2]
+    s = pairs[0] + pairs[1]
     s /= N_OSCILLATORS
-    shaped = np.tanh(drive * s) / np.tanh(drive)
-    return AudioBlock(samples=gain * shaped, sample_rate=bank.sample_rate)
+    drive = w.ramps[_DRIVE]
+    s *= drive
+    np.tanh(s, out=s)
+    s /= np.tanh(drive, out=drive)
+    s *= w.ramps[_GAIN]
+    return AudioBlock(samples=s, sample_rate=bank.sample_rate)
 
 
 def mix_performers(blocks: Sequence[AudioBlock]) -> AudioBlock:

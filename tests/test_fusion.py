@@ -29,7 +29,6 @@ from myobridge.fusion import (
     initial_state,
     quat_to_euler,
     smooth_ema,
-    update_gate,
     vector_magnitude,
 )
 from myobridge.protocol import ImuFrame, parse_imu_packet
@@ -170,40 +169,62 @@ def test_qom_monotone_in_gyro():
 
 
 # --- gate --------------------------------------------------------------------
+#
+# The gate is driven through MotionTracker, frame by frame at 50 Hz, so
+# every step is 0.02 s.  A frame's QoM is its gyro magnitude over
+# GYRO_FULL_SCALE_DPS (the accelerometer reads 1 g at rest), and the gate
+# sees it after the EMA: a steady QoM stays what it is, while one frame of
+# QoM q after stillness reaches the gate as QOM_ALPHA * q.
+
+def _moving_frame(t_us, qom):
+    return ImuFrame(t_us=t_us, quat=(1.0, 0.0, 0.0, 0.0),
+                    accel=(0.0, 0.0, 1.0),
+                    gyro=(qom * GYRO_FULL_SCALE_DPS, 0.0, 0.0))
+
+
+class TrackedGate:
+    """A MotionTracker fed one frame every 20 ms."""
+
+    def __init__(self, cfg):
+        self.tracker = MotionTracker(gate_cfg=cfg)
+        self.frames = 0
+
+    def step(self, qom):
+        state = self.tracker.update(_moving_frame(self.frames * 20_000, qom))
+        self.frames += 1
+        return state
+
 
 def test_gate_mutes_on_threshold_crossing():
-    cfg = GateConfig(threshold=0.35, ramp_seconds=30.0)
-    state = initial_state()
+    gate = TrackedGate(GateConfig(threshold=0.35, ramp_seconds=30.0))
     for _ in range(200):
-        state = update_gate(state, 0.0, 0.02, cfg)
+        state = gate.step(0.0)
     assert state.master_gain > 0.1
-    state = update_gate(state, 0.5, 0.02, cfg)
+    state = gate.step(2.0)  # reaches the gate as 0.4
+    assert state.qom > 0.35
     assert state.master_gain == 0.0
     assert state.stillness_s == 0.0
 
 
 def test_gate_reaches_unity_after_ramp():
-    cfg = GateConfig(threshold=0.35, ramp_seconds=30.0)
-    state = initial_state()
+    gate = TrackedGate(GateConfig(threshold=0.35, ramp_seconds=30.0))
     for _ in range(1500):  # 30.0 s at 50 Hz
-        state = update_gate(state, 0.01, 0.02, cfg)
+        state = gate.step(0.01)
     assert state.master_gain == pytest.approx(1.0, abs=1e-9)
 
 
 def test_gate_midpoint_of_linear_ramp():
-    cfg = GateConfig(threshold=0.35, ramp_seconds=30.0)
-    state = initial_state()
+    gate = TrackedGate(GateConfig(threshold=0.35, ramp_seconds=30.0))
     for _ in range(750):  # 15.0 s
-        state = update_gate(state, 0.0, 0.02, cfg)
+        state = gate.step(0.0)
     assert state.master_gain == pytest.approx(0.5, abs=1e-9)
 
 
 def test_gate_monotone_under_stillness():
-    cfg = GateConfig(threshold=0.35, ramp_seconds=5.0)
-    state = initial_state()
+    gate = TrackedGate(GateConfig(threshold=0.35, ramp_seconds=5.0))
     previous = 0.0
     for _ in range(400):
-        state = update_gate(state, 0.1, 0.02, cfg)
+        state = gate.step(0.1)
         assert state.master_gain >= previous
         previous = state.master_gain
     assert previous == 1.0
@@ -213,24 +234,33 @@ def test_gate_reset_from_any_state():
     cfg = GateConfig(threshold=0.2, ramp_seconds=10.0)
     rng = np.random.default_rng(3)
     for _ in range(50):
-        state = initial_state()
+        gate = TrackedGate(cfg)
         for _ in range(rng.integers(1, 300)):
-            state = update_gate(state, float(rng.uniform(0, 0.2)), 0.02, cfg)
-        state = update_gate(state, 0.21, 0.02, cfg)
+            state = gate.step(float(rng.uniform(0, 0.2)))
+            assert state.qom <= 0.2 and state.master_gain > 0.0
+        # whatever the EMA held, this frame takes it past 0.2
+        state = gate.step(1.01)
+        assert state.qom > 0.2
         assert state.master_gain == 0.0
 
 
 def test_gate_zero_gain_iff_zero_stillness():
-    cfg = GateConfig()
-    state = initial_state()
+    gate = TrackedGate(GateConfig())
+    state = gate.tracker.state
     assert state.master_gain == 0.0 and state.stillness_s == 0.0
-    state = update_gate(state, 0.0, 0.02, cfg)
+    state = gate.step(0.0)
     assert state.stillness_s > 0.0 and state.master_gain > 0.0
 
 
-def test_gate_rejects_nonpositive_dt():
-    with pytest.raises(ValueError):
-        update_gate(initial_state(), 0.0, 0.0)
+def test_gate_never_advances_by_nonpositive_dt():
+    # a frame stamped at or before the one before advances the gate by
+    # the nominal period, neither by nothing nor backwards
+    for step_us in (0, -20_000):
+        tracker = MotionTracker()
+        before = tracker.update(_still_frame(1_000_000))
+        after = tracker.update(_still_frame(1_000_000 + step_us))
+        assert after.stillness_s == before.stillness_s + _NOMINAL_DT
+        assert after.master_gain > before.master_gain
 
 
 # --- smoothing ---------------------------------------------------------------
@@ -355,7 +385,8 @@ def test_tracker_never_raises_on_arbitrary_imu_packets(packets):
 # --- reference control state -------------------------------------------------
 
 def reference_update_gate(state, qom, dt, cfg):
-    """update_gate as first written, through dataclasses.replace."""
+    """The gate step as first written, a public update_gate that went
+    through dataclasses.replace."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if qom > cfg.threshold:
@@ -370,8 +401,8 @@ def reference_update_gate(state, qom, dt, cfg):
 
 class ReferenceTracker:
     """MotionTracker.update as first written, built from the public
-    functions: quat_to_euler, vector_magnitude, compute_qom, smooth_ema
-    and update_gate."""
+    functions quat_to_euler, vector_magnitude, compute_qom and smooth_ema,
+    and reference_update_gate."""
 
     def __init__(self, gate_cfg):
         self.gate_cfg = gate_cfg
@@ -406,7 +437,8 @@ class ReferenceTracker:
         self.last_t_us = frame.t_us
         state = MotionState(euler, accel_mag, gyro_mag,
                             stillness_s=self.state.stillness_s)
-        self.state = update_gate(state, self.qom_smoothed, dt, self.gate_cfg)
+        self.state = reference_update_gate(state, self.qom_smoothed, dt,
+                                           self.gate_cfg)
         return self.state
 
 
@@ -455,22 +487,3 @@ def test_tracker_matches_reference_bitwise(threshold, ramp, t0, frames):
         assert tracker.state is got
     assert tracker.degenerate_frames == reference.degenerate_frames
     assert tracker.gap_frames == reference.gap_frames
-
-
-_GATE_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.floats(min_value=0.0, max_value=1e6), _GATE_FLOATS,
-       st.one_of(st.floats(min_value=1e-9, max_value=10.0),
-                 st.just(_NOMINAL_DT)),
-       st.sampled_from([0.0, 0.35, 1e9]), st.sampled_from([1e-3, 30.0]))
-def test_update_gate_matches_reference_bitwise(stillness_s, qom, dt,
-                                               threshold, ramp):
-    cfg = GateConfig(threshold=threshold, ramp_seconds=ramp)
-    state = MotionState(EulerAngles(-0.0, 0.5, -1.0), 1.01, 3.5, 0.25,
-                        stillness_s, min(1.0, stillness_s / ramp))
-    got = update_gate(state, qom, dt, cfg)
-    want = reference_update_gate(state, qom, dt, cfg)
-    assert type(got) is MotionState
-    assert state_bits(got) == state_bits(want)

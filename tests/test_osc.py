@@ -320,6 +320,14 @@ def test_port_that_is_not_an_integer_rejected_at_construction(port):
         UdpSender("127.0.0.1", port)
 
 
+@pytest.mark.parametrize("host", [123, None, b"127.0.0.1"])
+def test_host_that_is_not_a_str_rejected_at_construction(host):
+    # 123 raised TypeError out of the first send, past its OSError
+    # handler; None sent to 127.0.0.1 without a word
+    with pytest.raises(TypeError, match="host"):
+        UdpSender(host, 9)
+
+
 def test_numpy_integer_port_sends():
     receiver = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     receiver.bind(("127.0.0.1", 0))

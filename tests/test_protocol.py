@@ -13,11 +13,8 @@ from myobridge import protocol
 from myobridge.protocol import (
     BgapiFrame,
     BgapiStream,
-    InvalidHeaderError,
     MsgType,
-    TruncatedFrameError,
     WrongLengthError,
-    decode_bgapi_frame,
     dispatch_attribute,
     parse_emg_packet,
     parse_imu_packet,
@@ -31,34 +28,39 @@ def frame_bytes(type_byte, class_id, command_id, payload=b""):
 
 # --- framing ---------------------------------------------------------------
 
+def feed_once(data):
+    """(frames, bytes dropped, bytes left buffered) of one feed on a new
+    stream."""
+    stream = BgapiStream()
+    frames = stream.feed(data)
+    return frames, stream.bytes_dropped, bytes(stream._buf)
+
+
 def test_decode_event_frame_golden():
     data = bytes.fromhex("80 01 04 05 07".replace(" ", ""))
-    frame, consumed = decode_bgapi_frame(data)
-    assert frame == BgapiFrame(MsgType.EVENT, 4, 5, b"\x07")
-    assert consumed == 5
+    assert feed_once(data) == ([BgapiFrame(MsgType.EVENT, 4, 5, b"\x07")],
+                               0, b"")
 
 
 def test_decode_command_frame_zero_payload():
     # a command's wire form; read from the dongle it is a response
-    frame, consumed = decode_bgapi_frame(bytes.fromhex("00000001"))
-    assert frame == BgapiFrame(MsgType.RESPONSE, 0, 1, b"")
-    assert consumed == 4
+    assert feed_once(bytes.fromhex("00000001")) == (
+        [BgapiFrame(MsgType.RESPONSE, 0, 1, b"")], 0, b"")
 
 
 def test_decode_event_with_20_byte_payload():
     payload = bytes(range(20))
-    data = bytes.fromhex("80140405") + payload
-    frame, consumed = decode_bgapi_frame(data)
-    assert frame.msg_type is MsgType.EVENT
-    assert frame.payload == payload
-    assert consumed == 24
+    frames, dropped, left = feed_once(bytes.fromhex("80140405") + payload)
+    assert [f.msg_type for f in frames] == [MsgType.EVENT]
+    assert frames[0].payload == payload
+    assert (dropped, left) == (0, b"")
 
 
 def test_decode_response_classification():
-    frame, _ = decode_bgapi_frame(bytes.fromhex("00020405aabb"))
-    assert frame.msg_type is MsgType.RESPONSE
-    frame, _ = decode_bgapi_frame(bytes.fromhex("80020405aabb"))
-    assert frame.msg_type is MsgType.EVENT
+    frames, _, _ = feed_once(bytes.fromhex("00020405aabb"))
+    assert frames[0].msg_type is MsgType.RESPONSE
+    frames, _, _ = feed_once(bytes.fromhex("80020405aabb"))
+    assert frames[0].msg_type is MsgType.EVENT
 
 
 def test_round_trip_random_frames():
@@ -68,23 +70,26 @@ def test_round_trip_random_frames():
         class_id, command_id = rng.randrange(256), rng.randrange(256)
         payload = bytes(rng.randrange(256) for _ in range(rng.randrange(256)))
         wire = frame_bytes(type_byte, class_id, command_id, payload)
-        decoded, consumed = decode_bgapi_frame(wire)
         msg_type = MsgType.EVENT if type_byte else MsgType.RESPONSE
-        assert decoded == BgapiFrame(msg_type, class_id, command_id, payload)
-        assert consumed == len(wire)
+        assert feed_once(wire) == (
+            [BgapiFrame(msg_type, class_id, command_id, payload)], 0, b"")
 
 
 def test_truncated_header_and_payload():
-    with pytest.raises(TruncatedFrameError):
-        decode_bgapi_frame(b"\x80\x01")
-    with pytest.raises(TruncatedFrameError):
-        decode_bgapi_frame(bytes.fromhex("80050405") + b"\x01\x02")
+    for wire in (bytes.fromhex("80010405aa"),
+                 bytes.fromhex("80050405") + bytes(range(5))):
+        for cut in (2, len(wire) - 1):
+            stream = BgapiStream()
+            assert stream.feed(wire[:cut]) == []
+            assert bytes(stream._buf) == wire[:cut]
+            frames = stream.feed(wire[cut:])
+            assert frames == [BgapiFrame(MsgType.EVENT, 4, 5, wire[4:])]
+            assert stream.bytes_dropped == 0 and not stream._buf
 
 
 def test_invalid_header_reserved_bits():
     for type_byte in (0x01, 0x7F, 0x81, 0xFF):
-        with pytest.raises(InvalidHeaderError):
-            decode_bgapi_frame(bytes([type_byte, 0, 0, 0]))
+        assert feed_once(bytes([type_byte, 0, 0, 0])) == ([], 1, bytes(3))
 
 
 def test_stream_concatenation_yields_all_frames():
@@ -122,33 +127,54 @@ def test_fuzz_random_bytes_never_overread_or_hang():
     rng = random.Random(0xF00D)
     for _ in range(200):
         blob = bytes(rng.randrange(256) for _ in range(rng.randrange(512)))
-        stream = BgapiStream()
-        stream.feed(blob)  # must terminate without raising
-        offset = 0
-        while offset < len(blob):
-            try:
-                frame, nxt = decode_bgapi_frame(blob, offset)
-            except (TruncatedFrameError, InvalidHeaderError):
-                break
-            assert nxt == offset + 4 + len(frame.payload)
-            assert nxt <= len(blob)
-            offset = nxt
+        frames, dropped, left = feed_once(blob)  # terminates, never raises
+        # every byte is framed once, dropped or still buffered
+        framed = sum(4 + len(f.payload) for f in frames)
+        assert framed + dropped + len(left) == len(blob)
+        assert left == blob[len(blob) - len(left):]
+
+
+class _Truncated(Exception):
+    pass
+
+
+class _ReservedBits(Exception):
+    pass
+
+
+def _decode_frame(data, offset):
+    """The framing rule as first written, one frame at offset: returns
+    (frame, next offset); raises _Truncated when fewer bytes are
+    available than the header declares and _ReservedBits when reserved
+    type bits are set."""
+    available = len(data) - offset
+    if available < 4:
+        raise _Truncated
+    type_byte = data[offset]
+    if type_byte & 0x7F:
+        raise _ReservedBits
+    total = 4 + data[offset + 1]
+    if available < total:
+        raise _Truncated
+    msg_type = MsgType.EVENT if type_byte & 0x80 else MsgType.RESPONSE
+    payload = bytes(data[offset + 4:offset + total])
+    return (BgapiFrame(msg_type, data[offset + 2], data[offset + 3], payload),
+            offset + total)
 
 
 def reference_feed(buf, chunk):
-    """BgapiStream.feed as first written: a loop over decode_bgapi_frame
-    that ends on TruncatedFrameError and drops a byte on each
-    InvalidHeaderError.  Works on the bytearray buf in place and returns
-    (frames, bytes dropped)."""
+    """BgapiStream.feed as first written: a loop over _decode_frame that
+    ends on _Truncated and drops a byte on each _ReservedBits.  Works on
+    the bytearray buf in place and returns (frames, bytes dropped)."""
     buf.extend(chunk)
     frames = []
     pos = dropped = 0
     while True:
         try:
-            frame, pos = decode_bgapi_frame(buf, pos)
-        except TruncatedFrameError:
+            frame, pos = _decode_frame(buf, pos)
+        except _Truncated:
             break
-        except InvalidHeaderError:
+        except _ReservedBits:
             pos += 1
             dropped += 1
             continue
