@@ -12,13 +12,15 @@ spans F_LO..F_HI (110-880 Hz, three octaves), yaw fans the partials out by
 up to SPREAD_MAX, roll drives the waveshaper up to DRIVE_MAX, and the EMG
 RMS window is WINDOW_SAMPLES (40 ms at 200 Hz).  The piece plays one
 mapping and no caller sets another; a CLI or score file that needs a
-different one brings the option back with it.  Only assemble_params'
-sample_rate varies, with the renderer's output rate.
+different one brings the option back with it.  The highest partial it
+can produce, F_TOP (F_HI fanned out by SPREAD_MAX, 3960 Hz), is a
+constant too, so assemble_params checks its sample_rate, not its
+partials: the rate must be finite and above 8800 Hz, which keeps F_TOP
+under NYQUIST_FRACTION of it.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -26,8 +28,6 @@ from typing import Sequence
 
 from .fusion import EulerAngles
 from .protocol import EMG_RATE_HZ, EmgFrame
-
-logger = logging.getLogger(__name__)
 
 N_OSCILLATORS = 8
 EMG_FULL_SCALE = 128.0
@@ -37,6 +37,8 @@ F_HI = 880.0
 SPREAD_MAX = 0.5
 DRIVE_MAX = 4.0
 WINDOW_SAMPLES = round(0.04 * EMG_RATE_HZ)  # 8
+F_TOP = F_HI * (1.0 + (N_OSCILLATORS - 1) * SPREAD_MAX)  # 3960.0
+_OCTAVES = math.log2(F_HI / F_LO)
 
 
 @dataclass(frozen=True)
@@ -107,9 +109,8 @@ def map_orientation(euler: EulerAngles) -> tuple[float, float, float]:
     base_freq is exponential in pitch with endpoints exactly F_LO/F_HI;
     spread is linear in yaw over (-pi, pi]; drive is linear in |roll|.
     """
-    octaves = math.log2(F_HI / F_LO)
     base_freq = F_LO * 2.0 ** (
-        (euler.pitch + math.pi / 2.0) / math.pi * octaves)
+        (euler.pitch + math.pi / 2.0) / math.pi * _OCTAVES)
     spread = SPREAD_MAX * (euler.yaw + math.pi) / (2.0 * math.pi)
     drive = 1.0 + (DRIVE_MAX - 1.0) * abs(euler.roll) / math.pi
     return base_freq, spread, drive
@@ -120,22 +121,16 @@ def assemble_params(env: EmgEnvelopes, base_freq: float, spread: float,
                     sample_rate: float = 44100.0) -> SynthParams:
     """Fan oscillator k out to base_freq * (1 + k * spread); amps from EMG.
 
-    Partials at or above Nyquist are clamped to 0.45 * sample_rate with a
-    warning rather than erroring out mid-performance.
+    Raises ValueError unless sample_rate keeps F_TOP, the highest partial
+    map_orientation's ranges can make, under NYQUIST_FRACTION * sample_rate:
+    sample_rate must be finite and above 8800 Hz.  The partials themselves
+    are not checked, since within those ranges none can reach the limit.
     """
+    if not F_TOP < NYQUIST_FRACTION * sample_rate < math.inf:
+        raise ValueError(
+            f"sample_rate must be finite and above "
+            f"{F_TOP / NYQUIST_FRACTION:.0f} Hz to keep F_TOP under "
+            f"{NYQUIST_FRACTION} of it, got {sample_rate!r}")
     freqs = [base_freq * (1.0 + k * spread) for k in range(N_OSCILLATORS)]
-    # A NaN first partial hides every other from max(), so the test is
-    # "not below" rather than ">=": that runs the loop, which is exact.
-    nyquist = sample_rate / 2.0
-    if not max(freqs) < nyquist:
-        limit = NYQUIST_FRACTION * sample_rate
-        clamped = 0
-        for k, f in enumerate(freqs):
-            if f >= nyquist:
-                clamped += 1
-                freqs[k] = limit
-        if clamped:
-            logger.warning("clamped %d partial(s) above Nyquist to %.0f Hz",
-                           clamped, limit)
     return SynthParams(freqs=tuple(freqs), amps=env.env, drive=drive,
                        master_gain=master_gain)

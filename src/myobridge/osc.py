@@ -44,11 +44,7 @@ logger = logging.getLogger(__name__)
 _CACHE_SIZE = 256
 
 
-class OscError(Exception):
-    pass
-
-
-class InvalidAddressError(OscError):
+class InvalidAddressError(ValueError):
     pass
 
 

@@ -43,7 +43,7 @@ from .fusion import euler_to_quat
 from .protocol import EMG_PERIOD_US, IMU_PERIOD_US, EmgFrame, ImuFrame
 
 LOG_VERSION = "1.0"
-LOG_MAJOR = 1
+LOG_MAJOR = int(LOG_VERSION.split(".", 1)[0])
 RNG_ALGORITHM = "numpy-pcg64"
 
 # The meta record's device fields, in the order it writes them.

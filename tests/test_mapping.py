@@ -1,18 +1,19 @@
-"""Mapping tests: RMS envelope oracle, orientation map arithmetic, separability."""
+"""Mapping tests: RMS envelope oracle, orientation map arithmetic, rate check,
+separability."""
 
-import logging
 import math
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from myobridge.fusion import EulerAngles
+from myobridge.fusion import EulerAngles, MotionTracker
 from myobridge.mapping import (
     DRIVE_MAX,
     F_HI,
     F_LO,
+    F_TOP,
     SPREAD_MAX,
     WINDOW_SAMPLES,
     EMG_FULL_SCALE,
@@ -24,7 +25,7 @@ from myobridge.mapping import (
     emg_envelope,
     map_orientation,
 )
-from myobridge.protocol import EmgFrame
+from myobridge.protocol import EmgFrame, parse_imu_packet
 
 
 def brute_force_env(samples, window):
@@ -195,56 +196,65 @@ def test_zero_envelopes_silence_amps():
     assert params.amps == (0.0,) * 8
 
 
-def test_nyquist_clamp_warns(caplog):
-    env = EmgEnvelopes(env=(1.0,) * 8)
-    with caplog.at_level("WARNING", logger="myobridge.mapping"):
-        params = assemble_params(env, 8000.0, 0.5, 1.0, 1.0,
-                                 sample_rate=44100.0)
-    assert all(f < 22050.0 for f in params.freqs)
-    # partials 24000..36000 land on the clamp value; 8000..20000 pass through
-    assert params.freqs[4:] == (0.45 * 44100.0,) * 4
-    assert params.freqs[:4] == (8000.0, 12000.0, 16000.0, 20000.0)
-    assert "Nyquist" in caplog.text
-
-
-def reference_assemble_params(env, base_freq, spread, drive, master_gain,
-                              sample_rate):
-    """assemble_params' partials as first written: one loop that clamps
-    each partial as it goes.  Returns (freqs, number clamped)."""
-    limit = NYQUIST_FRACTION * sample_rate
-    freqs = []
-    clamped = 0
-    for k in range(N_OSCILLATORS):
-        f = base_freq * (1.0 + k * spread)
-        if f >= sample_rate / 2.0:
-            clamped += 1
-            f = limit
-        freqs.append(f)
-    return tuple(freqs), clamped
-
-
 @pytest.mark.parametrize("base, spread, rate", [
     (220.0, 0.3, 44100.0),
-    (3000.0, 0.5, 8000.0),          # only the upper partials clamp
     (100.0, math.inf, 44100.0),     # NaN first partial, inf above it
     (math.nan, 0.5, 44100.0),
     (220.0, math.nan, 44100.0),
-    (220.0, 0.5, math.nan),
     (-math.inf, 0.5, 44100.0),
-    (22050.0, 0.0, 44100.0),        # exactly Nyquist clamps
     (22049.999999999996, 0.0, 44100.0),
 ])
-def test_assemble_params_matches_reference_loop(caplog, base, spread, rate):
+def test_assemble_params_matches_reference_loop(base, spread, rate):
+    """Bit for bit, non-finite partials included: none is rewritten."""
     env = EmgEnvelopes(env=(0.5,) * 8)
-    with caplog.at_level(logging.WARNING, logger="myobridge.mapping"):
-        params = assemble_params(env, base, spread, 2.0, 0.5, rate)
-    freqs, clamped = reference_assemble_params(env, base, spread, 2.0, 0.5,
-                                               rate)
+    params = assemble_params(env, base, spread, 2.0, 0.5, rate)
+    freqs = [base * (1.0 + k * spread) for k in range(N_OSCILLATORS)]
     assert [struct.pack("<d", f) for f in params.freqs] == [
         struct.pack("<d", f) for f in freqs]
-    assert len(caplog.records) == (1 if clamped else 0)
-    if clamped:
-        assert f"clamped {clamped} partial(s)" in caplog.text
+
+
+@pytest.mark.parametrize("rate", [
+    8000.0, 8800.0, 0.0, -44100.0, math.nan, math.inf])
+def test_rate_that_cannot_hold_f_top_refused(rate):
+    env = EmgEnvelopes(env=(0.5,) * 8)
+    with pytest.raises(ValueError, match="sample_rate.*8800 Hz"):
+        assemble_params(env, 220.0, 0.3, 2.0, 0.5, rate)
+
+
+@pytest.mark.parametrize("rate", [8800.000001, 44100, 48000.0])
+def test_rate_above_the_minimum_accepted(rate):
+    env = EmgEnvelopes(env=(0.5,) * 8)
+    params = assemble_params(env, 220.0, 0.3, 2.0, 0.5, rate)
+    assert params.freqs[0] == 220.0
+
+
+def test_f_top_is_the_extreme_corner():
+    assert F_TOP == 3960.0
+    assert F_TOP < NYQUIST_FRACTION * 44100
+    base, spread, drive = map_orientation(
+        EulerAngles(0.0, math.pi / 2, math.pi))
+    params = assemble_params(EmgEnvelopes(env=(0.0,) * 8), base, spread,
+                             drive, 1.0)
+    assert max(params.freqs) == 3960.0
+
+
+_EXTREME_INT16 = st.sampled_from([0, 32767, -32767, -32768])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(min_size=20, max_size=20),
+    st.lists(_EXTREME_INT16, min_size=10, max_size=10).map(
+        lambda v: struct.pack("<10h", *v))))
+@example(bytes(20))
+@example(struct.pack("<10h", *[32767] * 10))
+@example(struct.pack("<10h", *[-32767] * 10))
+def test_any_imu_payload_keeps_partials_in_range(payload):
+    state = MotionTracker().update(parse_imu_packet(payload, 0))
+    base, spread, drive = map_orientation(state.euler)
+    params = assemble_params(EmgEnvelopes(env=(0.0,) * 8), base, spread,
+                             drive, state.master_gain, 44100)
+    assert all(F_LO <= f <= F_TOP for f in params.freqs)
 
 
 # --- separability ---------------------------------------------------------------
