@@ -5,8 +5,8 @@ Euler convention is intrinsic Z-Y'-X'' (yaw, then pitch, then roll).  All
 downstream mappings depend on this choice.
 
 The gate implements the inverse motion-to-sound rule: motion above a
-threshold mutes the master gain, which then ramps back up over a configured
-stillness interval (default 30 s).
+threshold mutes the master gain, which then ramps back up linearly over
+RAMP_S (30 s) of stillness, a constant of the piece.
 
 Quantity of motion (QoM) has one fixed definition, so that a threshold
 calibrated in one room means the same in the next: the accelerometer
@@ -37,6 +37,9 @@ MAX_GAP_S = 0.5
 # and gyro addends commensurate.
 GYRO_FULL_SCALE_DPS = 500.0
 
+# Seconds of stillness over which the gate's gain ramps from 0 to 1.
+RAMP_S = 30.0
+
 # EMA weight of a new QoM sample, so one noisy sample cannot mute a
 # performer.
 QOM_ALPHA = 0.2
@@ -57,21 +60,17 @@ class EulerAngles:
 
 @dataclass(frozen=True)
 class GateConfig:
-    """Threshold and recovery ramp for the stillness gate.
+    """Threshold of the stillness gate, in QoM units.
 
-    The threshold is in QoM units and is deliberately calibratable; 0.35
-    is a usable default, not a measured constant.  The gain ramps linearly
-    from 0 to 1 over ramp_seconds of stillness.
+    The threshold is deliberately calibratable; 0.35 is a usable default,
+    not a measured constant.
     """
 
     threshold: float = 0.35
-    ramp_seconds: float = 30.0
 
     def __post_init__(self):
         if not 0.0 <= self.threshold < math.inf:
             raise ValueError("threshold must be finite and >= 0")
-        if not 0.0 < self.ramp_seconds < math.inf:
-            raise ValueError("ramp_seconds must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -142,12 +141,12 @@ def _gate_step(stillness_s: float, qom: float, dt: float,
 
     Returns (stillness_s, master_gain).  QoM above the threshold zeroes
     the master gain immediately; otherwise the stillness timer
-    accumulates and the gain ramps toward 1 over cfg.ramp_seconds.
+    accumulates and the gain ramps toward 1 over RAMP_S.
     """
     if qom > cfg.threshold:
         return 0.0, 0.0
     stillness_s += dt
-    return stillness_s, min(1.0, stillness_s / cfg.ramp_seconds)
+    return stillness_s, min(1.0, stillness_s / RAMP_S)
 
 
 def smooth_ema(prev: float, x: float, alpha: float) -> float:

@@ -7,6 +7,9 @@ unison into a stretched harmonic series, and roll raises distortion drive.
 The stillness gate's master gain passes through untouched, so amplitude,
 timbre, and gating stay independently testable.
 
+The envelopes are a plain 8-tuple of floats in [0, 1], one per channel,
+as EnvelopeTracker.envelopes makes them; SynthParams.amps is that tuple.
+
 The mapping's ranges are module constants, not options: the base frequency
 spans F_LO..F_HI (110-880 Hz, three octaves), yaw fans the partials out by
 up to SPREAD_MAX, roll drives the waveshaper up to DRIVE_MAX, and the EMG
@@ -24,7 +27,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
 
 from .fusion import EulerAngles
 from .protocol import EMG_RATE_HZ, EmgFrame
@@ -42,19 +44,6 @@ _OCTAVES = math.log2(F_HI / F_LO)
 
 
 @dataclass(frozen=True)
-class EmgEnvelopes:
-    """Eight per-channel activation envelopes in [0, 1]."""
-
-    env: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.env) != N_OSCILLATORS:
-            raise ValueError(f"need {N_OSCILLATORS} envelopes, got {len(self.env)}")
-        if any(not 0.0 <= e <= 1.0 for e in self.env):
-            raise ValueError("envelope values must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
 class SynthParams:
     """One control tick's oscillator settings."""
 
@@ -62,32 +51,6 @@ class SynthParams:
     amps: tuple[float, ...]
     drive: float
     master_gain: float
-
-
-def emg_envelope(history: Sequence[EmgFrame]) -> EmgEnvelopes:
-    """Moving RMS of the signed samples, normalized to [0, 1].
-
-    The window is the last WINDOW_SAMPLES frames; a shorter history is
-    zero-padded, so envelopes rise from silence rather than jumping.
-    Squares of the int8 samples are summed as exact integers, one pass
-    per frame; every sum stays far below 2**53, so each is the float a
-    float accumulator would reach.
-    """
-    n = WINDOW_SAMPLES
-    s0 = s1 = s2 = s3 = s4 = s5 = s6 = s7 = 0
-    for frame in history[-n:]:
-        c0, c1, c2, c3, c4, c5, c6, c7 = frame.channels
-        s0 += c0 * c0
-        s1 += c1 * c1
-        s2 += c2 * c2
-        s3 += c3 * c3
-        s4 += c4 * c4
-        s5 += c5 * c5
-        s6 += c6 * c6
-        s7 += c7 * c7
-    return EmgEnvelopes(env=tuple([
-        min(1.0, math.sqrt(acc / n) / EMG_FULL_SCALE)
-        for acc in (s0, s1, s2, s3, s4, s5, s6, s7)]))
 
 
 class EnvelopeTracker:
@@ -99,8 +62,29 @@ class EnvelopeTracker:
     def push(self, frame: EmgFrame) -> None:
         self._window.append(frame)
 
-    def envelopes(self) -> EmgEnvelopes:
-        return emg_envelope(list(self._window))
+    def envelopes(self) -> tuple[float, ...]:
+        """Moving RMS of the signed samples, normalized to [0, 1].
+
+        The window is the last WINDOW_SAMPLES frames pushed; a shorter
+        history is zero-padded, so envelopes rise from silence rather than
+        jumping.  Squares of the int8 samples are summed as exact integers,
+        one pass per frame; every sum stays far below 2**53, so each is
+        the float a float accumulator would reach.
+        """
+        n = WINDOW_SAMPLES
+        s0 = s1 = s2 = s3 = s4 = s5 = s6 = s7 = 0
+        for frame in self._window:
+            c0, c1, c2, c3, c4, c5, c6, c7 = frame.channels
+            s0 += c0 * c0
+            s1 += c1 * c1
+            s2 += c2 * c2
+            s3 += c3 * c3
+            s4 += c4 * c4
+            s5 += c5 * c5
+            s6 += c6 * c6
+            s7 += c7 * c7
+        return tuple([min(1.0, math.sqrt(acc / n) / EMG_FULL_SCALE)
+                      for acc in (s0, s1, s2, s3, s4, s5, s6, s7)])
 
 
 def map_orientation(euler: EulerAngles) -> tuple[float, float, float]:
@@ -116,10 +100,10 @@ def map_orientation(euler: EulerAngles) -> tuple[float, float, float]:
     return base_freq, spread, drive
 
 
-def assemble_params(env: EmgEnvelopes, base_freq: float, spread: float,
+def assemble_params(env: tuple[float, ...], base_freq: float, spread: float,
                     drive: float, master_gain: float,
                     sample_rate: float = 44100.0) -> SynthParams:
-    """Fan oscillator k out to base_freq * (1 + k * spread); amps from EMG.
+    """Fan oscillator k out to base_freq * (1 + k * spread); amps are env.
 
     Raises ValueError unless sample_rate keeps F_TOP, the highest partial
     map_orientation's ranges can make, under NYQUIST_FRACTION * sample_rate:
@@ -132,5 +116,5 @@ def assemble_params(env: EmgEnvelopes, base_freq: float, spread: float,
             f"{F_TOP / NYQUIST_FRACTION:.0f} Hz to keep F_TOP under "
             f"{NYQUIST_FRACTION} of it, got {sample_rate!r}")
     freqs = [base_freq * (1.0 + k * spread) for k in range(N_OSCILLATORS)]
-    return SynthParams(freqs=tuple(freqs), amps=env.env, drive=drive,
+    return SynthParams(freqs=tuple(freqs), amps=env, drive=drive,
                        master_gain=master_gain)

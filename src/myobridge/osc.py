@@ -15,7 +15,8 @@ Address scheme, one namespace per performer (the public contract):
     /myo/{id}/gate    1 float    master gain in [0, 1]
     /myo/{id}/synth   18 floats  8 freqs, 8 amps, drive, master gain
 
-Messages are emitted in exactly that order on every control tick.
+Messages are emitted in exactly that order on every control tick, each as
+a plain (address, args) pair.
 
 The encoder caches, per (address, arg count), the padded address and type
 tags and a packer for the float32 arguments, in a bounded LRU cache; the
@@ -31,10 +32,9 @@ import logging
 import operator
 import socket
 import struct
-from dataclasses import dataclass
 
 from .fusion import MotionState
-from .mapping import EmgEnvelopes, SynthParams
+from .mapping import SynthParams
 
 logger = logging.getLogger(__name__)
 
@@ -46,12 +46,6 @@ _CACHE_SIZE = 256
 
 class InvalidAddressError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class OscMessage:
-    address: str
-    args: tuple[float, ...] = ()
 
 
 def _pad4(data: bytes) -> bytes:
@@ -83,13 +77,14 @@ def _header_and_packer(address: str, n: int):
     return header, struct.Struct(f">{n}f").pack
 
 
-def encode_message(msg: OscMessage) -> bytes:
-    """Encode to the OSC 1.0 wire format; total length is a multiple of 4.
+def encode_message(msg: tuple[str, tuple[float, ...]]) -> bytes:
+    """Encode an (address, args) pair to OSC 1.0; length a multiple of 4.
 
     A float beyond the float32 range raises OverflowError (from struct).
     """
-    header, pack = _header_and_packer(msg.address, len(msg.args))
-    return header + pack(*msg.args)
+    address, args = msg
+    header, pack = _header_and_packer(address, len(args))
+    return header + pack(*args)
 
 
 # typed: True and 1 format differently but hash alike
@@ -100,21 +95,21 @@ def _performer_addresses(performer_id: int) -> tuple[str, ...]:
                  ("emg", "euler", "accmag", "gyrmag", "qom", "gate", "synth"))
 
 
-def emit_pipeline(state: MotionState, env: EmgEnvelopes, params: SynthParams,
-                  performer_id: int) -> list[OscMessage]:
-    """One control tick's messages, in the documented stable order."""
+def emit_pipeline(state: MotionState, env: tuple[float, ...],
+                  params: SynthParams, performer_id: int) -> list[tuple]:
+    """One control tick's (address, args) pairs, in the documented order."""
     emg, euler, accmag, gyrmag, qom, gate, synth = _performer_addresses(
         performer_id)
     e = state.euler
     return [
-        OscMessage(emg, tuple(env.env)),
-        OscMessage(euler, (e.roll, e.pitch, e.yaw)),
-        OscMessage(accmag, (state.accel_mag,)),
-        OscMessage(gyrmag, (state.gyro_mag,)),
-        OscMessage(qom, (state.qom,)),
-        OscMessage(gate, (state.master_gain,)),
-        OscMessage(synth, (*params.freqs, *params.amps,
-                           params.drive, params.master_gain)),
+        (emg, env),
+        (euler, (e.roll, e.pitch, e.yaw)),
+        (accmag, (state.accel_mag,)),
+        (gyrmag, (state.gyro_mag,)),
+        (qom, (state.qom,)),
+        (gate, (state.master_gain,)),
+        (synth, (*params.freqs, *params.amps,
+                 params.drive, params.master_gain)),
     ]
 
 

@@ -154,8 +154,6 @@ def unpack_imu_raw(payload: bytes) -> tuple[int, ...]:
 
 def scale_imu_values(raw: Sequence[int], t_us: int) -> ImuFrame:
     """Convert 10 raw integers (quat wxyz, accel xyz, gyro xyz) to an ImuFrame."""
-    if len(raw) != 10:
-        raise WrongLengthError(f"expected 10 raw IMU values, got {len(raw)}")
     qw, qx, qy, qz, ax, ay, az, gx, gy, gz = raw
     return ImuFrame(
         t_us,

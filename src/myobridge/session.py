@@ -306,15 +306,29 @@ def _known_keys(obj, cls) -> Mapping:
     return obj
 
 
+def _number(value) -> float:
+    """A JSON number (int or float, not bool) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _pose_from_dict(obj) -> Pose:
-    return Pose(**{key: tuple(map(float, value))
-                   if key in ("orientation", "tension") else float(value)
-                   for key, value in _known_keys(obj, Pose).items()})
+    pose = {}
+    for key, value in _known_keys(obj, Pose).items():
+        if key in ("orientation", "tension"):
+            if not isinstance(value, list):
+                raise TypeError(f"{key} must be an array, got {value!r}")
+            pose[key] = tuple(map(_number, value))
+        else:
+            pose[key] = _number(value)
+    return Pose(**pose)
 
 
 def scenario_from_dict(obj: Mapping) -> Scenario:
     """A Scenario from its JSON form; absent keys take the field defaults,
-    and an unknown key or a malformed value raises InvalidScenarioError."""
+    and an unknown key or a malformed value, one of the wrong JSON type
+    included, raises InvalidScenarioError."""
     try:
         kwargs = dict(_known_keys(obj, Scenario))
         kwargs["performers"] = tuple(
@@ -322,9 +336,10 @@ def scenario_from_dict(obj: Mapping) -> Scenario:
                 _pose_from_dict(pose)
                 for pose in _known_keys(script, PerformerScript)["poses"]))
             for script in kwargs["performers"])
-        for key, convert in (("transition_s", float), ("name", str)):
-            if key in kwargs:
-                kwargs[key] = convert(kwargs[key])
+        if "transition_s" in kwargs:
+            kwargs["transition_s"] = _number(kwargs["transition_s"])
+        if not isinstance(kwargs.get("name", ""), str):
+            raise TypeError(f"name must be a string, got {kwargs['name']!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidScenarioError(f"malformed scenario: {exc}") from exc
     return Scenario(**kwargs)

@@ -156,12 +156,12 @@ class _Scratch:
 def _skip_is_exact(prev: SynthParams, params: SynthParams) -> bool:
     """True when a muted block renders exact zeros under the full formula.
 
-    With amps in [0, 1] (as EmgEnvelopes holds them) and a finite drive
-    >= 1 (as map_orientation gives it) at both ends, every waveshaper
-    output is finite, so gain 0 times it is 0.  Outside that range a
-    muted block can still be NaN (a NaN or inf amp or drive, drive 0 as
-    0/0, amps large enough that the mix overflows), and must be rendered
-    so that write_wav's finite check sees it.
+    With amps in [0, 1] (as EnvelopeTracker.envelopes makes them) and a
+    finite drive >= 1 (as map_orientation gives it) at both ends, every
+    waveshaper output is finite, so gain 0 times it is 0.  Outside that
+    range a muted block can still be NaN (a NaN or inf amp or drive, drive
+    0 as 0/0, amps large enough that the mix overflows), and must be
+    rendered so that write_wav's finite check sees it.
     """
     return (all(0.0 <= a <= 1.0 for a in prev.amps + params.amps)
             and 1.0 <= prev.drive < math.inf

@@ -19,10 +19,8 @@ from myobridge.mapping import (
     EMG_FULL_SCALE,
     N_OSCILLATORS,
     NYQUIST_FRACTION,
-    EmgEnvelopes,
     EnvelopeTracker,
     assemble_params,
-    emg_envelope,
     map_orientation,
 )
 from myobridge.protocol import EmgFrame, parse_imu_packet
@@ -33,6 +31,14 @@ def brute_force_env(samples, window):
     padded = [0] * max(0, window - len(samples)) + list(samples[-window:])
     rms = math.sqrt(sum(v * v for v in padded) / window)
     return min(1.0, rms / 128.0)
+
+
+def envelopes_of(frames):
+    """The envelopes a fresh EnvelopeTracker reads after these frames."""
+    tracker = EnvelopeTracker()
+    for frame in frames:
+        tracker.push(frame)
+    return tracker.envelopes()
 
 
 def frames_from_channel(values, channel=0):
@@ -48,27 +54,27 @@ def frames_from_channel(values, channel=0):
 
 def test_envelope_all_zero():
     frames = frames_from_channel([0] * 16)
-    assert emg_envelope(frames).env == (0.0,) * 8
+    assert envelopes_of(frames) == (0.0,) * 8
 
 
 def test_envelope_alternating_full_scale():
     values = [127 if i % 2 == 0 else -127 for i in range(16)]
-    env = emg_envelope(frames_from_channel(values, channel=3))
-    assert env.env[3] == 0.9921875
-    assert env.env[3] == brute_force_env(values, WINDOW_SAMPLES)
-    assert env.env[0] == 0.0
+    env = envelopes_of(frames_from_channel(values, channel=3))
+    assert env[3] == 0.9921875
+    assert env[3] == brute_force_env(values, WINDOW_SAMPLES)
+    assert env[0] == 0.0
 
 
 def test_envelope_constant_64():
-    env = emg_envelope(frames_from_channel([64] * 8, channel=1))
-    assert env.env[1] == 0.5
+    env = envelopes_of(frames_from_channel([64] * 8, channel=1))
+    assert env[1] == 0.5
 
 
 def test_envelope_zero_pads_short_history():
     values = [127, 127, 127]
-    env = emg_envelope(frames_from_channel(values, channel=0))
-    assert env.env[0] == brute_force_env(values, WINDOW_SAMPLES)
-    assert env.env[0] < 0.99
+    env = envelopes_of(frames_from_channel(values, channel=0))
+    assert env[0] == brute_force_env(values, WINDOW_SAMPLES)
+    assert env[0] < 0.99
 
 
 def test_envelope_matches_oracle_on_random_windows():
@@ -76,13 +82,13 @@ def test_envelope_matches_oracle_on_random_windows():
     rng = random.Random(21)
     for _ in range(100):
         values = [rng.randint(-128, 127) for _ in range(rng.randint(1, 30))]
-        env = emg_envelope(frames_from_channel(values, channel=5))
-        assert env.env[5] == brute_force_env(values, WINDOW_SAMPLES)
+        env = envelopes_of(frames_from_channel(values, channel=5))
+        assert env[5] == brute_force_env(values, WINDOW_SAMPLES)
 
 
 def reference_emg_envelope(history):
-    """emg_envelope as first written: channel by channel, accumulating the
-    squares in a float."""
+    """EnvelopeTracker.envelopes as first written, a function of the history
+    that went channel by channel, accumulating the squares in a float."""
     n = WINDOW_SAMPLES
     recent = history[-n:]
     env = []
@@ -104,29 +110,13 @@ _INT8 = st.integers(-128, 127)
 def test_envelope_matches_float_reference_on_8_channel_windows(rows):
     frames = [EmgFrame(t_us=i * 5000, channels=tuple(r))
               for i, r in enumerate(rows)]
-    got = emg_envelope(frames).env
+    got = envelopes_of(frames)
     assert [struct.pack("<d", e) for e in got] == [
         struct.pack("<d", e) for e in reference_emg_envelope(frames)]
 
 
-def test_envelope_tracker_matches_function():
-    tracker = EnvelopeTracker()
-    values = [10, -50, 127, 3, -90, 64, 64, -64, 12, -128]
-    frames = frames_from_channel(values, channel=2)
-    for f in frames:
-        tracker.push(f)
-    assert tracker.envelopes() == emg_envelope(frames)
-
-
 def test_envelope_tracker_empty_is_silent():
-    assert EnvelopeTracker().envelopes().env == (0.0,) * 8
-
-
-def test_envelopes_validate():
-    with pytest.raises(ValueError):
-        EmgEnvelopes(env=(0.5,) * 7)
-    with pytest.raises(ValueError):
-        EmgEnvelopes(env=(1.5,) + (0.0,) * 7)
+    assert EnvelopeTracker().envelopes() == (0.0,) * 8
 
 
 # --- orientation map ---------------------------------------------------------
@@ -172,27 +162,27 @@ def test_spread_endpoints():
 # --- parameter assembly --------------------------------------------------------
 
 def test_spread_zero_collapses_to_unison():
-    env = EmgEnvelopes(env=(0.5,) * 8)
+    env = (0.5,) * 8
     params = assemble_params(env, 220.0, 0.0, 1.0, 1.0)
     assert params.freqs == (220.0,) * 8
 
 
 def test_harmonic_fan_golden():
-    env = EmgEnvelopes(env=(1.0,) * 8)
+    env = (1.0,) * 8
     params = assemble_params(env, 100.0, 0.5, 1.0, 1.0)
     assert params.freqs == (100.0, 150.0, 200.0, 250.0, 300.0, 350.0,
                             400.0, 450.0)
 
 
 def test_freqs_nondecreasing_for_nonnegative_spread():
-    env = EmgEnvelopes(env=(0.0,) * 8)
+    env = (0.0,) * 8
     for spread in (0.0, 0.1, 0.5, 1.0):
         params = assemble_params(env, 150.0, spread, 1.0, 1.0)
         assert all(b >= a for a, b in zip(params.freqs, params.freqs[1:]))
 
 
 def test_zero_envelopes_silence_amps():
-    params = assemble_params(EmgEnvelopes(env=(0.0,) * 8), 440.0, 0.2, 2.0, 1.0)
+    params = assemble_params((0.0,) * 8, 440.0, 0.2, 2.0, 1.0)
     assert params.amps == (0.0,) * 8
 
 
@@ -206,7 +196,7 @@ def test_zero_envelopes_silence_amps():
 ])
 def test_assemble_params_matches_reference_loop(base, spread, rate):
     """Bit for bit, non-finite partials included: none is rewritten."""
-    env = EmgEnvelopes(env=(0.5,) * 8)
+    env = (0.5,) * 8
     params = assemble_params(env, base, spread, 2.0, 0.5, rate)
     freqs = [base * (1.0 + k * spread) for k in range(N_OSCILLATORS)]
     assert [struct.pack("<d", f) for f in params.freqs] == [
@@ -216,14 +206,14 @@ def test_assemble_params_matches_reference_loop(base, spread, rate):
 @pytest.mark.parametrize("rate", [
     8000.0, 8800.0, 0.0, -44100.0, math.nan, math.inf])
 def test_rate_that_cannot_hold_f_top_refused(rate):
-    env = EmgEnvelopes(env=(0.5,) * 8)
+    env = (0.5,) * 8
     with pytest.raises(ValueError, match="sample_rate.*8800 Hz"):
         assemble_params(env, 220.0, 0.3, 2.0, 0.5, rate)
 
 
 @pytest.mark.parametrize("rate", [8800.000001, 44100, 48000.0])
 def test_rate_above_the_minimum_accepted(rate):
-    env = EmgEnvelopes(env=(0.5,) * 8)
+    env = (0.5,) * 8
     params = assemble_params(env, 220.0, 0.3, 2.0, 0.5, rate)
     assert params.freqs[0] == 220.0
 
@@ -233,7 +223,7 @@ def test_f_top_is_the_extreme_corner():
     assert F_TOP < NYQUIST_FRACTION * 44100
     base, spread, drive = map_orientation(
         EulerAngles(0.0, math.pi / 2, math.pi))
-    params = assemble_params(EmgEnvelopes(env=(0.0,) * 8), base, spread,
+    params = assemble_params((0.0,) * 8, base, spread,
                              drive, 1.0)
     assert max(params.freqs) == 3960.0
 
@@ -252,7 +242,7 @@ _EXTREME_INT16 = st.sampled_from([0, 32767, -32767, -32768])
 def test_any_imu_payload_keeps_partials_in_range(payload):
     state = MotionTracker().update(parse_imu_packet(payload, 0))
     base, spread, drive = map_orientation(state.euler)
-    params = assemble_params(EmgEnvelopes(env=(0.0,) * 8), base, spread,
+    params = assemble_params((0.0,) * 8, base, spread,
                              drive, state.master_gain, 44100)
     assert all(F_LO <= f <= F_TOP for f in params.freqs)
 
@@ -262,8 +252,8 @@ def test_any_imu_payload_keeps_partials_in_range(payload):
 def test_amps_respond_only_to_emg():
     euler = EulerAngles(0.3, 0.2, -1.0)
     base, spread, drive = map_orientation(euler)
-    p1 = assemble_params(EmgEnvelopes(env=(0.1,) * 8), base, spread, drive, 0.7)
-    p2 = assemble_params(EmgEnvelopes(env=(0.9,) * 8), base, spread, drive, 0.7)
+    p1 = assemble_params((0.1,) * 8, base, spread, drive, 0.7)
+    p2 = assemble_params((0.9,) * 8, base, spread, drive, 0.7)
     assert p1.amps != p2.amps
     assert p1.freqs == p2.freqs
     assert p1.drive == p2.drive
@@ -271,7 +261,7 @@ def test_amps_respond_only_to_emg():
 
 
 def test_freqs_respond_only_to_orientation():
-    env = EmgEnvelopes(env=(0.4,) * 8)
+    env = (0.4,) * 8
     b1, s1, d1 = map_orientation(EulerAngles(0.0, -0.5, 0.5))
     b2, s2, d2 = map_orientation(EulerAngles(0.0, 0.8, -2.0))
     p1 = assemble_params(env, b1, s1, d1, 0.5)
@@ -290,7 +280,7 @@ def test_drive_responds_only_to_roll():
 
 
 def test_gate_reaches_only_master_gain():
-    env = EmgEnvelopes(env=(0.4,) * 8)
+    env = (0.4,) * 8
     p1 = assemble_params(env, 200.0, 0.3, 1.5, 0.0)
     p2 = assemble_params(env, 200.0, 0.3, 1.5, 1.0)
     assert p1.master_gain == 0.0 and p2.master_gain == 1.0

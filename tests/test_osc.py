@@ -11,11 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from myobridge.fusion import EulerAngles, MotionState
-from myobridge.mapping import EmgEnvelopes, SynthParams
+from myobridge.mapping import SynthParams
 from myobridge import osc
 from myobridge.osc import (
     InvalidAddressError,
-    OscMessage,
     UdpSender,
     emit_pipeline,
     encode_message,
@@ -61,17 +60,17 @@ def f32(x):
 # --- encoding -------------------------------------------------------------------
 
 def test_golden_bare_address():
-    assert encode_message(OscMessage("/a")) == bytes.fromhex("2f6100002c000000")
+    assert encode_message(("/a", ())) == bytes.fromhex("2f6100002c000000")
 
 
 def test_golden_qom_float():
     expected = bytes.fromhex("2f716f6d000000002c6600003f800000")
-    assert encode_message(OscMessage("/qom", (1.0,))) == expected
+    assert encode_message(("/qom", (1.0,))) == expected
 
 
 def test_emg_message_is_56_bytes_and_round_trips():
     values = (0.0, 0.125, 0.25, 0.5, 0.625, 0.75, 0.875, 1.0)
-    data = encode_message(OscMessage("/myo/1/emg", values))
+    data = encode_message(("/myo/1/emg", values))
     assert len(data) == 56
     address, tags, args = decode_message_oracle(data)
     assert address == "/myo/1/emg"
@@ -93,7 +92,7 @@ def _bits(x):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_FLOAT_ARGS, max_size=18))
 def test_float_args_round_trip_bitwise(args):
-    data = encode_message(OscMessage("/myo/0/synth", tuple(args)))
+    data = encode_message(("/myo/0/synth", tuple(args)))
     assert len(data) % 4 == 0
     address, tags, decoded = decode_message_oracle(data)
     assert address == "/myo/0/synth"
@@ -106,25 +105,26 @@ def test_invalid_addresses():
     for bad in ("", "noslash", "/café", "/a\x00b"):
         for args in ((), (1.0,), (), (1.0,)):
             with pytest.raises(InvalidAddressError):
-                encode_message(OscMessage(bad, args))
+                encode_message((bad, args))
 
 
 def reference_encode(msg):
     """encode_message as first written, with no cache."""
-    n = len(msg.args)
-    return (osc._encode_address(msg.address) + osc._pad4(b"," + b"f" * n)
-            + struct.pack(f">{n}f", *msg.args))
+    address, args = msg
+    n = len(args)
+    return (osc._encode_address(address) + osc._pad4(b"," + b"f" * n)
+            + struct.pack(f">{n}f", *args))
 
 
 def test_cache_eviction_changes_no_bytes():
     # more performers than either cache holds, visited twice, so the second
     # pass misses on every address; True and 1.0 format unlike 1
     ids = list(range(osc._CACHE_SIZE + 44)) + [True, 1.0, 1]
-    env = EmgEnvelopes((0.0, 0.1, 0.2, 1 / 3, 0.5, 2 / 3, 0.9, 1.0))
+    env = (0.0, 0.1, 0.2, 1 / 3, 0.5, 2 / 3, 0.9, 1.0)
     for _ in range(2):
         for pid in ids:
             msgs = emit_pipeline(_state(0.7), env, _params(0.7), pid)
-            assert [m.address for m in msgs] == [
+            assert [address for address, _ in msgs] == [
                 f"/myo/{pid}/{name}" for name in
                 ("emg", "euler", "accmag", "gyrmag", "qom", "gate", "synth")]
             for m in msgs:
@@ -135,10 +135,10 @@ def test_unsupported_arg_types():
     # nothing but floats goes on the wire
     for bad in ("hello", b"blob"):
         with pytest.raises(struct.error):
-            encode_message(OscMessage("/x", (1.0, bad)))
+            encode_message(("/x", (1.0, bad)))
     for big in (1e39, -1e300):
         with pytest.raises(OverflowError):
-            encode_message(OscMessage("/x", (big,)))
+            encode_message(("/x", (big,)))
 
 
 # --- pipeline emission -------------------------------------------------------------
@@ -155,43 +155,42 @@ def _params(gain=1.0):
 
 
 def test_emit_pipeline_message_count_and_order():
-    msgs = emit_pipeline(_state(), EmgEnvelopes((0.0,) * 8), _params(), 3)
+    msgs = emit_pipeline(_state(), (0.0,) * 8, _params(), 3)
     assert len(msgs) == 7
-    assert [m.address for m in msgs] == [
+    assert [address for address, _ in msgs] == [
         "/myo/3/emg", "/myo/3/euler", "/myo/3/accmag", "/myo/3/gyrmag",
         "/myo/3/qom", "/myo/3/gate", "/myo/3/synth",
     ]
 
 
 def test_emit_pipeline_identity_orientation():
-    msgs = emit_pipeline(_state(), EmgEnvelopes((0.0,) * 8), _params(), 0)
-    euler = [m for m in msgs if m.address == "/myo/0/euler"][0]
-    assert euler.args == (0.0, 0.0, 0.0)
+    msgs = emit_pipeline(_state(), (0.0,) * 8, _params(), 0)
+    assert dict(msgs)["/myo/0/euler"] == (0.0, 0.0, 0.0)
 
 
 def test_emit_pipeline_muted_gate():
-    msgs = emit_pipeline(_state(gain=0.0), EmgEnvelopes((0.0,) * 8),
+    msgs = emit_pipeline(_state(gain=0.0), (0.0,) * 8,
                          _params(gain=0.0), 0)
-    gate = [m for m in msgs if m.address == "/myo/0/gate"][0]
-    assert gate.args == (0.0,)
+    assert dict(msgs)["/myo/0/gate"] == (0.0,)
 
 
 def test_emit_pipeline_synth_args():
-    msgs = emit_pipeline(_state(), EmgEnvelopes((0.25,) * 8), _params(), 0)
-    synth = msgs[-1]
-    assert len(synth.args) == 18
-    assert synth.args[:8] == (220.0,) * 8
-    assert synth.args[8:16] == (0.5,) * 8
-    assert synth.args[16:] == (1.0, 1.0)
+    msgs = emit_pipeline(_state(), (0.25,) * 8, _params(), 0)
+    address, args = msgs[-1]
+    assert address == "/myo/0/synth"
+    assert len(args) == 18
+    assert args[:8] == (220.0,) * 8
+    assert args[8:16] == (0.5,) * 8
+    assert args[16:] == (1.0, 1.0)
 
 
 def test_emit_pipeline_all_encodable_and_aligned():
-    msgs = emit_pipeline(_state(), EmgEnvelopes((0.5,) * 8), _params(), 12)
+    msgs = emit_pipeline(_state(), (0.5,) * 8, _params(), 12)
     for m in msgs:
         data = encode_message(m)
         assert len(data) % 4 == 0
         address, _, _ = decode_message_oracle(data)
-        assert address == m.address
+        assert address == m[0]
 
 
 # one tick with values that round in float32 and a -0.0 roll
@@ -212,12 +211,12 @@ _GOLDEN_TICK = (
 
 
 def test_emit_and_encode_one_tick_golden():
-    env = EmgEnvelopes((0.0, 0.1, 0.2, 1 / 3, 0.5, 2 / 3, 0.9, 1.0))
+    env = (0.0, 0.1, 0.2, 1 / 3, 0.5, 2 / 3, 0.9, 1.0)
     state = MotionState(euler=EulerAngles(-0.0, 0.1, -2.5), accel_mag=1.01,
                         gyro_mag=123.4, qom=0.3, stillness_s=12.5,
                         master_gain=0.7)
     params = SynthParams(freqs=tuple(220.1 * (1 + k * 0.3) for k in range(8)),
-                         amps=env.env, drive=1.3, master_gain=0.7)
+                         amps=env, drive=1.3, master_gain=0.7)
     grams = [encode_message(m).hex()
              for m in emit_pipeline(state, env, params, 2)]
     assert grams == list(_GOLDEN_TICK)
@@ -230,7 +229,7 @@ def test_loopback_round_trip():
     receiver.bind(("127.0.0.1", 0))
     receiver.settimeout(2.0)
     port = receiver.getsockname()[1]
-    payload = encode_message(OscMessage("/qom", (1.0,)))
+    payload = encode_message(("/qom", (1.0,)))
     with UdpSender("127.0.0.1", port) as sender:
         sender.send(payload)
     got, _ = receiver.recvfrom(4096)

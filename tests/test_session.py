@@ -465,6 +465,17 @@ def test_scenario_from_dict_refuses_unknown_keys_and_malformed_values():
         {"performers": [{"poses": [pose_dict(duration_s=10**400)]}]},
         {"performers": [{"poses": [pose_dict(orientation=1.0)]}]},
         {"performers": [{"poses": [pose_dict(tension="tight")]}]},
+        # nothing is coerced: JSON numbers, arrays and a string name only
+        {"performers": [{"poses": [pose_dict(orientation="123")]}]},
+        {"performers": [{"poses": [pose_dict(
+            orientation={"1": 0, "2": 0, "3": 0})]}]},
+        {"performers": [{"poses": [pose_dict(orientation=[0, "1", 0])]}]},
+        {"performers": [{"poses": [pose_dict(tension="0" * 8)]}]},
+        {"performers": [{"poses": [pose_dict(duration_s=True)]}]},
+        {"performers": [{"poses": [pose_dict(duration_s="5")]}]},
+        {"performers": [{"poses": [pose_dict()]}], "transition_s": False},
+        {"performers": [{"poses": [pose_dict()]}], "name": None},
+        {"performers": [{"poses": [pose_dict()]}], "name": 7},
         {"performers": [{"poses": [{"orientation": [0.0, 0.0, 0.0],
                                     "tension": [0.0] * 8}]}]},
         {"performers": [{"poses": ["still"]}]},
