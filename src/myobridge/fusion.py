@@ -176,7 +176,6 @@ class MotionTracker:
         self.gap_frames = 0
         self._state = initial_state()
         self._last_t_us: Optional[int] = None
-        self._qom_smoothed: Optional[float] = None
 
     @property
     def state(self) -> MotionState:
@@ -191,12 +190,11 @@ class MotionTracker:
         accel_mag = vector_magnitude(frame.accel)
         gyro_mag = vector_magnitude(frame.gyro)
         qom = compute_qom(accel_mag, gyro_mag / GYRO_FULL_SCALE_DPS)
-        if self._qom_smoothed is not None:
-            qom = smooth_ema(self._qom_smoothed, qom, QOM_ALPHA)
-        self._qom_smoothed = qom
         if self._last_t_us is None:
             dt = _NOMINAL_DT
         else:
+            # the state's qom is the last smoothed one
+            qom = smooth_ema(self._state.qom, qom, QOM_ALPHA)
             dt = (frame.t_us - self._last_t_us) / 1e6
             if dt > MAX_GAP_S:
                 self.gap_frames += 1

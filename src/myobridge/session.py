@@ -21,17 +21,34 @@ different ones, naming its line.  Timestamps are microseconds and must be
 non-decreasing, and they are the only clock a reader uses.
 
 The scenario generator synthesizes ensemble performances: each performer
-holds a sequence of poses (orientation target + muscle-tension profile)
-with seeded Gaussian micromotion, and pose changes inject motion bursts
-strong enough to trip the stillness gate.  The micromotion model is a
-labeled approximation, sufficient for exercising the gate.
+holds a sequence of poses.  A scenario file, read by scenario_from_dict:
+
+    {"name": "ensemble-9min",       str, optional, default ""
+     "transition_s": 2.0,           number >= 0, optional, default 2.0
+     "performers": [{"poses": [     each list non-empty
+       {"duration_s": 135.0,        number > 0
+        "orientation": [r, p, y],   3 numbers: roll, pitch, yaw target (rad)
+        "tension": [t0, ..., t7]}   8 numbers in [0, 1], one per EMG channel
+     ]}]}
+
+A number is a JSON int or float, finite as a float, never true or false.
+Any other key is refused, and Scenario checks the same rules when built
+directly, with tuples for the arrays.
+
+The motion model is fixed, a labeled approximation sufficient for
+exercising the gate.  Every IMU sample carries seeded Gaussian jitter
+(EULER_JITTER_RAD, GYRO_JITTER_DPS, ACCEL_JITTER_G).  For transition_s
+after a pose change the orientation lerps from the previous target, and
+gyro x and accel x carry a rectangular burst (BURST_GYRO_DPS,
+BURST_ACCEL_G) that trips the stillness gate.  EMG alternates sign
+sample by sample at tension * 127 raw units, plus EMG_JITTER_RAW jitter.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, fields
+import sys
+from dataclasses import dataclass
 from importlib import resources
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Union
@@ -55,13 +72,13 @@ _DEVICE_UNITS = {
     "emg_rate_hz": protocol.EMG_RATE_HZ,
 }
 
-# Micromotion / burst magnitudes per unit of the scenario's amp knobs.
+# The generator's jitter (standard deviations) and transition burst.
 EULER_JITTER_RAD = 0.005
 GYRO_JITTER_DPS = 1.0
 ACCEL_JITTER_G = 0.003
 EMG_JITTER_RAW = 2.0
-BURST_GYRO_DPS = 500.0
-BURST_ACCEL_G = 0.25
+BURST_GYRO_DPS = 2000.0
+BURST_ACCEL_G = 1.0
 
 _INT16_MIN, _INT16_MAX = -32768, 32767
 _INT8_MIN, _INT8_MAX = -128, 127
@@ -246,13 +263,11 @@ def records_to_frames(records: Iterable[SessionRecord]
 
 @dataclass(frozen=True)
 class Pose:
-    """One held position: orientation target, muscle tension, motion knobs."""
+    """One held position: orientation target and muscle tension."""
 
     duration_s: float
     orientation: tuple[float, float, float]  # roll, pitch, yaw target (rad)
     tension: tuple[float, ...]               # 8 activation levels in [0, 1]
-    micromotion_amp: float = 1.0
-    transition_motion_amp: float = 4.0
 
 
 @dataclass(frozen=True)
@@ -260,89 +275,77 @@ class PerformerScript:
     poses: tuple[Pose, ...]
 
 
+def _finite(value) -> bool:
+    """value is an int or float, not a bool, and finite as a float."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)  # an int compares exactly
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """The poses each performer holds; bad values are refused when built."""
+    """The poses each performer holds.  A malformed value, one of the wrong
+    type included, raises InvalidScenarioError when the scenario is built."""
 
     performers: tuple[PerformerScript, ...]
     transition_s: float = 2.0
     name: str = ""
 
     def __post_init__(self):
-        if not self.performers:
-            raise InvalidScenarioError("scenario has no performers")
-        if not 0.0 <= self.transition_s < math.inf:
-            raise InvalidScenarioError("transition_s must be finite and >= 0")
-        for p, script in enumerate(self.performers):
-            if not script.poses:
-                raise InvalidScenarioError(f"performer {p} has no poses")
-            for k, pose in enumerate(script.poses):
-                for ok, problem in (
-                    (0.0 < pose.duration_s < math.inf,
-                     "duration must be finite and > 0"),
-                    (len(pose.orientation) == 3
-                     and all(-math.inf < a < math.inf
-                             for a in pose.orientation),
-                     "orientation needs 3 finite angles"),
-                    (len(pose.tension) == 8, "tension needs 8 channels"),
-                    (all(0.0 <= t <= 1.0 for t in pose.tension),
-                     "tension values must be in [0, 1]"),
-                    (0.0 <= pose.micromotion_amp < math.inf
-                     and 0.0 <= pose.transition_motion_amp < math.inf,
-                     "amplitudes must be finite and >= 0"),
-                ):
-                    if not ok:
-                        raise InvalidScenarioError(
-                            f"performer {p} pose {k}: {problem}")
+        problem = _problem(self)
+        if problem:
+            raise InvalidScenarioError(problem)
 
 
-def _known_keys(obj, cls) -> Mapping:
-    """obj, once it is an object with no key that cls lacks a field for."""
-    if not isinstance(obj, Mapping):
-        raise TypeError(f"{cls.__name__} must be an object")
-    unknown = set(obj) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} key(s) {sorted(unknown)}")
-    return obj
+def _problem(scenario: Scenario) -> str:
+    """The first thing wrong with scenario, or "" if nothing is."""
+    if not isinstance(scenario.name, str):
+        return f"name must be a str, not {scenario.name!r}"
+    if not (_finite(scenario.transition_s) and scenario.transition_s >= 0.0):
+        return "transition_s must be a finite number >= 0"
+    if not (isinstance(scenario.performers, tuple) and scenario.performers):
+        return "scenario has no performers (needs a non-empty tuple)"
+    for p, script in enumerate(scenario.performers):
+        if not (isinstance(script, PerformerScript)
+                and isinstance(script.poses, tuple) and script.poses):
+            return (f"performer {p} has no poses (needs a PerformerScript "
+                    "with a non-empty tuple)")
+        for k, pose in enumerate(script.poses):
+            where = f"performer {p} pose {k}: "
+            if not isinstance(pose, Pose):
+                return where + "not a Pose"
+            if not (_finite(pose.duration_s) and pose.duration_s > 0.0):
+                return where + "duration must be a finite number > 0"
+            o, t = pose.orientation, pose.tension
+            if not (isinstance(o, tuple) and len(o) == 3
+                    and all(map(_finite, o))):
+                return where + "orientation needs a tuple of 3 finite angles"
+            if not (isinstance(t, tuple) and len(t) == 8
+                    and all(_finite(v) and 0.0 <= v <= 1.0 for v in t)):
+                return where + "tension needs a tuple of 8 numbers in [0, 1]"
+    return ""
 
 
-def _number(value) -> float:
-    """A JSON number (int or float, not bool) as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _pose_from_dict(obj) -> Pose:
-    pose = {}
-    for key, value in _known_keys(obj, Pose).items():
-        if key in ("orientation", "tension"):
-            if not isinstance(value, list):
-                raise TypeError(f"{key} must be an array, got {value!r}")
-            pose[key] = tuple(map(_number, value))
-        else:
-            pose[key] = _number(value)
-    return Pose(**pose)
+def _tuple(value):
+    """A JSON array as a tuple; any other value as it is."""
+    return tuple(value) if isinstance(value, list) else value
 
 
 def scenario_from_dict(obj: Mapping) -> Scenario:
-    """A Scenario from its JSON form; absent keys take the field defaults,
-    and an unknown key or a malformed value, one of the wrong JSON type
-    included, raises InvalidScenarioError."""
+    """A Scenario from its JSON form (schema in the module docstring).
+
+    Maps JSON onto the dataclasses, arrays as tuples; Scenario checks the
+    values.  An unknown or missing key and every value Scenario refuses
+    raise InvalidScenarioError("malformed scenario: ...").
+    """
     try:
-        kwargs = dict(_known_keys(obj, Scenario))
-        kwargs["performers"] = tuple(
-            PerformerScript(poses=tuple(
-                _pose_from_dict(pose)
-                for pose in _known_keys(script, PerformerScript)["poses"]))
-            for script in kwargs["performers"])
-        if "transition_s" in kwargs:
-            kwargs["transition_s"] = _number(kwargs["transition_s"])
-        if not isinstance(kwargs.get("name", ""), str):
-            raise TypeError(f"name must be a string, got {kwargs['name']!r}")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return Scenario(**{**obj, "performers": tuple(
+            PerformerScript(**{**script, "poses": tuple(
+                Pose(**{key: _tuple(value) for key, value in pose.items()})
+                for pose in script["poses"])})
+            for script in obj["performers"])})
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # InvalidScenarioError is a ValueError
         raise InvalidScenarioError(f"malformed scenario: {exc}") from exc
-    return Scenario(**kwargs)
 
 
 def default_scenario() -> Scenario:
@@ -382,8 +385,6 @@ def generate_performer_records(script: PerformerScript, transition_s: float,
     imu_pose = np.searchsorted(starts_us[1:], imu_t, side="right")
     emg_pose = np.searchsorted(starts_us[1:], emg_t, side="right")
 
-    micro = np.array([p.micromotion_amp for p in script.poses])
-    burst = np.array([p.transition_motion_amp for p in script.poses])
     targets = np.array([p.orientation for p in script.poses])
     tensions = np.array([p.tension for p in script.poses])
 
@@ -401,15 +402,13 @@ def generate_performer_records(script: PerformerScript, transition_s: float,
     u = np.clip(since_start / max(transition_us, 1.0), 0.0, 1.0)[:, None]
     lerped = (targets[np.maximum(imu_pose - 1, 0)] * (1.0 - u)
               + targets[imu_pose] * u)
-    imu_micro = micro[imu_pose][:, None]
-    imu_burst = burst[imu_pose][in_transition]
     euler = (np.where(in_transition[:, None], lerped, targets[imu_pose])
-             + euler_noise * (EULER_JITTER_RAD * imu_micro))
-    gyro = gyro_noise * (GYRO_JITTER_DPS * imu_micro)
-    gyro[in_transition, 0] += BURST_GYRO_DPS * imu_burst
+             + euler_noise * EULER_JITTER_RAD)
+    gyro = gyro_noise * GYRO_JITTER_DPS
+    gyro[in_transition, 0] += BURST_GYRO_DPS
     accel = (_gravity_from_euler(euler[:, 0], euler[:, 1])
-             + accel_noise * (ACCEL_JITTER_G * imu_micro))
-    accel[in_transition, 0] += BURST_ACCEL_G * imu_burst
+             + accel_noise * ACCEL_JITTER_G)
+    accel[in_transition, 0] += BURST_ACCEL_G
 
     quat = euler_to_quat(euler[:, 0], euler[:, 1], euler[:, 2])
     quat_raw = _clip_round(quat, protocol.QUAT_SCALE, _INT16_MIN, _INT16_MAX)
@@ -418,8 +417,7 @@ def generate_performer_records(script: PerformerScript, transition_s: float,
 
     amp_per_sample = tensions[emg_pose] * 127.0
     signs = np.where(np.arange(n_emg)[:, None] % 2 == 0, 1.0, -1.0)
-    emg_micro = micro[emg_pose][:, None]
-    emg_values = signs * amp_per_sample + emg_noise * (EMG_JITTER_RAW * emg_micro)
+    emg_values = signs * amp_per_sample + emg_noise * EMG_JITTER_RAW
     emg_raw = _clip_round(emg_values, 1.0, _INT8_MIN, _INT8_MAX)
 
     imu_data = np.concatenate([quat_raw, accel_raw, gyro_raw], axis=1)

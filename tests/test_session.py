@@ -33,10 +33,9 @@ from myobridge.session import (
 )
 
 
-def still_pose(duration_s=1.0, micro=0.0, tension=(0.0,) * 8):
+def still_pose(duration_s=1.0, tension=(0.0,) * 8):
     return Pose(duration_s=duration_s, orientation=(0.0, 0.0, 0.0),
-                tension=tension, micromotion_amp=micro,
-                transition_motion_amp=4.0)
+                tension=tension)
 
 
 def tiny_scenario(**kwargs):
@@ -306,7 +305,7 @@ def test_record_writes_lines_while_the_stream_is_still_running(tmp_path):
 
 # --- scenario generation ---------------------------------------------------------
 
-def test_zero_micromotion_zero_tension_is_constant_and_silent():
+def test_one_second_pose_writes_meta_then_50_imu_and_200_emg_records():
     logs = generate_scenario(tiny_scenario(), seed=1)
     assert len(logs) == 1
     recs = logs[0]
@@ -316,10 +315,6 @@ def test_zero_micromotion_zero_tension_is_constant_and_silent():
     imu = [r for r in recs if r.kind == "imu"]
     emg = [r for r in recs if r.kind == "emg"]
     assert len(imu) == 50 and len(emg) == 200
-    assert len({r.data for r in imu}) == 1  # constant orientation
-    assert all(r.data == (0,) * 8 for r in emg)
-    # identity orientation at rest: quat (1,0,0,0), accel points up
-    assert imu[0].data == (16384, 0, 0, 0, 0, 0, 2048, 0, 0, 0)
 
 
 def test_generation_is_seed_deterministic(tmp_path):
@@ -374,6 +369,15 @@ def test_recorded_scenario_matches_golden_hash(tmp_path):
         "823f59757bb4ca6683fc91ac0b5103b00f17370756dbed4640b53e06d8f06329")
 
 
+def test_bundled_scenario_matches_golden_hash(tmp_path):
+    """Pins the bundled scenario file and its loader, with the generator
+    and the writer."""
+    path = tmp_path / "p0.jsonl"
+    record(generate_scenario(default_scenario(), seed=1)[0][:5000], path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "7b2ba679c3b2cb8e6ed45ec55f0fb6c23ed4c2989f8481f26e27f63da928892f")
+
+
 def test_generated_logs_are_monotone_and_in_range(tmp_path):
     logs = generate_scenario(default_scenario(), seed=3)
     path = tmp_path / "p0.jsonl"
@@ -384,10 +388,9 @@ def test_generated_logs_are_monotone_and_in_range(tmp_path):
 
 def test_transitions_inject_supra_threshold_motion():
     scenario = Scenario(performers=(PerformerScript(poses=(
-        still_pose(duration_s=4.0, micro=1.0),
+        still_pose(duration_s=4.0),
         Pose(duration_s=4.0, orientation=(0.5, 0.3, -0.2),
-             tension=(0.0,) * 8, micromotion_amp=1.0,
-             transition_motion_amp=4.0),
+             tension=(0.0,) * 8),
     )),), transition_s=1.0)
     logs = generate_scenario(scenario, seed=11)
     frames = [f for f in records_to_frames(logs[0])
@@ -421,24 +424,48 @@ def test_scenario_validation_errors():
         ({}, {"tension": [2.0] + [0] * 7}, "tension"),
         ({}, {"tension": [nan] * 8}, "tension"),
         ({}, {"tension": [0.0] * 7}, "tension"),
-        ({}, {"micromotion_amp": -1.0}, "amplitudes"),
-        ({}, {"micromotion_amp": nan}, "amplitudes"),
-        ({}, {"micromotion_amp": inf}, "amplitudes"),
-        ({}, {"transition_motion_amp": nan}, "amplitudes"),
     ]
     for top, pose, what in rows:
         obj = {"performers": [{"poses": [pose_dict(), pose_dict(**pose)]}],
                **top}
         where = "performer 0 pose 1: " if pose else ""
-        with pytest.raises(InvalidScenarioError, match=where + what):
+        with pytest.raises(InvalidScenarioError,
+                           match="malformed scenario: " + where + what):
             scenario_from_dict(obj)
-    # the constructor refuses the same values without the loader
+    # the constructor refuses the same values without the loader, the
+    # wrong types included
+    ok = still_pose()
+    rows = [
+        ({}, Pose(1.0, "123", (0.0,) * 8), "orientation"),
+        ({}, Pose(1.0, [0.0, 0.0, 0.0], (0.0,) * 8), "orientation"),
+        ({}, Pose(1.0, (0.0, "1", 0.0), (0.0,) * 8), "orientation"),
+        ({}, still_pose(duration_s=True), "duration"),
+        ({}, still_pose(duration_s="5"), "duration"),
+        ({}, still_pose(duration_s=10**400), "duration"),
+        ({}, still_pose(duration_s=nan), "duration"),
+        ({}, still_pose(tension="0" * 8), "tension"),
+        ({}, still_pose(tension=(False,) * 8), "tension"),
+        ({}, "still", "not a Pose"),
+        ({"name": None}, ok, "name"),
+        ({"name": 7}, ok, "name"),
+        ({"transition_s": True}, ok, "transition_s"),
+        ({"transition_s": 10**400}, ok, "transition_s"),
+    ]
+    for top, pose, what in rows:
+        where = "performer 0 pose 1: " if pose is not ok else ""
+        with pytest.raises(InvalidScenarioError, match=where + what):
+            Scenario(performers=(PerformerScript(poses=(ok, pose)),), **top)
     with pytest.raises(InvalidScenarioError, match="no performers"):
         Scenario(performers=())
+    with pytest.raises(InvalidScenarioError, match="no performers"):
+        Scenario(performers=[PerformerScript(poses=(ok,))])
     with pytest.raises(InvalidScenarioError, match="performer 0 has no poses"):
         Scenario(performers=(PerformerScript(poses=()),))
-    with pytest.raises(InvalidScenarioError, match="performer 0 pose 0"):
-        Scenario(performers=(PerformerScript(poses=(still_pose(micro=nan),)),))
+    with pytest.raises(InvalidScenarioError, match="performer 1 has no poses"):
+        Scenario(performers=(PerformerScript(poses=(ok,)),
+                             PerformerScript(poses=[ok])))
+    with pytest.raises(InvalidScenarioError, match="performer 0 has no poses"):
+        Scenario(performers=((ok,),))
     with pytest.raises(InvalidScenarioError, match="transition_s"):
         tiny_scenario(transition_s=nan)
     with pytest.raises(InvalidScenarioError):
@@ -457,6 +484,9 @@ def test_scenario_from_dict_refuses_unknown_keys_and_malformed_values():
         duration_s=1.0, orientation=(0.0, 0.0, 0.0), tension=(0.0,) * 8),)),))
     bad = [
         {"performers": [{"poses": [pose_dict(micromotion_amps=0.0)]}]},
+        # the motion model is fixed: the old amplitude knobs are unknown
+        {"performers": [{"poses": [pose_dict(micromotion_amp=1.0)]}]},
+        {"performers": [{"poses": [pose_dict(transition_motion_amp=4.0)]}]},
         {"performers": [{"poses": [pose_dict()], "pose": []}]},
         {"performers": [{"poses": [pose_dict()]}], "transition": 1.0},
         {"performers": [{"poses": [pose_dict()]}], "transition_s": "soon"},
@@ -488,14 +518,11 @@ def test_scenario_from_dict_refuses_unknown_keys_and_malformed_values():
 
 
 _angle = st.floats(-2 * math.pi, 2 * math.pi)
-_amp = st.floats(0.0, 100.0)
 _poses = st.lists(st.builds(
     Pose,
     duration_s=st.floats(0.0, 0.2, exclude_min=True),
     orientation=st.tuples(_angle, _angle, _angle),
-    tension=st.tuples(*[st.floats(0.0, 1.0)] * 8),
-    micromotion_amp=_amp,
-    transition_motion_amp=_amp), min_size=1, max_size=3)
+    tension=st.tuples(*[st.floats(0.0, 1.0)] * 8)), min_size=1, max_size=3)
 
 
 @settings(max_examples=60, deadline=None)
