@@ -12,15 +12,18 @@ Type byte: bit 7 set = event, clear = response (a host->dongle command has
 the same wire form, but this module only reads what the dongle sends).  The
 remaining type bits are reserved and must be zero.
 
-Sensor data arrives inside attribute-value events.  An IMU notification is
-20 bytes: 10 little-endian int16 values ordered quaternion (w,x,y,z),
-accelerometer (x,y,z), gyroscope (x,y,z).  An EMG notification is 16 bytes:
-two consecutive 8-channel int8 samples.
+A frame is its wire bytes, header included; nothing decodes it into fields.
+The bridge reads one event, the attribute-value notification, down one chain:
+feed -> parse_attribute_value_event -> dispatch_attribute.  The second reads
+the notification's payload (connection 1B, handle 2B little-endian, attribute
+type 1B, value length 1B, value) at fixed offsets of the frame; the third
+routes the value by handle.  An IMU value is 20 bytes: 10 little-endian int16
+values ordered quaternion (w,x,y,z), accelerometer (x,y,z), gyroscope (x,y,z).
+An EMG value is 16 bytes: two consecutive 8-channel int8 samples.
 """
 
 from __future__ import annotations
 
-import enum
 import struct
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -52,6 +55,7 @@ EMG_DATA_HANDLES = (0x2B, 0x2E, 0x31, 0x34)
 # Attribute-client class and its attribute-value (notification) event id.
 ATTCLIENT_CLASS = 0x04
 ATTCLIENT_ATTRIBUTE_VALUE_EVENT = 0x05
+_VALUE_AT = HEADER_LEN + 5  # offset of a notification frame's value
 
 _IMU_STRUCT = struct.Struct("<10h")
 _EMG_STRUCT = struct.Struct("<16b")
@@ -63,21 +67,6 @@ class ProtocolError(Exception):
 
 class WrongLengthError(ProtocolError):
     pass
-
-
-class MsgType(enum.Enum):
-    RESPONSE = "response"
-    EVENT = "event"
-
-
-@dataclass(frozen=True)
-class BgapiFrame:
-    """One decoded dongle serial frame."""
-
-    msg_type: MsgType
-    class_id: int
-    command_id: int
-    payload: bytes = b""
 
 
 @dataclass(frozen=True)
@@ -107,9 +96,8 @@ class BgapiStream:
     Framing rule: with fewer than 4 bytes buffered, or fewer than the
     header declares, wait for more input; a type byte with reserved bits
     set is dropped, one byte at a time, and counted in bytes_dropped for
-    diagnostics; otherwise the header and its payload are one frame,
-    decoded as an event when the event bit is set and as a response when
-    it is clear.  Bytes not yet framed stay buffered for the next feed().
+    diagnostics; otherwise the header and its payload are one frame.
+    Bytes not yet framed stay buffered for the next feed().
 
     Single-owner: feed() must not be called concurrently.
     """
@@ -118,26 +106,23 @@ class BgapiStream:
         self._buf = bytearray()
         self.bytes_dropped = 0
 
-    def feed(self, chunk: bytes) -> list[BgapiFrame]:
-        """Append raw bytes; return all complete frames now available."""
+    def feed(self, chunk: bytes) -> list[bytes]:
+        """Append raw bytes; return the wire bytes of every complete frame
+        now available, in stream order."""
         buf = self._buf
         buf.extend(chunk)
-        frames: list[BgapiFrame] = []
+        frames: list[bytes] = []
         end = len(buf)
         pos = dropped = 0
         while end - pos >= HEADER_LEN:
-            type_byte = buf[pos]
-            if type_byte & TYPE_RESERVED_MASK:
+            if buf[pos] & TYPE_RESERVED_MASK:
                 pos += 1
                 dropped += 1
                 continue
             nxt = pos + HEADER_LEN + buf[pos + 1]
             if nxt > end:
                 break
-            frames.append(BgapiFrame(
-                MsgType.EVENT if type_byte & TYPE_EVENT_BIT
-                else MsgType.RESPONSE,
-                buf[pos + 2], buf[pos + 3], bytes(buf[pos + HEADER_LEN:nxt])))
+            frames.append(bytes(buf[pos:nxt]))
             pos = nxt
         self.bytes_dropped += dropped
         del buf[:pos]
@@ -189,21 +174,27 @@ def parse_emg_packet(payload: bytes, t_us: int) -> tuple[EmgFrame, EmgFrame]:
             EmgFrame(t_us + EMG_PERIOD_US // 2, values[8:]))
 
 
-def parse_attribute_value_event(frame: BgapiFrame) -> tuple[int, int, bytes]:
-    """Extract (connection, attribute_handle, value) from a notification event."""
-    if (frame.msg_type is not MsgType.EVENT
-            or frame.class_id != ATTCLIENT_CLASS
-            or frame.command_id != ATTCLIENT_ATTRIBUTE_VALUE_EVENT):
+def parse_attribute_value_event(frame: bytes) -> tuple[int, int, bytes]:
+    """(connection, attribute_handle, value) of a notification's wire bytes.
+
+    Raises ProtocolError for any frame but an attribute-value event, and
+    its subclass WrongLengthError when the frame's length disagrees with
+    its header, its payload is under 5 bytes or its value is shorter than
+    declared.
+    """
+    if (len(frame) < HEADER_LEN or frame[0] != TYPE_EVENT_BIT
+            or frame[2] != ATTCLIENT_CLASS
+            or frame[3] != ATTCLIENT_ATTRIBUTE_VALUE_EVENT):
         raise ProtocolError("not an attribute-value event")
-    p = frame.payload
-    if len(p) < 5:
+    if len(frame) != HEADER_LEN + frame[1]:
+        raise WrongLengthError("frame length disagrees with its header")
+    if len(frame) < _VALUE_AT:
         raise WrongLengthError("attribute-value event payload too short")
-    connection = p[0]
-    handle = p[1] | p[2] << 8  # little-endian uint16
-    value_len = p[4]
-    if len(p) < 5 + value_len:
+    end = _VALUE_AT + frame[_VALUE_AT - 1]
+    if len(frame) < end:
         raise WrongLengthError("attribute value shorter than declared")
-    return connection, handle, bytes(p[5:5 + value_len])
+    # connection, then the little-endian uint16 handle
+    return frame[4], frame[5] | frame[6] << 8, bytes(frame[_VALUE_AT:end])
 
 
 def dispatch_attribute(handle: int, value: bytes, t_us: int

@@ -24,7 +24,6 @@ The scenario generator synthesizes ensemble performances: each performer
 holds a sequence of poses.  A scenario file, read by scenario_from_dict:
 
     {"name": "ensemble-9min",       str, optional, default ""
-     "transition_s": 2.0,           number >= 0, optional, default 2.0
      "performers": [{"poses": [     each list non-empty
        {"duration_s": 135.0,        number > 0
         "orientation": [r, p, y],   3 numbers: roll, pitch, yaw target (rad)
@@ -37,7 +36,7 @@ directly, with tuples for the arrays.
 
 The motion model is fixed, a labeled approximation sufficient for
 exercising the gate.  Every IMU sample carries seeded Gaussian jitter
-(EULER_JITTER_RAD, GYRO_JITTER_DPS, ACCEL_JITTER_G).  For transition_s
+(EULER_JITTER_RAD, GYRO_JITTER_DPS, ACCEL_JITTER_G).  For TRANSITION_S
 after a pose change the orientation lerps from the previous target, and
 gyro x and accel x carry a rectangular burst (BURST_GYRO_DPS,
 BURST_ACCEL_G) that trips the stillness gate.  EMG alternates sign
@@ -72,11 +71,12 @@ _DEVICE_UNITS = {
     "emg_rate_hz": protocol.EMG_RATE_HZ,
 }
 
-# The generator's jitter (standard deviations) and transition burst.
+# The generator's jitter (standard deviations) and pose transition.
 EULER_JITTER_RAD = 0.005
 GYRO_JITTER_DPS = 1.0
 ACCEL_JITTER_G = 0.003
 EMG_JITTER_RAW = 2.0
+TRANSITION_S = 2.0
 BURST_GYRO_DPS = 2000.0
 BURST_ACCEL_G = 1.0
 
@@ -287,7 +287,6 @@ class Scenario:
     type included, raises InvalidScenarioError when the scenario is built."""
 
     performers: tuple[PerformerScript, ...]
-    transition_s: float = 2.0
     name: str = ""
 
     def __post_init__(self):
@@ -300,8 +299,6 @@ def _problem(scenario: Scenario) -> str:
     """The first thing wrong with scenario, or "" if nothing is."""
     if not isinstance(scenario.name, str):
         return f"name must be a str, not {scenario.name!r}"
-    if not (_finite(scenario.transition_s) and scenario.transition_s >= 0.0):
-        return "transition_s must be a finite number >= 0"
     if not (isinstance(scenario.performers, tuple) and scenario.performers):
         return "scenario has no performers (needs a non-empty tuple)"
     for p, script in enumerate(scenario.performers):
@@ -368,7 +365,7 @@ def _clip_round(values: np.ndarray, scale: float, lo: int, hi: int) -> np.ndarra
     return np.clip(np.rint(values * scale), lo, hi).astype(np.int64)
 
 
-def generate_performer_records(script: PerformerScript, transition_s: float,
+def generate_performer_records(script: PerformerScript,
                                rng: np.random.Generator,
                                performer_index: int,
                                seed: int) -> list[SessionRecord]:
@@ -395,11 +392,11 @@ def generate_performer_records(script: PerformerScript, transition_s: float,
     emg_noise = rng.standard_normal((n_emg, 8))
 
     # pose changes: lerp orientation from the previous target and inject a
-    # rectangular supra-threshold burst for transition_s
-    transition_us = transition_s * 1e6
+    # rectangular supra-threshold burst for TRANSITION_S
+    transition_us = TRANSITION_S * 1e6
     since_start = imu_t - starts_us[imu_pose]
     in_transition = (imu_pose > 0) & (since_start < transition_us)
-    u = np.clip(since_start / max(transition_us, 1.0), 0.0, 1.0)[:, None]
+    u = np.clip(since_start / transition_us, 0.0, 1.0)[:, None]
     lerped = (targets[np.maximum(imu_pose - 1, 0)] * (1.0 - u)
               + targets[imu_pose] * u)
     euler = (np.where(in_transition[:, None], lerped, targets[imu_pose])
@@ -446,6 +443,5 @@ def generate_scenario(scenario: Scenario, seed: int
     logs = []
     for idx, (script, child) in enumerate(zip(scenario.performers, children)):
         rng = np.random.Generator(np.random.PCG64(child))
-        logs.append(generate_performer_records(
-            script, scenario.transition_s, rng, idx, seed))
+        logs.append(generate_performer_records(script, rng, idx, seed))
     return logs

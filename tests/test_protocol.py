@@ -1,6 +1,8 @@
-"""Wire-protocol tests: frame decoding, sensor scaling, stream resilience.
+"""Wire-protocol tests: framing, notification decoding, sensor scaling,
+stream resilience.
 
-Frames are built from byte literals, as the dongle sends them."""
+Frames are built from byte literals, as the dongle sends them, and a frame
+that feed returns is compared with the input bytes it came from."""
 
 import random
 import struct
@@ -11,11 +13,11 @@ from hypothesis import strategies as st
 
 from myobridge import protocol
 from myobridge.protocol import (
-    BgapiFrame,
     BgapiStream,
-    MsgType,
+    ProtocolError,
     WrongLengthError,
     dispatch_attribute,
+    parse_attribute_value_event,
     parse_emg_packet,
     parse_imu_packet,
 )
@@ -38,29 +40,28 @@ def feed_once(data):
 
 def test_decode_event_frame_golden():
     data = bytes.fromhex("80 01 04 05 07".replace(" ", ""))
-    assert feed_once(data) == ([BgapiFrame(MsgType.EVENT, 4, 5, b"\x07")],
-                               0, b"")
+    assert feed_once(data) == ([data], 0, b"")
 
 
 def test_decode_command_frame_zero_payload():
     # a command's wire form; read from the dongle it is a response
-    assert feed_once(bytes.fromhex("00000001")) == (
-        [BgapiFrame(MsgType.RESPONSE, 0, 1, b"")], 0, b"")
+    data = bytes.fromhex("00000001")
+    assert feed_once(data) == ([data], 0, b"")
 
 
 def test_decode_event_with_20_byte_payload():
-    payload = bytes(range(20))
-    frames, dropped, left = feed_once(bytes.fromhex("80140405") + payload)
-    assert [f.msg_type for f in frames] == [MsgType.EVENT]
-    assert frames[0].payload == payload
-    assert (dropped, left) == (0, b"")
+    wire = bytes.fromhex("80140405") + bytes(range(20))
+    assert feed_once(wire) == ([wire], 0, b"")
 
 
 def test_decode_response_classification():
-    frames, _, _ = feed_once(bytes.fromhex("00020405aabb"))
-    assert frames[0].msg_type is MsgType.RESPONSE
-    frames, _, _ = feed_once(bytes.fromhex("80020405aabb"))
-    assert frames[0].msg_type is MsgType.EVENT
+    # the event bit alone tells a notification from a response to a command
+    payload = bytes.fromhex("011c001b01aa")
+    response, event = (frame_bytes(t, 4, 5, payload) for t in (0x00, 0x80))
+    assert feed_once(response + event) == ([response, event], 0, b"")
+    with pytest.raises(ProtocolError, match="not an attribute-value event"):
+        parse_attribute_value_event(response)
+    assert parse_attribute_value_event(event) == (1, 0x1C, b"\xaa")
 
 
 def test_round_trip_random_frames():
@@ -70,9 +71,7 @@ def test_round_trip_random_frames():
         class_id, command_id = rng.randrange(256), rng.randrange(256)
         payload = bytes(rng.randrange(256) for _ in range(rng.randrange(256)))
         wire = frame_bytes(type_byte, class_id, command_id, payload)
-        msg_type = MsgType.EVENT if type_byte else MsgType.RESPONSE
-        assert feed_once(wire) == (
-            [BgapiFrame(msg_type, class_id, command_id, payload)], 0, b"")
+        assert feed_once(wire) == ([wire], 0, b"")
 
 
 def test_truncated_header_and_payload():
@@ -82,8 +81,7 @@ def test_truncated_header_and_payload():
             stream = BgapiStream()
             assert stream.feed(wire[:cut]) == []
             assert bytes(stream._buf) == wire[:cut]
-            frames = stream.feed(wire[cut:])
-            assert frames == [BgapiFrame(MsgType.EVENT, 4, 5, wire[4:])]
+            assert stream.feed(wire[cut:]) == [wire]
             assert stream.bytes_dropped == 0 and not stream._buf
 
 
@@ -95,15 +93,12 @@ def test_invalid_header_reserved_bits():
 def test_stream_concatenation_yields_all_frames():
     rng = random.Random(7)
     frames = [
-        BgapiFrame(rng.choice([MsgType.EVENT, MsgType.RESPONSE]),
-                   rng.randrange(256), rng.randrange(256),
-                   bytes(rng.randrange(256) for _ in range(rng.randrange(40))))
+        frame_bytes(rng.choice([0x80, 0x00]),
+                    rng.randrange(256), rng.randrange(256),
+                    bytes(rng.randrange(256) for _ in range(rng.randrange(40))))
         for _ in range(50)
     ]
-    wire = b"".join(
-        frame_bytes(0x80 if f.msg_type is MsgType.EVENT else 0x00,
-                    f.class_id, f.command_id, f.payload)
-        for f in frames)
+    wire = b"".join(frames)
     assert BgapiStream().feed(wire) == frames
 
     # incremental decode, fed in awkward chunk sizes
@@ -118,8 +113,7 @@ def test_stream_concatenation_yields_all_frames():
 def test_stream_resynchronizes_after_garbage():
     good = bytes.fromhex("80010405aa")
     stream = BgapiStream()
-    frames = stream.feed(b"\x13\x37" + good)
-    assert frames == [BgapiFrame(MsgType.EVENT, 4, 5, b"\xAA")]
+    assert stream.feed(b"\x13\x37" + good) == [good]
     assert stream.bytes_dropped == 2
 
 
@@ -137,9 +131,7 @@ def test_corrupt_header_loses_no_valid_frame_unseen():
     assert len(event) == 29
     stream = BgapiStream()
     frames = stream.feed(b"\x80\xff" + event * 23)
-    assert frames == [BgapiFrame(MsgType.EVENT, protocol.ATTCLIENT_CLASS,
-                                 protocol.ATTCLIENT_ATTRIBUTE_VALUE_EVENT,
-                                 payload)] * 23
+    assert frames == [event] * 23
     assert stream.bytes_dropped == 2
 
 
@@ -149,7 +141,7 @@ def test_fuzz_random_bytes_never_overread_or_hang():
         blob = bytes(rng.randrange(256) for _ in range(rng.randrange(512)))
         frames, dropped, left = feed_once(blob)  # terminates, never raises
         # every byte is framed once, dropped or still buffered
-        framed = sum(4 + len(f.payload) for f in frames)
+        framed = sum(map(len, frames))
         assert framed + dropped + len(left) == len(blob)
         assert left == blob[len(blob) - len(left):]
 
@@ -176,10 +168,7 @@ def _decode_frame(data, offset):
     total = 4 + data[offset + 1]
     if available < total:
         raise _Truncated
-    msg_type = MsgType.EVENT if type_byte & 0x80 else MsgType.RESPONSE
-    payload = bytes(data[offset + 4:offset + total])
-    return (BgapiFrame(msg_type, data[offset + 2], data[offset + 3], payload),
-            offset + total)
+    return bytes(data[offset:offset + total]), offset + total
 
 
 def reference_feed(buf, chunk):
@@ -329,10 +318,59 @@ def test_attribute_value_event_round_trip():
     value = _imu_payload(16384, 0, 0, 0, 0, 0, 0, 0, 0, 0)
     payload = (struct.pack("<BHB", 1, protocol.IMU_DATA_HANDLE, 0x1B)
                + bytes([len(value)]) + value)
-    frame = BgapiFrame(MsgType.EVENT, protocol.ATTCLIENT_CLASS,
-                       protocol.ATTCLIENT_ATTRIBUTE_VALUE_EVENT, payload)
-    conn, handle, got = protocol.parse_attribute_value_event(frame)
+    frame = frame_bytes(0x80, protocol.ATTCLIENT_CLASS,
+                        protocol.ATTCLIENT_ATTRIBUTE_VALUE_EVENT, payload)
+    conn, handle, got = parse_attribute_value_event(frame)
     assert conn == 1
     assert handle == protocol.IMU_DATA_HANDLE
     assert got == value
 
+
+
+_VALUE = _imu_payload(16384, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+_NOTE = (struct.pack("<BHB", 0, protocol.IMU_DATA_HANDLE, 0x1B)
+         + bytes([len(_VALUE)]) + _VALUE)
+
+
+@pytest.mark.parametrize("frame, error", [
+    (frame_bytes(0x00, 4, 5, _NOTE), ProtocolError),  # a response
+    (frame_bytes(0x80, 3, 5, _NOTE), ProtocolError),  # another class
+    (frame_bytes(0x80, 4, 6, _NOTE), ProtocolError),  # another command
+    (b"", ProtocolError),
+    (b"\x80\x00\x04", ProtocolError),
+    (frame_bytes(0x81, 4, 5, _NOTE), ProtocolError),  # reserved type bits
+    (frame_bytes(0x80, 4, 5, _NOTE[:4]), WrongLengthError),
+    (frame_bytes(0x80, 4, 5, _NOTE[:-1]), WrongLengthError),  # short value
+    (frame_bytes(0x80, 4, 5, _NOTE)[:-1], WrongLengthError),  # length byte
+    (frame_bytes(0x80, 4, 5, _NOTE) + b"\x00", WrongLengthError),
+], ids=["response", "class", "command", "empty", "3-bytes", "reserved-bits",
+        "4-byte-payload", "short-value", "truncated", "overlong"])
+def test_attribute_value_event_refusals(frame, error):
+    assert parse_attribute_value_event(frame_bytes(0x80, 4, 5, _NOTE)) == (
+        0, protocol.IMU_DATA_HANDLE, _VALUE)
+    with pytest.raises(ProtocolError) as caught:
+        parse_attribute_value_event(frame)
+    assert caught.type is error
+
+
+# a notification header of a valid or corrupt type, class or command, or
+# any bytes at all
+_ANY_FRAME = st.one_of(
+    st.tuples(st.sampled_from([0x80, 0x00, 0x81]), st.integers(0, 255),
+              st.sampled_from([3, 4]), st.sampled_from([5, 6]),
+              st.binary(max_size=30)).map(lambda t: bytes(t[:4]) + t[4]),
+    st.binary(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ANY_FRAME)
+def test_attribute_value_event_refuses_any_bytes_with_a_protocol_error(frame):
+    try:
+        _, _, value = parse_attribute_value_event(frame)
+    except ProtocolError:
+        return
+    # accepted: a notification event whose length matches its header, with
+    # a value of the declared length
+    assert frame[:4] == bytes([0x80, len(frame) - 4, 4, 5])
+    assert len(value) == frame[8] and value in frame

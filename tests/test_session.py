@@ -38,9 +38,8 @@ def still_pose(duration_s=1.0, tension=(0.0,) * 8):
                 tension=tension)
 
 
-def tiny_scenario(**kwargs):
-    return Scenario(performers=(PerformerScript(poses=(still_pose(),)),),
-                    **kwargs)
+def tiny_scenario():
+    return Scenario(performers=(PerformerScript(poses=(still_pose(),)),))
 
 
 # --- log writing and parsing ---------------------------------------------------
@@ -324,8 +323,7 @@ def test_generation_is_seed_deterministic(tmp_path):
             poses=tuple(Pose(duration_s=2.0, orientation=p.orientation,
                              tension=p.tension)
                         for p in script.poses[:2]))
-                         for script in scenario.performers[:2]),
-        transition_s=0.5)
+                         for script in scenario.performers[:2]))
     logs_a = generate_scenario(small, seed=42)
     logs_b = generate_scenario(small, seed=42)
     for a, b in zip(logs_a, logs_b):
@@ -362,11 +360,11 @@ def test_recorded_scenario_matches_golden_hash(tmp_path):
              tension=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)),
         Pose(duration_s=2.0, orientation=(-2.5, 0.9, -2.9),
              tension=(0.8, 0.0, 0.6, 0.0, 0.4, 0.0, 0.2, 0.0)),
-    )),), transition_s=0.5)
+    )),))
     path = tmp_path / "p0.jsonl"
     assert record(generate_scenario(scenario, seed=2012)[0], path) == 1001
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "823f59757bb4ca6683fc91ac0b5103b00f17370756dbed4640b53e06d8f06329")
+        "005f1f24672789b67ce896c3fc8dc5d0c237f4874e838d4e97a27ec37eee933d")
 
 
 def test_bundled_scenario_matches_golden_hash(tmp_path):
@@ -391,11 +389,11 @@ def test_transitions_inject_supra_threshold_motion():
         still_pose(duration_s=4.0),
         Pose(duration_s=4.0, orientation=(0.5, 0.3, -0.2),
              tension=(0.0,) * 8),
-    )),), transition_s=1.0)
+    )),))
     logs = generate_scenario(scenario, seed=11)
     frames = [f for f in records_to_frames(logs[0])
               if isinstance(f, ImuFrame)]
-    # first pose: gyro small; transition window (4.0..5.0 s): gyro huge
+    # first pose: gyro small; transition window (4.0..6.0 s): gyro huge
     hold = [f for f in frames if f.t_us < 3_900_000]
     burst = [f for f in frames if 4_000_000 <= f.t_us < 4_900_000]
     assert max(abs(g) for f in hold for g in f.gyro) < 50.0
@@ -409,28 +407,23 @@ def pose_dict(**overrides):
 
 def test_scenario_validation_errors():
     inf, nan = math.inf, math.nan
-    # (scenario keys, pose keys, text the error names)
+    # (pose keys, text the error names)
     rows = [
-        ({"transition_s": -1.0}, {}, "transition_s"),
-        ({"transition_s": nan}, {}, "transition_s"),
-        ({"transition_s": inf}, {}, "transition_s"),
-        ({}, {"duration_s": -1}, "duration"),
-        ({}, {"duration_s": 0.0}, "duration"),
-        ({}, {"duration_s": nan}, "duration"),
-        ({}, {"duration_s": inf}, "duration"),
-        ({}, {"orientation": [0.0, 0.0]}, "orientation"),
-        ({}, {"orientation": [nan, 0.0, 0.0]}, "orientation"),
-        ({}, {"orientation": [0.0, -inf, 0.0]}, "orientation"),
-        ({}, {"tension": [2.0] + [0] * 7}, "tension"),
-        ({}, {"tension": [nan] * 8}, "tension"),
-        ({}, {"tension": [0.0] * 7}, "tension"),
+        ({"duration_s": -1}, "duration"),
+        ({"duration_s": 0.0}, "duration"),
+        ({"duration_s": nan}, "duration"),
+        ({"duration_s": inf}, "duration"),
+        ({"orientation": [0.0, 0.0]}, "orientation"),
+        ({"orientation": [nan, 0.0, 0.0]}, "orientation"),
+        ({"orientation": [0.0, -inf, 0.0]}, "orientation"),
+        ({"tension": [2.0] + [0] * 7}, "tension"),
+        ({"tension": [nan] * 8}, "tension"),
+        ({"tension": [0.0] * 7}, "tension"),
     ]
-    for top, pose, what in rows:
-        obj = {"performers": [{"poses": [pose_dict(), pose_dict(**pose)]}],
-               **top}
-        where = "performer 0 pose 1: " if pose else ""
-        with pytest.raises(InvalidScenarioError,
-                           match="malformed scenario: " + where + what):
+    for pose, what in rows:
+        obj = {"performers": [{"poses": [pose_dict(), pose_dict(**pose)]}]}
+        with pytest.raises(InvalidScenarioError, match=(
+                "malformed scenario: performer 0 pose 1: " + what)):
             scenario_from_dict(obj)
     # the constructor refuses the same values without the loader, the
     # wrong types included
@@ -448,8 +441,6 @@ def test_scenario_validation_errors():
         ({}, "still", "not a Pose"),
         ({"name": None}, ok, "name"),
         ({"name": 7}, ok, "name"),
-        ({"transition_s": True}, ok, "transition_s"),
-        ({"transition_s": 10**400}, ok, "transition_s"),
     ]
     for top, pose, what in rows:
         where = "performer 0 pose 1: " if pose is not ok else ""
@@ -466,15 +457,13 @@ def test_scenario_validation_errors():
                              PerformerScript(poses=[ok])))
     with pytest.raises(InvalidScenarioError, match="performer 0 has no poses"):
         Scenario(performers=((ok,),))
-    with pytest.raises(InvalidScenarioError, match="transition_s"):
-        tiny_scenario(transition_s=nan)
     with pytest.raises(InvalidScenarioError):
         scenario_from_dict({"wrong": []})
     # JSON's NaN literal is refused too
-    with pytest.raises(InvalidScenarioError, match="transition_s"):
+    with pytest.raises(InvalidScenarioError, match="duration"):
         scenario_from_dict(json.loads(
-            '{"transition_s": NaN, "performers": [{"poses": [{'
-            '"duration_s": 1, "orientation": [0, 0, 0], "tension": '
+            '{"performers": [{"poses": [{'
+            '"duration_s": NaN, "orientation": [0, 0, 0], "tension": '
             '[0, 0, 0, 0, 0, 0, 0, 0]}]}]}'))
 
 
@@ -489,8 +478,9 @@ def test_scenario_from_dict_refuses_unknown_keys_and_malformed_values():
         {"performers": [{"poses": [pose_dict(transition_motion_amp=4.0)]}]},
         {"performers": [{"poses": [pose_dict()], "pose": []}]},
         {"performers": [{"poses": [pose_dict()]}], "transition": 1.0},
-        {"performers": [{"poses": [pose_dict()]}], "transition_s": "soon"},
-        {"performers": [{"poses": [pose_dict()]}], "transition_s": None},
+        # the transition is session.TRANSITION_S: its old key is unknown
+        {"performers": [{"poses": [pose_dict()]}], "transition_s": 2.0},
+        {"performers": [{"poses": [pose_dict()]}], "transition_s": -1.0},
         {"performers": [{"poses": [pose_dict(duration_s="long")]}]},
         {"performers": [{"poses": [pose_dict(duration_s=10**400)]}]},
         {"performers": [{"poses": [pose_dict(orientation=1.0)]}]},
@@ -503,7 +493,6 @@ def test_scenario_from_dict_refuses_unknown_keys_and_malformed_values():
         {"performers": [{"poses": [pose_dict(tension="0" * 8)]}]},
         {"performers": [{"poses": [pose_dict(duration_s=True)]}]},
         {"performers": [{"poses": [pose_dict(duration_s="5")]}]},
-        {"performers": [{"poses": [pose_dict()]}], "transition_s": False},
         {"performers": [{"poses": [pose_dict()]}], "name": None},
         {"performers": [{"poses": [pose_dict()]}], "name": 7},
         {"performers": [{"poses": [{"orientation": [0.0, 0.0, 0.0],
@@ -526,12 +515,9 @@ _poses = st.lists(st.builds(
 
 
 @settings(max_examples=60, deadline=None)
-@given(poses=_poses, transition_s=st.floats(0.0, 0.5),
-       seed=st.integers(0, 2**32 - 1))
-def test_every_accepted_scenario_generates_logs_that_read_back(
-        poses, transition_s, seed):
-    scenario = Scenario(performers=(PerformerScript(poses=tuple(poses)),),
-                        transition_s=transition_s)
+@given(poses=_poses, seed=st.integers(0, 2**32 - 1))
+def test_every_accepted_scenario_generates_logs_that_read_back(poses, seed):
+    scenario = Scenario(performers=(PerformerScript(poses=tuple(poses)),))
     logs = generate_scenario(scenario, seed)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "p0.jsonl"
