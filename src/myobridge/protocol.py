@@ -179,8 +179,8 @@ def parse_attribute_value_event(frame: bytes) -> tuple[int, int, bytes]:
 
     Raises ProtocolError for any frame but an attribute-value event, and
     its subclass WrongLengthError when the frame's length disagrees with
-    its header, its payload is under 5 bytes or its value is shorter than
-    declared.
+    its header, its payload is under 5 bytes or its value does not end
+    exactly where the payload ends.
     """
     if (len(frame) < HEADER_LEN or frame[0] != TYPE_EVENT_BIT
             or frame[2] != ATTCLIENT_CLASS
@@ -191,8 +191,9 @@ def parse_attribute_value_event(frame: bytes) -> tuple[int, int, bytes]:
     if len(frame) < _VALUE_AT:
         raise WrongLengthError("attribute-value event payload too short")
     end = _VALUE_AT + frame[_VALUE_AT - 1]
-    if len(frame) < end:
-        raise WrongLengthError("attribute value shorter than declared")
+    if len(frame) != end:
+        raise WrongLengthError("attribute value length disagrees with its "
+                               "payload")
     # connection, then the little-endian uint16 handle
     return frame[4], frame[5] | frame[6] << 8, bytes(frame[_VALUE_AT:end])
 

@@ -20,6 +20,14 @@ the device, not options: iter_log refuses a meta record that declares
 different ones, naming its line.  Timestamps are microseconds and must be
 non-decreasing, and they are the only clock a reader uses.
 
+iter_log reads the first line, the meta record, with the line parser and
+the rest in blocks of lines, each parsed with one json.loads and checked
+in passes over the whole block.  A block it cannot accept in full, for a
+blank, meta or malformed line, a value out of range or a decreasing
+timestamp, goes through the line parser: that yields the block's good
+records and then names the first bad line.  So every error message and
+line number comes from the line parser.
+
 The scenario generator synthesizes ensemble performances: each performer
 holds a sequence of poses.  A scenario file, read by scenario_from_dict:
 
@@ -49,7 +57,8 @@ import json
 import sys
 from dataclasses import dataclass
 from importlib import resources
-from operator import attrgetter
+from itertools import chain, compress, repeat
+from operator import attrgetter, eq, itemgetter, not_
 from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
@@ -135,6 +144,11 @@ def _line_template(kind: str, n: int) -> str:
 _TEMPLATES = {"imu": (10, _line_template("imu", 10)),
               "emg": (8, _line_template("emg", 8))}
 _INTS_ONLY = frozenset({int})
+_LISTS_ONLY = frozenset({list})
+_DICTS_ONLY = frozenset({dict})
+# iter_log's read size: small enough that a block's parsed objects add
+# nothing measurable to a render's peak memory
+_BLOCK_BYTES = 8192
 
 
 def _serialize(rec: SessionRecord) -> str:
@@ -225,27 +239,90 @@ def _parse_line(line: str, line_no: int) -> SessionRecord:
     raise LogParseError(line_no, f"unknown record kind {kind!r}")
 
 
+def _parse_lines(lines, line_no: int, last_t):
+    """The line parser: yields each line's record, numbering lines from
+    line_no, and returns the last timestamp read."""
+    for line_no, raw in enumerate(lines, start=line_no):
+        try:
+            # JSON's whitespace only: str.strip would also drop form
+            # feeds and other control bytes that json.loads refuses
+            line = raw.decode("ascii").strip(" \t\r\n")
+        except UnicodeDecodeError as exc:
+            raise LogParseError(
+                line_no, f"non-ASCII byte 0x{raw[exc.start]:02x}") from exc
+        if not line:
+            continue
+        rec = _parse_line(line, line_no)
+        if last_t is not None and rec.t_us < last_t:
+            raise MonotonicityError(
+                line_no, f"timestamp {rec.t_us} precedes {last_t}")
+        last_t = rec.t_us
+        yield rec
+    return last_t
+
+
+def _ints_within(datas: list, n: int, lo: int, hi: int) -> bool:
+    """Whether every item of datas is a list of n exact ints in [lo, hi]."""
+    if set(map(type, datas)) - _LISTS_ONLY or set(map(len, datas)) - {n}:
+        return False
+    values = list(chain.from_iterable(datas))
+    return not values or (set(map(type, values)) == _INTS_ONLY
+                          and lo <= min(values) and max(values) <= hi)
+
+
+def _read_block(block: list, last_t):
+    """(t_us, kinds, datas) of a block of IMU and EMG lines, each checked
+    in a few passes over the whole block, or None for a block that the
+    line parser must read."""
+    n = len(block)
+    joined = b",".join(block)
+    # one "{" per line, at its start, and as many "}": every line holds
+    # one flat object, so no object can span two lines
+    if (not joined.isascii() or joined.count(b"{") != n
+            or joined.count(b"}") != n
+            or not all(map(bytes.startswith, block, repeat(b"{")))):
+        return None
+    try:
+        objs = json.loads(b"[" + joined + b"]")
+        if len(objs) != n or set(map(type, objs)) != _DICTS_ONLY:
+            return None
+        t_us = list(map(itemgetter("t_us"), objs))
+        kinds = list(map(itemgetter("kind"), objs))
+        datas = list(map(itemgetter("data"), objs))
+    except (KeyError, RecursionError, ValueError):
+        return None
+    if (set(map(type, t_us)) != _INTS_ONLY or t_us != sorted(t_us)
+            or t_us[0] < _INT64_MIN or t_us[-1] > _INT64_MAX
+            or last_t is not None and t_us[0] < last_t):
+        return None
+    # list.count compares by ==, so kinds of any JSON type are safe here
+    if kinds.count("imu") + kinds.count("emg") != n:
+        return None
+    is_imu = list(map(eq, kinds, repeat("imu")))
+    if not (_ints_within(list(compress(datas, is_imu)), 10,
+                         _INT16_MIN, _INT16_MAX)
+            and _ints_within(list(compress(datas, map(not_, is_imu))), 8,
+                             _INT8_MIN, _INT8_MAX)):
+        return None
+    return t_us, kinds, datas
+
+
 def iter_log(path) -> Iterator[SessionRecord]:
     """Parse a log file; raises LogParseError/MonotonicityError with the
-    offending 1-based line number."""
-    last_t = None
+    offending 1-based line number.  Reads blocks of about _BLOCK_BYTES
+    past the first line; see the module docstring."""
     with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                # JSON's whitespace only: str.strip would also drop form
-                # feeds and other control bytes that json.loads refuses
-                line = raw.decode("ascii").strip(" \t\r\n")
-            except UnicodeDecodeError as exc:
-                raise LogParseError(
-                    line_no, f"non-ASCII byte 0x{raw[exc.start]:02x}") from exc
-            if not line:
-                continue
-            rec = _parse_line(line, line_no)
-            if last_t is not None and rec.t_us < last_t:
-                raise MonotonicityError(
-                    line_no, f"timestamp {rec.t_us} precedes {last_t}")
-            last_t = rec.t_us
-            yield rec
+        last_t = yield from _parse_lines([fh.readline()], 1, None)
+        line_no = 2
+        while block := fh.readlines(_BLOCK_BYTES):
+            checked = _read_block(block, last_t)
+            if checked is None:
+                last_t = yield from _parse_lines(block, line_no, last_t)
+            else:
+                t_us, kinds, datas = checked
+                yield from map(SessionRecord, t_us, kinds, map(tuple, datas))
+                last_t = t_us[-1]
+            line_no += len(block)
 
 
 def records_to_frames(records: Iterable[SessionRecord]

@@ -11,14 +11,58 @@ PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_sources_parse_as_python_3_10():
-    # requires-python's floor; this checks syntax only, not the stdlib or
-    # numpy APIs the code calls
+    # requires-python's floor; this checks syntax only.  The next test
+    # checks stdlib names; nothing checks the numpy APIs the code calls
     paths = sorted([*(ROOT / "src" / "myobridge").glob("*.py"),
                     *(ROOT / "tests").glob("*.py")])
     assert paths
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
                   feature_version=(3, 10))
+
+
+# stdlib modules and names added after Python 3.10, requires-python's floor
+_NEWER_THAN_3_10 = {
+    "itertools.batched", "math.sumprod", "math.cbrt", "math.exp2",
+    "operator.call", "typing.Self", "enum.StrEnum", "tomllib",
+    "datetime.UTC", "hashlib.file_digest", "contextlib.chdir",
+}
+
+
+def _dotted_names(tree):
+    """Each module the tree imports, as `m`, each name it imports from a
+    module, as `m.name`, and each attribute it reads off a name an import
+    binds, as `m.name.attr` or `m.attr`."""
+    bound = {}  # local name -> the dotted name an import binds to it
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name] = alias.name
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            for alias in node.names:
+                bound[alias.asname or alias.name] = (
+                    f"{node.module}.{alias.name}")
+                yield f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            yield f"{bound[node.value.id]}.{node.attr}"
+
+
+def test_sources_use_no_stdlib_name_newer_than_python_3_10():
+    probe = ast.parse("import tomllib\nimport itertools as it\n"
+                      "from math import cbrt\nit.batched('ab', 1)\n")
+    assert {"tomllib", "itertools.batched", "math.cbrt"} <= set(
+        _dotted_names(probe))
+    paths = sorted((ROOT / "src").rglob("*.py"))
+    assert paths
+    found = [(path.name, name) for path in paths
+             for name in _dotted_names(ast.parse(
+                 path.read_text(encoding="utf-8"), filename=str(path)))
+             if name in _NEWER_THAN_3_10]
+    assert not found, f"src uses names Python 3.10 lacks: {found}"
 
 
 def test_console_scripts_resolve_to_callables():
@@ -45,22 +89,10 @@ def _benchmark_references(package_modules):
     refs = []
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        modules = {}  # local name -> the myobridge module it is bound to
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                modules.update((a.asname or a.name, a.name) for a in node.names
-                               if a.name in package_modules)
-            elif isinstance(node, ast.ImportFrom) and (
-                    node.module in package_modules):
-                for a in node.names:
-                    refs.append((path.name, node.module, a.name))
-                    if f"{node.module}.{a.name}" in package_modules:
-                        modules[a.asname or a.name] = f"{node.module}.{a.name}"
-        refs.extend((path.name, modules[node.value.id], node.attr)
-                    for node in ast.walk(tree)
-                    if isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id in modules)
+        for dotted in _dotted_names(tree):
+            module, _, name = dotted.rpartition(".")
+            if module in package_modules:
+                refs.append((path.name, module, name))
     return refs
 
 

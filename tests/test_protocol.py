@@ -343,8 +343,11 @@ _NOTE = (struct.pack("<BHB", 0, protocol.IMU_DATA_HANDLE, 0x1B)
     (frame_bytes(0x80, 4, 5, _NOTE[:-1]), WrongLengthError),  # short value
     (frame_bytes(0x80, 4, 5, _NOTE)[:-1], WrongLengthError),  # length byte
     (frame_bytes(0x80, 4, 5, _NOTE) + b"\x00", WrongLengthError),
+    # a 2-byte value, then 3 payload bytes past it
+    (bytes.fromhex("800a0405001c001b020102eeeeee"), WrongLengthError),
 ], ids=["response", "class", "command", "empty", "3-bytes", "reserved-bits",
-        "4-byte-payload", "short-value", "truncated", "overlong"])
+        "4-byte-payload", "short-value", "truncated", "overlong",
+        "past-the-value"])
 def test_attribute_value_event_refusals(frame, error):
     assert parse_attribute_value_event(frame_bytes(0x80, 4, 5, _NOTE)) == (
         0, protocol.IMU_DATA_HANDLE, _VALUE)
@@ -371,6 +374,6 @@ def test_attribute_value_event_refuses_any_bytes_with_a_protocol_error(frame):
     except ProtocolError:
         return
     # accepted: a notification event whose length matches its header, with
-    # a value of the declared length
+    # a value of the declared length that ends the payload
     assert frame[:4] == bytes([0x80, len(frame) - 4, 4, 5])
-    assert len(value) == frame[8] and value in frame
+    assert len(value) == frame[8] and value == frame[9:]

@@ -2,10 +2,13 @@
 
 import enum
 import hashlib
+import itertools
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -285,6 +288,107 @@ def test_record_then_iter_log_gives_back_every_valid_record(recs, device_id):
         path = Path(tmp) / "log.jsonl"
         assert record(iter(recs), path) == len(recs)
         assert list(iter_log(path)) == recs
+
+
+_META_LINE = session._serialize(make_meta_record()).encode() + b"\n"
+
+
+def _first_value(token):
+    return lambda line: [re.sub(rb"\[-?\d+", b"[" + token, line, count=1)]
+
+
+def _t_us(token):
+    return lambda line: [re.sub(rb'"t_us":-?\d+', b'"t_us":' + token, line)]
+
+
+# fault -> the lines that replace a good line
+_FAULTS = {
+    "bad-json": lambda line: [line[:len(line) // 2] + b"\n"],
+    "int8-range": _first_value(b"128"),
+    "int16-range": _first_value(b"-32769"),
+    "true": _first_value(b"true"),
+    "float": _first_value(b"1.0"),
+    "decreasing-t": _t_us(b"-1"),
+    "int64-range": _t_us(b"9223372036854775808"),
+    "non-ascii": lambda line: [line[:5] + b"\xe9" + line[5:]],
+    "blank": lambda line: [b" \t\n", line],
+    "crlf": lambda line: [line.replace(b"\n", b"\r\n")],
+    "kind-swap": lambda line: [line.replace(b'"imu"', b'"x"').replace(
+        b'"emg"', b'"imu"').replace(b'"x"', b'"emg"')],
+    "unknown-kind": lambda line: [line.replace(b'"kind":"', b'"kind":"x')],
+    "extra-key": lambda line: [line.replace(b'"kind"', b'"x":[1],"kind"')],
+    "meta": lambda line: [_META_LINE, line],
+    "split": lambda line: [line.replace(b',"data"', b',\n"data"')],
+    # the joined block parses, as one object where two lines stood
+    "nested": lambda line: [b'{"t_us":0,"kind":"emg","data":[1\n',
+                            b'{"a":1},2,3,4,5,6,7]}\n'],
+    "deep": lambda line: [b'{"a":' + b"[" * 2000 + b"]" * 2000 + b"}\n"],
+}
+
+
+@st.composite
+def faulty_logs(draw):
+    """A written log, with faults injected at random lines past its meta
+    record."""
+    recs = draw(st.lists(_valid_record, min_size=1, max_size=40))
+    t0 = draw(st.integers(0, 10**6))
+    steps = draw(st.lists(st.integers(0, 5000), min_size=len(recs),
+                          max_size=len(recs)))
+    lines = [_META_LINE] + [
+        session._serialize(SessionRecord(t, rec.kind, rec.data)).encode()
+        + b"\n" for t, rec in zip(itertools.accumulate(steps, initial=t0),
+                                  recs)]
+    for fault in draw(st.lists(st.sampled_from(sorted(_FAULTS)),
+                               min_size=1, max_size=3)):
+        at = draw(st.integers(1, len(lines) - 1))
+        lines[at:at + 1] = _FAULTS[fault](lines[at])
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip(b"\r\n")
+    return b"".join(lines)
+
+
+def _read_until_error(records):
+    got = []
+    try:
+        for rec in records:
+            got.append(rec)
+    except (LogParseError, RecursionError) as exc:
+        return got, (type(exc), str(exc), getattr(exc, "line_no", None))
+    return got, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(content=faulty_logs())
+def test_block_reader_yields_and_raises_as_the_line_parser(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.jsonl"
+        path.write_bytes(content)
+        with open(path, "rb") as fh:
+            expected = _read_until_error(session._parse_lines(fh, 1, None))
+        # blocks of 1 to 200 bytes break at every line, so each fault lands
+        # first, in the middle and last in a block
+        for block_bytes in range(1, 201):
+            with mock.patch.object(session, "_BLOCK_BYTES", block_bytes):
+                assert _read_until_error(iter_log(path)) == expected
+
+
+def test_a_valid_log_is_read_in_blocks_past_its_meta_line(tmp_path,
+                                                          monkeypatch):
+    scenario = Scenario(performers=(PerformerScript(
+        poses=(still_pose(duration_s=4.0),)),))
+    recs = generate_scenario(scenario, seed=1)[0]
+    path = tmp_path / "p0.jsonl"
+    assert record(recs, path) == 1001
+    calls = []
+    parse_line = session._parse_line
+
+    def counted(line, line_no):
+        calls.append(line_no)
+        return parse_line(line, line_no)
+
+    monkeypatch.setattr(session, "_parse_line", counted)
+    assert list(iter_log(path)) == recs
+    assert calls == [1]
 
 
 def test_record_writes_lines_while_the_stream_is_still_running(tmp_path):
