@@ -4,16 +4,17 @@ motion, and the stillness gate.
 Euler convention is intrinsic Z-Y'-X'' (yaw, then pitch, then roll).  All
 downstream mappings depend on this choice.
 
-The gate implements the inverse motion-to-sound rule: motion above a
-threshold mutes the master gain, which then ramps back up linearly over
-RAMP_S (30 s) of stillness, a constant of the piece.
+The gate implements the inverse motion-to-sound rule: smoothed QoM above
+the threshold mutes the master gain at once, and the gain then ramps back
+up linearly over RAMP_S (30 s) of stillness, a constant of the piece.
+The threshold, MotionTracker's one argument, is the gate's one tuning
+value.
 
 Quantity of motion (QoM) has one fixed definition, so that a threshold
 calibrated in one room means the same in the next: the accelerometer
 magnitude's distance from the 1 g rest reading plus the gyro magnitude
 divided by GYRO_FULL_SCALE_DPS, smoothed by an EMA with QOM_ALPHA before
-the gate compares it.  A motionless sensor scores ~0.  GateConfig is the
-one tuning knob.
+the gate compares it.  A motionless sensor scores ~0.
 """
 
 from __future__ import annotations
@@ -59,21 +60,6 @@ class EulerAngles:
 
 
 @dataclass(frozen=True)
-class GateConfig:
-    """Threshold of the stillness gate, in QoM units.
-
-    The threshold is deliberately calibratable; 0.35 is a usable default,
-    not a measured constant.
-    """
-
-    threshold: float = 0.35
-
-    def __post_init__(self):
-        if not 0.0 <= self.threshold < math.inf:
-            raise ValueError("threshold must be finite and >= 0")
-
-
-@dataclass(frozen=True)
 class MotionState:
     """Per-performer motion summary updated once per IMU frame."""
 
@@ -83,10 +69,6 @@ class MotionState:
     qom: float = 0.0
     stillness_s: float = 0.0
     master_gain: float = 0.0
-
-
-def initial_state() -> MotionState:
-    return MotionState(euler=EulerAngles(0.0, 0.0, 0.0))
 
 
 def quat_to_euler(quat: Sequence[float]) -> EulerAngles:
@@ -135,20 +117,6 @@ def compute_qom(accel_mag: float, gyro_norm: float) -> float:
     return abs(accel_mag - 1.0) + gyro_norm
 
 
-def _gate_step(stillness_s: float, qom: float, dt: float,
-               cfg: GateConfig) -> tuple[float, float]:
-    """Advance the stillness gate by one period of dt seconds.
-
-    Returns (stillness_s, master_gain).  QoM above the threshold zeroes
-    the master gain immediately; otherwise the stillness timer
-    accumulates and the gain ramps toward 1 over RAMP_S.
-    """
-    if qom > cfg.threshold:
-        return 0.0, 0.0
-    stillness_s += dt
-    return stillness_s, min(1.0, stillness_s / RAMP_S)
-
-
 def smooth_ema(prev: float, x: float, alpha: float) -> float:
     """One step of exponential smoothing; alpha=1 passes x through."""
     return alpha * x + (1.0 - alpha) * prev
@@ -156,6 +124,11 @@ def smooth_ema(prev: float, x: float, alpha: float) -> float:
 
 class MotionTracker:
     """Folds a single performer's IMU stream into MotionStates.
+
+    threshold, in QoM units, is the gate's one tuning value: 0.35 is a
+    usable default, not a measured constant.  Smoothed QoM above it mutes
+    the master gain at once; at or below it the stillness timer advances
+    by the frame's dt and the gain ramps back up to 1 over RAMP_S.
 
     Not safe for concurrent update; one tracker per performer stream.
     Time advances from frame timestamps only, never the wall clock.
@@ -170,16 +143,14 @@ class MotionTracker:
     the nominal frame period; those past MAX_GAP_S count in gap_frames.
     """
 
-    def __init__(self, gate_cfg: Optional[GateConfig] = None):
-        self.gate_cfg = gate_cfg or GateConfig()
+    def __init__(self, threshold: float = 0.35):
+        if not 0.0 <= threshold < math.inf:
+            raise ValueError("threshold must be finite and >= 0")
+        self.threshold = threshold
         self.degenerate_frames = 0
         self.gap_frames = 0
-        self._state = initial_state()
+        self._state = MotionState(euler=EulerAngles(0.0, 0.0, 0.0))
         self._last_t_us: Optional[int] = None
-
-    @property
-    def state(self) -> MotionState:
-        return self._state
 
     def update(self, frame: ImuFrame) -> MotionState:
         try:
@@ -202,8 +173,11 @@ class MotionTracker:
             elif dt <= 0.0:
                 dt = _NOMINAL_DT
         self._last_t_us = frame.t_us
-        stillness_s, master_gain = _gate_step(self._state.stillness_s, qom,
-                                              dt, self.gate_cfg)
+        if qom > self.threshold:
+            stillness_s = master_gain = 0.0
+        else:
+            stillness_s = self._state.stillness_s + dt
+            master_gain = min(1.0, stillness_s / RAMP_S)
         self._state = MotionState(euler, accel_mag, gyro_mag, qom,
                                   stillness_s, master_gain)
         return self._state

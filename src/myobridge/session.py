@@ -58,7 +58,7 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain, compress, repeat
-from operator import attrgetter, eq, itemgetter, not_
+from operator import attrgetter, eq, itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
@@ -134,15 +134,14 @@ def make_meta_record(device_id: str = "unknown") -> SessionRecord:
     })
 
 
-def _line_template(kind: str, n: int) -> str:
-    return ('{"t_us":%d,"kind":"' + kind + '","data":['
-            + ",".join(["%d"] * n) + "]}")
-
-
+# kind -> (value count, lowest, highest) of a data record's raw integers
+_LAYOUTS = {"imu": (10, _INT16_MIN, _INT16_MAX),
+            "emg": (8, _INT8_MIN, _INT8_MAX)}
 # kind -> (value count, line template).  %d prints an exact int as json.dumps
 # does, so a template line is byte for byte the json.dumps line.
-_TEMPLATES = {"imu": (10, _line_template("imu", 10)),
-              "emg": (8, _line_template("emg", 8))}
+_TEMPLATES = {kind: (n, '{"t_us":%d,"kind":"' + kind + '","data":['
+                     + ",".join(["%d"] * n) + "]}")
+              for kind, (n, _, _) in _LAYOUTS.items()}
 _INTS_ONLY = frozenset({int})
 _LISTS_ONLY = frozenset({list})
 _DICTS_ONLY = frozenset({dict})
@@ -198,9 +197,10 @@ def _check_int_list(values, n, lo, hi, line_no, what):
 def _parse_line(line: str, line_no: int) -> SessionRecord:
     try:
         obj = json.loads(line)
-    except ValueError as exc:
-        # JSONDecodeError, or a plain ValueError for an integer longer than
-        # Python's int/str conversion limit
+    except (RecursionError, ValueError) as exc:
+        # JSONDecodeError, a plain ValueError for an integer longer than
+        # Python's int/str conversion limit, or a RecursionError for arrays
+        # nested deeper than the decoder's stack
         raise LogParseError(
             line_no, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
     if not isinstance(obj, dict):
@@ -216,12 +216,10 @@ def _parse_line(line: str, line_no: int) -> SessionRecord:
     # a reader's clock arithmetic converts t_us to float
     if not _INT64_MIN <= t_us <= _INT64_MAX:
         raise LogParseError(line_no, "t_us outside the signed 64-bit range")
-    if kind == "imu":
-        _check_int_list(data, 10, _INT16_MIN, _INT16_MAX, line_no, "imu")
-        return SessionRecord(t_us, "imu", tuple(data))
-    if kind == "emg":
-        _check_int_list(data, 8, _INT8_MIN, _INT8_MAX, line_no, "emg")
-        return SessionRecord(t_us, "emg", tuple(data))
+    # a JSON kind may be an unhashable list or object
+    if isinstance(kind, str) and kind in _LAYOUTS:
+        _check_int_list(data, *_LAYOUTS[kind], line_no, kind)
+        return SessionRecord(t_us, kind, tuple(data))
     if kind == "meta":
         if not isinstance(data, dict):
             raise LogParseError(line_no, "meta data must be an object")
@@ -296,14 +294,12 @@ def _read_block(block: list, last_t):
             or last_t is not None and t_us[0] < last_t):
         return None
     # list.count compares by ==, so kinds of any JSON type are safe here
-    if kinds.count("imu") + kinds.count("emg") != n:
+    if sum(map(kinds.count, _LAYOUTS)) != n:
         return None
-    is_imu = list(map(eq, kinds, repeat("imu")))
-    if not (_ints_within(list(compress(datas, is_imu)), 10,
-                         _INT16_MIN, _INT16_MAX)
-            and _ints_within(list(compress(datas, map(not_, is_imu))), 8,
-                             _INT8_MIN, _INT8_MAX)):
-        return None
+    for kind, (count, lo, hi) in _LAYOUTS.items():
+        of_kind = list(compress(datas, map(eq, kinds, repeat(kind))))
+        if not _ints_within(of_kind, count, lo, hi):
+            return None
     return t_us, kinds, datas
 
 

@@ -21,13 +21,11 @@ from myobridge.fusion import (
     QOM_ALPHA,
     RAMP_S,
     EulerAngles,
-    GateConfig,
     MotionState,
     MotionTracker,
     NonNormalizableError,
     compute_qom,
     euler_to_quat,
-    initial_state,
     quat_to_euler,
     smooth_ema,
     vector_magnitude,
@@ -186,8 +184,8 @@ def _moving_frame(t_us, qom):
 class TrackedGate:
     """A MotionTracker fed one frame every 20 ms."""
 
-    def __init__(self, cfg):
-        self.tracker = MotionTracker(gate_cfg=cfg)
+    def __init__(self, threshold):
+        self.tracker = MotionTracker(threshold)
         self.frames = 0
 
     def step(self, qom):
@@ -197,7 +195,7 @@ class TrackedGate:
 
 
 def test_gate_mutes_on_threshold_crossing():
-    gate = TrackedGate(GateConfig(threshold=0.35))
+    gate = TrackedGate(0.35)
     for _ in range(200):
         state = gate.step(0.0)
     assert state.master_gain > 0.1
@@ -208,21 +206,21 @@ def test_gate_mutes_on_threshold_crossing():
 
 
 def test_gate_reaches_unity_after_ramp():
-    gate = TrackedGate(GateConfig(threshold=0.35))
+    gate = TrackedGate(0.35)
     for _ in range(1500):  # 30.0 s at 50 Hz
         state = gate.step(0.01)
     assert state.master_gain == pytest.approx(1.0, abs=1e-9)
 
 
 def test_gate_midpoint_of_linear_ramp():
-    gate = TrackedGate(GateConfig(threshold=0.35))
+    gate = TrackedGate(0.35)
     for _ in range(750):  # 15.0 s
         state = gate.step(0.0)
     assert state.master_gain == pytest.approx(0.5, abs=1e-9)
 
 
 def test_gate_monotone_under_stillness():
-    gate = TrackedGate(GateConfig(threshold=0.35))
+    gate = TrackedGate(0.35)
     previous = 0.0
     for _ in range(1600):  # 32 s, past the ramp
         state = gate.step(0.1)
@@ -232,10 +230,9 @@ def test_gate_monotone_under_stillness():
 
 
 def test_gate_reset_from_any_state():
-    cfg = GateConfig(threshold=0.2)
     rng = np.random.default_rng(3)
     for _ in range(50):
-        gate = TrackedGate(cfg)
+        gate = TrackedGate(0.2)
         for _ in range(rng.integers(1, 300)):
             state = gate.step(float(rng.uniform(0, 0.2)))
             assert state.qom <= 0.2 and state.master_gain > 0.0
@@ -246,9 +243,7 @@ def test_gate_reset_from_any_state():
 
 
 def test_gate_zero_gain_iff_zero_stillness():
-    gate = TrackedGate(GateConfig())
-    state = gate.tracker.state
-    assert state.master_gain == 0.0 and state.stillness_s == 0.0
+    gate = TrackedGate(0.35)
     state = gate.step(0.0)
     assert state.stillness_s > 0.0 and state.master_gain > 0.0
 
@@ -272,14 +267,10 @@ def test_ema_passthrough_and_freeze():
     assert smooth_ema(0.0, 1.0, 0.25) == 0.25
 
 
-@pytest.mark.parametrize("cls, field, value", [
-    (GateConfig, "threshold", math.nan),
-    (GateConfig, "threshold", -0.1),
-    (GateConfig, "threshold", math.inf),
-])
-def test_bad_config_rejected_at_construction(cls, field, value):
+@pytest.mark.parametrize("value", [math.nan, -0.1, math.inf])
+def test_bad_config_rejected_at_construction(value):
     with pytest.raises(ValueError):
-        cls(**{field: value})
+        MotionTracker(threshold=value)
 
 
 # --- tracker -----------------------------------------------------------------
@@ -300,7 +291,7 @@ def test_tracker_ramps_under_stillness():
 
 
 def test_tracker_smoothing_delays_single_spike():
-    tracker = MotionTracker(gate_cfg=GateConfig(threshold=0.35))
+    tracker = MotionTracker(threshold=0.35)
     for i in range(50):
         tracker.update(_still_frame(i * 20_000))
     # single spike of qom 1.0 (gyro 500 deg/s at rest) smooths to 0.2 < 0.35
@@ -311,7 +302,7 @@ def test_tracker_smoothing_delays_single_spike():
 
 
 def test_tracker_sustained_spike_mutes_on_second_frame():
-    tracker = MotionTracker(gate_cfg=GateConfig(threshold=0.35))
+    tracker = MotionTracker(threshold=0.35)
     for i in range(50):
         tracker.update(_still_frame(i * 20_000))
     # qom 1.0 per frame smooths to 0.2, then 0.36 > 0.35
@@ -381,12 +372,12 @@ def test_tracker_never_raises_on_arbitrary_imu_packets(packets):
 
 # --- reference control state -------------------------------------------------
 
-def reference_update_gate(state, qom, dt, cfg):
+def reference_update_gate(state, qom, dt, threshold):
     """The gate step as first written, a public update_gate that went
     through dataclasses.replace."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if qom > cfg.threshold:
+    if qom > threshold:
         stillness_s = 0.0
         master_gain = 0.0
     else:
@@ -401,11 +392,11 @@ class ReferenceTracker:
     functions quat_to_euler, vector_magnitude, compute_qom and smooth_ema,
     and reference_update_gate."""
 
-    def __init__(self, gate_cfg):
-        self.gate_cfg = gate_cfg
+    def __init__(self, threshold):
+        self.threshold = threshold
         self.degenerate_frames = 0
         self.gap_frames = 0
-        self.state = initial_state()
+        self.state = MotionState(euler=EulerAngles(0.0, 0.0, 0.0))
         self.last_t_us = None
         self.qom_smoothed = None
 
@@ -435,7 +426,7 @@ class ReferenceTracker:
         state = MotionState(euler, accel_mag, gyro_mag,
                             stillness_s=self.state.stillness_s)
         self.state = reference_update_gate(state, self.qom_smoothed, dt,
-                                           self.gate_cfg)
+                                           self.threshold)
         return self.state
 
 
@@ -474,14 +465,13 @@ _GAP_US = st.one_of(
 # 32 s of stillness: past RAMP_S, so the gain clamp min(1.0, ...) is reached
 @example(0.35, 0, [(_STILL_RAW, 20_000)] * 1600)
 def test_tracker_matches_reference_bitwise(threshold, t0, frames):
-    cfg = GateConfig(threshold=threshold)
-    tracker, reference = MotionTracker(gate_cfg=cfg), ReferenceTracker(cfg)
+    tracker = MotionTracker(threshold)
+    reference = ReferenceTracker(threshold)
     t_us = t0
     for raw, gap in frames:
         t_us += gap
         frame = parse_imu_packet(struct.pack("<10h", *raw), t_us)
         got, want = tracker.update(frame), reference.update(frame)
         assert state_bits(got) == state_bits(want)
-        assert tracker.state is got
     assert tracker.degenerate_frames == reference.degenerate_frames
     assert tracker.gap_frames == reference.gap_frames

@@ -305,7 +305,9 @@ def _t_us(token):
 _FAULTS = {
     "bad-json": lambda line: [line[:len(line) // 2] + b"\n"],
     "int8-range": _first_value(b"128"),
+    "int8-low": _first_value(b"-129"),
     "int16-range": _first_value(b"-32769"),
+    "int16-high": _first_value(b"32768"),
     "true": _first_value(b"true"),
     "float": _first_value(b"1.0"),
     "decreasing-t": _t_us(b"-1"),
@@ -352,7 +354,7 @@ def _read_until_error(records):
     try:
         for rec in records:
             got.append(rec)
-    except (LogParseError, RecursionError) as exc:
+    except LogParseError as exc:
         return got, (type(exc), str(exc), getattr(exc, "line_no", None))
     return got, None
 
