@@ -44,10 +44,6 @@ logger = logging.getLogger(__name__)
 _CACHE_SIZE = 256
 
 
-class InvalidAddressError(ValueError):
-    pass
-
-
 def _pad4(data: bytes) -> bytes:
     """Null-terminate and zero-pad to a 4-byte boundary."""
     data += b"\x00"
@@ -59,14 +55,13 @@ def _pad4(data: bytes) -> bytes:
 
 def _encode_address(address: str) -> bytes:
     if not address.startswith("/"):
-        raise InvalidAddressError(f"address must start with '/': {address!r}")
+        raise ValueError(f"address must start with '/': {address!r}")
     try:
         raw = address.encode("ascii")
     except UnicodeEncodeError:
-        raise InvalidAddressError(
-            f"address must be ASCII: {address!r}") from None
+        raise ValueError(f"address must be ASCII: {address!r}") from None
     if b"\x00" in raw:
-        raise InvalidAddressError(f"embedded NUL in address: {address!r}")
+        raise ValueError(f"embedded NUL in address: {address!r}")
     return _pad4(raw)
 
 

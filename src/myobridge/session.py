@@ -104,14 +104,6 @@ class LogParseError(Exception):
         super().__init__(f"line {line_no}: {message}")
 
 
-class MonotonicityError(LogParseError):
-    pass
-
-
-class UnsupportedVersionError(LogParseError):
-    pass
-
-
 class InvalidScenarioError(ValueError):
     pass
 
@@ -226,7 +218,7 @@ def _parse_line(line: str, line_no: int) -> SessionRecord:
         version = str(data.get("version", ""))
         major = version.split(".", 1)[0]
         if not major.isdigit() or int(major) != LOG_MAJOR:
-            raise UnsupportedVersionError(
+            raise LogParseError(
                 line_no, f"unsupported log version {version!r}")
         for key, unit in _DEVICE_UNITS.items():
             if key in data and data[key] != unit:
@@ -252,7 +244,7 @@ def _parse_lines(lines, line_no: int, last_t):
             continue
         rec = _parse_line(line, line_no)
         if last_t is not None and rec.t_us < last_t:
-            raise MonotonicityError(
+            raise LogParseError(
                 line_no, f"timestamp {rec.t_us} precedes {last_t}")
         last_t = rec.t_us
         yield rec
@@ -304,9 +296,10 @@ def _read_block(block: list, last_t):
 
 
 def iter_log(path) -> Iterator[SessionRecord]:
-    """Parse a log file; raises LogParseError/MonotonicityError with the
-    offending 1-based line number.  Reads blocks of about _BLOCK_BYTES
-    past the first line; see the module docstring."""
+    """Parse a log file; raises LogParseError with the offending 1-based
+    line number (a malformed line, an unsupported version, a timestamp
+    that precedes the last).  Reads blocks of about _BLOCK_BYTES past the
+    first line; see the module docstring."""
     with open(path, "rb") as fh:
         last_t = yield from _parse_lines([fh.readline()], 1, None)
         line_no = 2

@@ -27,12 +27,13 @@ still reaches write_wav's finite check.  Its samples are a read-only,
 stride-0 view of one immutable +0.0: silence held for a whole piece
 takes no sample memory.
 
-Mixdown and PCM output work in bounded memory.  mix_performers checks
-its tracks and returns a block that holds them; the mean is computed a
-chunk at a time when it is read.  write_wav pulls fixed-size chunks
-through one buffer, so writing a mix never builds it whole.  write_wav
-checks every chunk before it opens the file, so a refused input writes
-no file.
+Mixdown and PCM output take one path in bounded memory.  mix_performers
+checks its tracks and returns a block that holds them.  write_wav reads
+any block as the mean of its tracks (a plain block is one track), one
+fixed-size chunk at a time through one buffer, so a mix is never built
+whole.  write_wav checks the sample rate and every chunk before it opens
+the file, so a refused input writes no file.  OscillatorBank applies the
+same rate rule, so a render at a rate write_wav refuses fails at once.
 """
 
 from __future__ import annotations
@@ -64,14 +65,6 @@ _WAV_MAX_RATE = 0xFFFFFFFF // 2
 _SILENCE = bytes(8)
 
 
-class LengthMismatchError(ValueError):
-    pass
-
-
-class RateMismatchError(ValueError):
-    pass
-
-
 @dataclass
 class AudioBlock:
     """Mono float samples in [-1, 1]."""
@@ -79,20 +72,24 @@ class AudioBlock:
     samples: np.ndarray
     sample_rate: float
 
-    def _size(self) -> int:
-        return len(self.samples)
 
-    def _chunk(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        """Samples [lo, hi) as float64 in out, hi - lo scratch samples."""
-        out[...] = self.samples[lo:hi]
-        return out
+def _mean_of(tracks: Sequence, lo: int, hi: int,
+             out: np.ndarray) -> np.ndarray:
+    """The samplewise mean of tracks over [lo, hi), into out: from +0.0,
+    in track order, then one division, so bit for bit
+    np.stack(...).sum(axis=0) / n (-0.0 comes out +0.0)."""
+    out.fill(0.0)
+    for t in tracks:
+        out += t[lo:hi]
+    out /= len(tracks)
+    return out
 
 
 class _Mix(AudioBlock):
     """The samplewise mean of equal-length tracks, computed when read.
 
-    samples builds the whole mean once and keeps it; _chunk computes a
-    part of it without building the rest.
+    samples builds the whole mean once and keeps it; write_wav reads the
+    tracks a chunk at a time and never builds it.
     """
 
     def __init__(self, tracks: list, sample_rate: float):
@@ -103,22 +100,19 @@ class _Mix(AudioBlock):
     @property
     def samples(self) -> np.ndarray:
         if self._mean is None:
-            n = self._size()
-            self._mean = self._chunk(0, n, np.empty(n))
+            n = len(self._tracks[0])
+            self._mean = _mean_of(self._tracks, 0, n, np.empty(n))
         return self._mean
 
-    def _size(self) -> int:
-        return len(self._tracks[0])
 
-    def _chunk(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        # from +0.0, in track order, then one division: bit for bit
-        # np.stack(...).sum(axis=0) / n, whose sum also starts from +0.0
-        # (so -0.0 comes out +0.0)
-        out.fill(0.0)
-        for t in self._tracks:
-            out += t[lo:hi]
-        out /= len(self._tracks)
-        return out
+def _whole_hz(rate) -> int:
+    """rate as a whole number of Hz that a WAV header can hold; refuses
+    anything else, NaN and inf included, with ValueError."""
+    if not (0 < rate <= _WAV_MAX_RATE and float(rate).is_integer()):
+        raise ValueError(
+            f"sample_rate must be a whole number of Hz in 1..{_WAV_MAX_RATE}:"
+            f" {rate}")
+    return int(rate)
 
 
 class OscillatorBank:
@@ -126,14 +120,12 @@ class OscillatorBank:
 
     Single-owner: one bank per performer, rendered in stream order.  The
     bank also owns render_block's scratch buffers, sized for the last
-    block length and rebuilt only when it changes.
+    block length and rebuilt only when it changes.  sample_rate must
+    pass write_wav's rule (_whole_hz), or ValueError is raised.
     """
 
     def __init__(self, sample_rate: float = 44100.0):
-        if not 0 < sample_rate < math.inf:  # NaN fails too
-            raise ValueError(
-                f"sample_rate must be finite and positive: {sample_rate}")
-        self.sample_rate = float(sample_rate)
+        self.sample_rate = float(_whole_hz(sample_rate))
         self._acc = np.zeros(N_OSCILLATORS, dtype=np.uint64)
         self._prev_params: Optional[SynthParams] = None
         self._scratch: Optional[_Scratch] = None
@@ -248,12 +240,12 @@ def mix_performers(blocks: Sequence[AudioBlock]) -> AudioBlock:
     """Samplewise mean across performers; never clips for inputs in [-1, 1].
 
     The checks run now; the mean does not.  The block returned holds the
-    tracks, and its mean is computed from +0.0, in track order, then
-    divided: bit for bit np.stack(...).sum(axis=0) / n.  write_wav
-    computes it a chunk at a time; reading .samples builds it whole, once.
-    So the arithmetic, and any numpy floating-point warning it gives,
-    happens when the mix is read or written, and the tracks must not be
-    changed before then.
+    tracks, and its mean is computed by _mean_of, from +0.0, in track
+    order, then divided: bit for bit np.stack(...).sum(axis=0) / n.
+    write_wav computes it a chunk at a time; reading .samples builds it
+    whole, once.  So the arithmetic, and any numpy floating-point warning
+    it gives, happens when the mix is read or written, and the tracks
+    must not be changed before then.
     """
     if not blocks:
         raise ValueError("nothing to mix")
@@ -261,10 +253,10 @@ def mix_performers(blocks: Sequence[AudioBlock]) -> AudioBlock:
     rate = blocks[0].sample_rate
     for b in blocks[1:]:
         if len(b.samples) != length:
-            raise LengthMismatchError(
+            raise ValueError(
                 f"block lengths differ: {len(b.samples)} vs {length}")
         if b.sample_rate != rate:
-            raise RateMismatchError(
+            raise ValueError(
                 f"sample rates differ: {b.sample_rate} vs {rate}")
     return _Mix([b.samples for b in blocks], rate)
 
@@ -274,24 +266,23 @@ def write_wav(block: AudioBlock, path) -> None:
 
     Sample s maps to rint(s * 32767).  Samples must be finite and within
     [-1, 1]; the renderer guarantees that bound.  The sample rate must be
-    a whole number of Hz that the header can hold.  The rate and every
-    chunk are checked before the file is opened, so a refused input
-    (ValueError) writes no file.  The conversion then runs chunk by chunk
-    through one _PCM_CHUNK-sample buffer, so its working memory does not
-    grow with the length.  A block from mix_performers is mixed chunk by
-    chunk into that buffer in both passes and is never built whole.
+    a whole number of Hz that the header can hold (_whole_hz), the rule
+    OscillatorBank applies too.  The rate and every chunk are checked
+    before the file is opened, so a refused input (ValueError) writes no
+    file.  Every block is read as the mean of its tracks, a plain block
+    being one track (its -0.0 reads +0.0; rint writes both as 0).  Both
+    passes compute that mean chunk by chunk into one _PCM_CHUNK-sample
+    buffer, so working memory does not grow with the length and a mix is
+    never built whole.
     """
-    rate = block.sample_rate
-    if not (0 < rate <= _WAV_MAX_RATE and float(rate).is_integer()):
-        raise ValueError(
-            f"sample_rate must be a whole number of Hz in 1..{_WAV_MAX_RATE}:"
-            f" {rate}")
-    n = block._size()
+    rate = _whole_hz(block.sample_rate)
+    tracks = block._tracks if isinstance(block, _Mix) else [block.samples]
+    n = len(tracks[0])
     buf = np.empty(min(n, _PCM_CHUNK))
     spans = [(lo, min(lo + _PCM_CHUNK, n)) for lo in range(0, n, _PCM_CHUNK)]
     out_of_range = False
     for lo, hi in spans:
-        chunk = block._chunk(lo, hi, buf[:hi - lo])
+        chunk = _mean_of(tracks, lo, hi, buf[:hi - lo])
         peak = np.max(np.abs(chunk, out=chunk))
         if not math.isfinite(peak):  # max propagates NaN
             raise ValueError("samples must be finite")
@@ -302,12 +293,12 @@ def write_wav(block: AudioBlock, path) -> None:
     with wave.open(str(path), "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
-        w.setframerate(int(rate))
+        w.setframerate(rate)
         # the header is written once, with the final length, so the raw
         # writes need no header patch per chunk
         w.setnframes(n)
         for lo, hi in spans:
-            c = block._chunk(lo, hi, buf[:hi - lo])
+            c = _mean_of(tracks, lo, hi, buf[:hi - lo])
             c *= PCM_FULL_SCALE
             np.rint(c, out=c)
             w.writeframesraw(c.astype("<i2"))

@@ -19,9 +19,7 @@ from myobridge.mapping import SynthParams
 from myobridge.synth import (
     _PCM_CHUNK,
     AudioBlock,
-    LengthMismatchError,
     OscillatorBank,
-    RateMismatchError,
     mix_performers,
     render_block,
     write_wav,
@@ -336,9 +334,11 @@ def test_interleaved_banks_equal_banks_rendered_alone():
     assert together == alone
 
 
-@pytest.mark.parametrize("rate", [0.0, -44100.0, math.nan, math.inf])
-def test_bank_rejects_rate_that_is_not_finite_and_positive(rate):
-    # NaN rendered ~1e-16 noise and inf rendered silence
+@pytest.mark.parametrize("rate", [0.0, -44100.0, math.nan, math.inf,
+                                  44100.5, 2.0 ** 31])
+def test_bank_rejects_rate_that_write_wav_refuses(rate):
+    # NaN rendered ~1e-16 noise and inf rendered silence; 44100.5 and
+    # 2**31 rendered in full and only then were refused by write_wav
     with pytest.raises(ValueError, match="sample_rate"):
         OscillatorBank(rate)
 
@@ -394,9 +394,9 @@ def test_mix_cancellation():
 
 def test_mix_mismatches():
     a = AudioBlock(np.zeros(4), 44100.0)
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(ValueError, match="lengths differ"):
         mix_performers([a, AudioBlock(np.zeros(5), 44100.0)])
-    with pytest.raises(RateMismatchError):
+    with pytest.raises(ValueError, match="rates differ"):
         mix_performers([a, AudioBlock(np.zeros(4), 48000.0)])
     with pytest.raises(ValueError):
         mix_performers([])
@@ -579,10 +579,14 @@ def test_wav_chunked_bytes_equal_whole_array_reference(tmp_path, n):
         if 0 <= at < n:
             samples[at] = special[k]
     block = AudioBlock(samples, 44100.0)
-    got, want = tmp_path / "got.wav", tmp_path / "want.wav"
+    got, mixed, want = (tmp_path / f"{name}.wav"
+                        for name in ("got", "mixed", "want"))
     write_wav(block, got)
+    # the same block as a one-track mix
+    write_wav(mix_performers([block]), mixed)
     reference_write_wav(block, want)
     assert got.read_bytes() == want.read_bytes()
+    assert mixed.read_bytes() == want.read_bytes()
     assert read_wav_oracle(got)["data_size"] == 2 * n
 
 
