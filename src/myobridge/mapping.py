@@ -1,14 +1,18 @@
 """Gesture-to-sound parameter mapping.
 
-Eight EMG envelopes pick the oscillator mix; orientation shapes the sound:
-pitch angle sets the base frequency (exponentially, so equal angle steps
-sound like equal intervals), yaw fans the remaining oscillators out from
-unison into a stretched harmonic series, and roll raises distortion drive.
+Each EMG channel's envelope sets one oscillator's amplitude, so there is
+one oscillator per channel (N_OSCILLATORS is protocol.EMG_CHANNELS, 8).
+Orientation shapes the sound: pitch angle sets the base frequency
+(exponentially, so equal angle steps sound like equal intervals), yaw fans
+the remaining oscillators out from unison into a stretched harmonic series,
+and roll raises distortion drive.
 The stillness gate's master gain passes through untouched, so amplitude,
 timbre, and gating stay independently testable.
 
-The envelopes are a plain 8-tuple of floats in [0, 1], one per channel,
-as EnvelopeTracker.envelopes makes them; SynthParams.amps is that tuple.
+The envelopes are a plain tuple of floats in [0, 1], one per channel, as
+EnvelopeTracker.envelopes makes them; SynthParams.amps is that tuple.  The
+tracker keeps the last WINDOW_SAMPLES frames' squares and sums them per
+channel when read, against EMG_FULL_SCALE, the int8 magnitude (128).
 
 The mapping's ranges are module constants, not options: the base frequency
 spans F_LO..F_HI (110-880 Hz, three octaves), yaw fans the partials out by
@@ -27,12 +31,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import mul
 
 from .fusion import EulerAngles
-from .protocol import EMG_RATE_HZ, EmgFrame
+from .protocol import EMG_CHANNELS, EMG_RATE_HZ, INT8_MIN, EmgFrame
 
-N_OSCILLATORS = 8
-EMG_FULL_SCALE = 128.0
+N_OSCILLATORS = EMG_CHANNELS
+EMG_FULL_SCALE = float(-INT8_MIN)  # 128.0
 NYQUIST_FRACTION = 0.45
 F_LO = 110.0
 F_HI = 880.0
@@ -57,34 +62,23 @@ class EnvelopeTracker:
     """Rolling EMG window for one performer; push at 200 Hz, read at 50 Hz."""
 
     def __init__(self):
-        self._window: deque[EmgFrame] = deque(maxlen=WINDOW_SAMPLES)
+        self._window: deque[tuple[int, ...]] = deque(maxlen=WINDOW_SAMPLES)
 
     def push(self, frame: EmgFrame) -> None:
-        self._window.append(frame)
+        self._window.append(tuple(map(mul, frame.channels, frame.channels)))
 
     def envelopes(self) -> tuple[float, ...]:
         """Moving RMS of the signed samples, normalized to [0, 1].
 
         The window is the last WINDOW_SAMPLES frames pushed; a shorter
         history is zero-padded, so envelopes rise from silence rather than
-        jumping.  Squares of the int8 samples are summed as exact integers,
-        one pass per frame; every sum stays far below 2**53, so each is
-        the float a float accumulator would reach.
+        jumping.  The squares are summed per channel as exact integers;
+        every sum stays far below 2**53, so each is the float a float
+        accumulator would reach.
         """
-        n = WINDOW_SAMPLES
-        s0 = s1 = s2 = s3 = s4 = s5 = s6 = s7 = 0
-        for frame in self._window:
-            c0, c1, c2, c3, c4, c5, c6, c7 = frame.channels
-            s0 += c0 * c0
-            s1 += c1 * c1
-            s2 += c2 * c2
-            s3 += c3 * c3
-            s4 += c4 * c4
-            s5 += c5 * c5
-            s6 += c6 * c6
-            s7 += c7 * c7
-        return tuple([min(1.0, math.sqrt(acc / n) / EMG_FULL_SCALE)
-                      for acc in (s0, s1, s2, s3, s4, s5, s6, s7)])
+        sums = list(map(sum, zip(*self._window))) or [0] * N_OSCILLATORS
+        return tuple([min(1.0, math.sqrt(acc / WINDOW_SAMPLES)
+                          / EMG_FULL_SCALE) for acc in sums])
 
 
 def map_orientation(euler: EulerAngles) -> tuple[float, float, float]:

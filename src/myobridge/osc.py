@@ -45,12 +45,8 @@ _CACHE_SIZE = 256
 
 
 def _pad4(data: bytes) -> bytes:
-    """Null-terminate and zero-pad to a 4-byte boundary."""
-    data += b"\x00"
-    remainder = len(data) % 4
-    if remainder:
-        data += b"\x00" * (4 - remainder)
-    return data
+    """Null-terminate and zero-pad to a 4-byte boundary: 1 to 4 NULs."""
+    return data + bytes(4 - len(data) % 4)
 
 
 def _encode_address(address: str) -> bytes:

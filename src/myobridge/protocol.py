@@ -19,7 +19,10 @@ the notification's payload (connection 1B, handle 2B little-endian, attribute
 type 1B, value length 1B, value) at fixed offsets of the frame; the third
 routes the value by handle.  An IMU value is 20 bytes: 10 little-endian int16
 values ordered quaternion (w,x,y,z), accelerometer (x,y,z), gyroscope (x,y,z).
-An EMG value is 16 bytes: two consecutive 8-channel int8 samples.
+An EMG value is 16 bytes: two consecutive 8-channel int8 samples.  The
+sample layout block below is the one home of those counts and bounds; the
+structs, payload lengths and EMG split here, session's log layouts and
+generator bounds, and mapping's oscillators and EMG full scale derive from it.
 """
 
 from __future__ import annotations
@@ -44,9 +47,6 @@ EMG_RATE_HZ = 200.0
 IMU_PERIOD_US = round(1e6 / IMU_RATE_HZ)
 EMG_PERIOD_US = round(1e6 / EMG_RATE_HZ)
 
-IMU_PAYLOAD_LEN = 20
-EMG_PAYLOAD_LEN = 16
-
 # GATT attribute handles as reported by the dongle for stock firmware.
 # Notifications on any other handle (such as the classifier's) are skipped.
 IMU_DATA_HANDLE = 0x1C
@@ -57,8 +57,15 @@ ATTCLIENT_CLASS = 0x04
 ATTCLIENT_ATTRIBUTE_VALUE_EVENT = 0x05
 _VALUE_AT = HEADER_LEN + 5  # offset of a notification frame's value
 
-_IMU_STRUCT = struct.Struct("<10h")
-_EMG_STRUCT = struct.Struct("<16b")
+# The sample layout: IMU_VALUES int16s, or two samples of EMG_CHANNELS int8s
+IMU_VALUES = 10
+EMG_CHANNELS = 8
+INT16_MIN, INT16_MAX = -32768, 32767
+INT8_MIN, INT8_MAX = -128, 127
+_IMU_STRUCT = struct.Struct(f"<{IMU_VALUES}h")
+_EMG_STRUCT = struct.Struct(f"<{2 * EMG_CHANNELS}b")
+IMU_PAYLOAD_LEN = _IMU_STRUCT.size
+EMG_PAYLOAD_LEN = _EMG_STRUCT.size
 
 
 class ProtocolError(Exception):
@@ -130,7 +137,7 @@ class BgapiStream:
 
 
 def unpack_imu_raw(payload: bytes) -> tuple[int, ...]:
-    """Unpack an IMU notification into its 10 raw int16 values."""
+    """Unpack an IMU notification into its IMU_VALUES raw int16 values."""
     if len(payload) != IMU_PAYLOAD_LEN:
         raise WrongLengthError(
             f"IMU payload must be {IMU_PAYLOAD_LEN} bytes, got {len(payload)}")
@@ -170,8 +177,8 @@ def parse_emg_packet(payload: bytes, t_us: int) -> tuple[EmgFrame, EmgFrame]:
         raise WrongLengthError(
             f"EMG payload must be {EMG_PAYLOAD_LEN} bytes, got {len(payload)}")
     values = _EMG_STRUCT.unpack(payload)
-    return (EmgFrame(t_us, values[:8]),
-            EmgFrame(t_us + EMG_PERIOD_US // 2, values[8:]))
+    return (EmgFrame(t_us, values[:EMG_CHANNELS]),
+            EmgFrame(t_us + EMG_PERIOD_US // 2, values[EMG_CHANNELS:]))
 
 
 def parse_attribute_value_event(frame: bytes) -> tuple[int, int, bytes]:

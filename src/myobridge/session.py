@@ -48,7 +48,8 @@ exercising the gate.  Every IMU sample carries seeded Gaussian jitter
 after a pose change the orientation lerps from the previous target, and
 gyro x and accel x carry a rectangular burst (BURST_GYRO_DPS,
 BURST_ACCEL_G) that trips the stillness gate.  EMG alternates sign
-sample by sample at tension * 127 raw units, plus EMG_JITTER_RAW jitter.
+sample by sample at tension * INT8_MAX raw units, plus EMG_JITTER_RAW
+jitter.
 """
 
 from __future__ import annotations
@@ -65,7 +66,9 @@ import numpy as np
 
 from . import protocol
 from .fusion import euler_to_quat
-from .protocol import EMG_PERIOD_US, IMU_PERIOD_US, EmgFrame, ImuFrame
+from .protocol import (
+    EMG_CHANNELS, EMG_PERIOD_US, IMU_PERIOD_US, IMU_VALUES, INT8_MAX, INT8_MIN,
+    INT16_MAX, INT16_MIN, EmgFrame, ImuFrame)
 
 LOG_VERSION = "1.0"
 LOG_MAJOR = int(LOG_VERSION.split(".", 1)[0])
@@ -89,8 +92,6 @@ TRANSITION_S = 2.0
 BURST_GYRO_DPS = 2000.0
 BURST_ACCEL_G = 1.0
 
-_INT16_MIN, _INT16_MAX = -32768, 32767
-_INT8_MIN, _INT8_MAX = -128, 127
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 _BUNDLED_SCENARIO = "ensemble_9min.json"
@@ -127,8 +128,8 @@ def make_meta_record(device_id: str = "unknown") -> SessionRecord:
 
 
 # kind -> (value count, lowest, highest) of a data record's raw integers
-_LAYOUTS = {"imu": (10, _INT16_MIN, _INT16_MAX),
-            "emg": (8, _INT8_MIN, _INT8_MAX)}
+_LAYOUTS = {"imu": (IMU_VALUES, INT16_MIN, INT16_MAX),
+            "emg": (EMG_CHANNELS, INT8_MIN, INT8_MAX)}
 # kind -> (value count, line template).  %d prints an exact int as json.dumps
 # does, so a template line is byte for byte the json.dumps line.
 _TEMPLATES = {kind: (n, '{"t_us":%d,"kind":"' + kind + '","data":['
@@ -333,7 +334,7 @@ class Pose:
 
     duration_s: float
     orientation: tuple[float, float, float]  # roll, pitch, yaw target (rad)
-    tension: tuple[float, ...]               # 8 activation levels in [0, 1]
+    tension: tuple[float, ...]               # a level in [0, 1] per channel
 
 
 @dataclass(frozen=True)
@@ -382,9 +383,10 @@ def _problem(scenario: Scenario) -> str:
             if not (isinstance(o, tuple) and len(o) == 3
                     and all(map(_finite, o))):
                 return where + "orientation needs a tuple of 3 finite angles"
-            if not (isinstance(t, tuple) and len(t) == 8
+            if not (isinstance(t, tuple) and len(t) == EMG_CHANNELS
                     and all(_finite(v) and 0.0 <= v <= 1.0 for v in t)):
-                return where + "tension needs a tuple of 8 numbers in [0, 1]"
+                return (where + f"tension needs a tuple of {EMG_CHANNELS} "
+                        "numbers in [0, 1]")
     return ""
 
 
@@ -455,7 +457,7 @@ def generate_performer_records(script: PerformerScript,
     euler_noise = rng.standard_normal((n_imu, 3))
     gyro_noise = rng.standard_normal((n_imu, 3))
     accel_noise = rng.standard_normal((n_imu, 3))
-    emg_noise = rng.standard_normal((n_emg, 8))
+    emg_noise = rng.standard_normal((n_emg, EMG_CHANNELS))
 
     # pose changes: lerp orientation from the previous target and inject a
     # rectangular supra-threshold burst for TRANSITION_S
@@ -474,14 +476,14 @@ def generate_performer_records(script: PerformerScript,
     accel[in_transition, 0] += BURST_ACCEL_G
 
     quat = euler_to_quat(euler[:, 0], euler[:, 1], euler[:, 2])
-    quat_raw = _clip_round(quat, protocol.QUAT_SCALE, _INT16_MIN, _INT16_MAX)
-    accel_raw = _clip_round(accel, protocol.ACCEL_SCALE, _INT16_MIN, _INT16_MAX)
-    gyro_raw = _clip_round(gyro, protocol.GYRO_SCALE, _INT16_MIN, _INT16_MAX)
+    quat_raw = _clip_round(quat, protocol.QUAT_SCALE, INT16_MIN, INT16_MAX)
+    accel_raw = _clip_round(accel, protocol.ACCEL_SCALE, INT16_MIN, INT16_MAX)
+    gyro_raw = _clip_round(gyro, protocol.GYRO_SCALE, INT16_MIN, INT16_MAX)
 
-    amp_per_sample = tensions[emg_pose] * 127.0
+    amp_per_sample = tensions[emg_pose] * INT8_MAX
     signs = np.where(np.arange(n_emg)[:, None] % 2 == 0, 1.0, -1.0)
     emg_values = signs * amp_per_sample + emg_noise * EMG_JITTER_RAW
-    emg_raw = _clip_round(emg_values, 1.0, _INT8_MIN, _INT8_MAX)
+    emg_raw = _clip_round(emg_values, 1.0, INT8_MIN, INT8_MAX)
 
     imu_data = np.concatenate([quat_raw, accel_raw, gyro_raw], axis=1)
     records = (

@@ -27,18 +27,18 @@ still reaches write_wav's finite check.  Its samples are a read-only,
 stride-0 view of one immutable +0.0: silence held for a whole piece
 takes no sample memory.
 
-Mixdown and PCM output take one path in bounded memory.  mix_performers
-checks its tracks and returns a block that holds them.  write_wav reads
-any block as the mean of its tracks (a plain block is one track), one
-fixed-size chunk at a time through one buffer, so a mix is never built
-whole.  write_wav checks the sample rate and every chunk before it opens
-the file, so a refused input writes no file.  OscillatorBank applies the
-same rate rule, so a render at a rate write_wav refuses fails at once.
+Mixdown and PCM output take one path in bounded memory: mix_performers
+checks its tracks and returns a block that holds them, and write_wav reads
+any block as the mean of its tracks, a chunk at a time, and only replaces
+its path once every chunk has passed.  OscillatorBank applies write_wav's
+rate rule, so a render at a rate it refuses fails at once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import wave
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -95,14 +95,11 @@ class _Mix(AudioBlock):
     def __init__(self, tracks: list, sample_rate: float):
         self._tracks = tracks
         self.sample_rate = sample_rate
-        self._mean: Optional[np.ndarray] = None
 
-    @property
+    @functools.cached_property
     def samples(self) -> np.ndarray:
-        if self._mean is None:
-            n = len(self._tracks[0])
-            self._mean = _mean_of(self._tracks, 0, n, np.empty(n))
-        return self._mean
+        n = len(self._tracks[0])
+        return _mean_of(self._tracks, 0, n, np.empty(n))
 
 
 def _whole_hz(rate) -> int:
@@ -267,38 +264,41 @@ def write_wav(block: AudioBlock, path) -> None:
     Sample s maps to rint(s * 32767).  Samples must be finite and within
     [-1, 1]; the renderer guarantees that bound.  The sample rate must be
     a whole number of Hz that the header can hold (_whole_hz), the rule
-    OscillatorBank applies too.  The rate and every chunk are checked
-    before the file is opened, so a refused input (ValueError) writes no
-    file.  Every block is read as the mean of its tracks, a plain block
-    being one track (its -0.0 reads +0.0; rint writes both as 0).  Both
-    passes compute that mean chunk by chunk into one _PCM_CHUNK-sample
-    buffer, so working memory does not grow with the length and a mix is
-    never built whole.
+    OscillatorBank applies too.  The PCM goes to a sibling temporary file
+    that replaces path once every chunk is checked and written, so a
+    refused input (ValueError) or a failed write (a full disk) leaves path
+    as it was.  Every block is read as the mean of its tracks, a plain
+    block being one track (its -0.0 reads +0.0; rint writes both as 0),
+    computed chunk by chunk into one _PCM_CHUNK-sample buffer, so working
+    memory does not grow with the length and a mix is never built whole.
     """
     rate = _whole_hz(block.sample_rate)
     tracks = block._tracks if isinstance(block, _Mix) else [block.samples]
     n = len(tracks[0])
     buf = np.empty(min(n, _PCM_CHUNK))
-    spans = [(lo, min(lo + _PCM_CHUNK, n)) for lo in range(0, n, _PCM_CHUNK)]
     out_of_range = False
-    for lo, hi in spans:
-        chunk = _mean_of(tracks, lo, hi, buf[:hi - lo])
-        peak = np.max(np.abs(chunk, out=chunk))
-        if not math.isfinite(peak):  # max propagates NaN
-            raise ValueError("samples must be finite")
-        # keep looking: a NaN further on is reported as such
-        out_of_range = out_of_range or peak > 1.0
-    if out_of_range:
-        raise ValueError("samples must lie in [-1, 1]")
-    with wave.open(str(path), "wb") as w:
-        w.setnchannels(1)
-        w.setsampwidth(2)
-        w.setframerate(rate)
-        # the header is written once, with the final length, so the raw
-        # writes need no header patch per chunk
-        w.setnframes(n)
-        for lo, hi in spans:
-            c = _mean_of(tracks, lo, hi, buf[:hi - lo])
-            c *= PCM_FULL_SCALE
-            np.rint(c, out=c)
-            w.writeframesraw(c.astype("<i2"))
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh, wave.open(fh, "wb") as w:
+            # mono, 2-byte samples; the header is written once, with the
+            # final length, so the raw writes need no header patch per chunk
+            w.setparams((1, 2, rate, n, "NONE", "not compressed"))
+            for lo in range(0, n, _PCM_CHUNK):
+                hi = min(lo + _PCM_CHUNK, n)
+                c = _mean_of(tracks, lo, hi, buf[:hi - lo])
+                peak = max(c.max(), -c.min())  # both propagate NaN
+                if not math.isfinite(peak):
+                    raise ValueError("samples must be finite")
+                # past a sample out of range, only look for a NaN
+                out_of_range = out_of_range or peak > 1.0
+                if not out_of_range:
+                    c *= PCM_FULL_SCALE
+                    np.rint(c, out=c)
+                    w.writeframesraw(c.astype("<i2"))
+        if out_of_range:
+            raise ValueError("samples must lie in [-1, 1]")
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise

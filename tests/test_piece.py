@@ -7,6 +7,8 @@ performer, through records_to_frames, MotionTracker, EnvelopeTracker and
 map_orientation.  A hold is [pose start + TRANSITION_S, pose end): the
 generator lerps the orientation and bursts the IMU during the transition
 before it.  Every failure names the performer, the pose and the quantity.
+A property then checks the same rules, within the same tolerances, on any
+one-performer scenario whose poses last long enough for the gate to reopen.
 """
 
 import math
@@ -14,11 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from myobridge import session
-from myobridge.fusion import EulerAngles, MotionTracker
+from myobridge.fusion import RAMP_S, EulerAngles, MotionTracker
 from myobridge.mapping import EMG_FULL_SCALE, EnvelopeTracker, map_orientation
-from myobridge.protocol import EmgFrame
+from myobridge.protocol import EMG_CHANNELS, INT8_MAX, EmgFrame
 
 # stated tolerances, each above what seed 1 gives
 ENVELOPE_TOL = 0.02        # measured 0.0154: the EMG jitter floor
@@ -37,7 +41,7 @@ class Ticks:
 
     t_s: np.ndarray
     gain: np.ndarray
-    envelopes: np.ndarray  # (ticks, 8)
+    envelopes: np.ndarray  # (ticks, EMG channels)
     base_freq: np.ndarray
 
 
@@ -57,24 +61,29 @@ def _ticks(log) -> Ticks:
                  np.array(base))
 
 
-@pytest.fixture(scope="module")
-def piece():
+def _poses(p, script, log):
     """(performer, pose index, pose, pose start in s, the performer's
     Ticks, the pose's tick mask, its hold's tick mask) for every pose of
-    the bundled scenario at seed 1."""
-    scenario = session.default_scenario()
-    poses = []
-    for p, (script, log) in enumerate(
-            zip(scenario.performers, session.generate_scenario(scenario, 1))):
-        ticks = _ticks(log)
-        start = 0.0
-        for k, pose in enumerate(script.poses):
-            end = start + pose.duration_s
-            in_pose = (ticks.t_s >= start) & (ticks.t_s < end)
-            hold = (ticks.t_s >= start + session.TRANSITION_S) & in_pose
-            poses.append((p, k, pose, start, ticks, in_pose, hold))
-            start = end
+    performer p, who played script into log."""
+    ticks = _ticks(log)
+    poses, start = [], 0.0
+    for k, pose in enumerate(script.poses):
+        end = start + pose.duration_s
+        in_pose = (ticks.t_s >= start) & (ticks.t_s < end)
+        hold = (ticks.t_s >= start + session.TRANSITION_S) & in_pose
+        poses.append((p, k, pose, start, ticks, in_pose, hold))
+        start = end
     return poses
+
+
+@pytest.fixture(scope="module")
+def piece():
+    """_poses of every performer of the bundled scenario at seed 1."""
+    scenario = session.default_scenario()
+    logs = session.generate_scenario(scenario, 1)
+    return [row for p, (script, log) in enumerate(zip(scenario.performers,
+                                                      logs))
+            for row in _poses(p, script, log)]
 
 
 def test_the_bundled_piece_has_four_performers_of_four_poses(piece):
@@ -82,21 +91,21 @@ def test_the_bundled_piece_has_four_performers_of_four_poses(piece):
     assert all(hold.any() for *_, hold in piece)
 
 
-def test_tension_sets_each_channels_envelope_in_every_hold(piece):
+def _envelope_failures(poses):
     failures = []
-    for p, k, pose, _, ticks, _, hold in piece:
+    for p, k, pose, _, ticks, _, hold in poses:
         medians = np.median(ticks.envelopes[hold], axis=0)
         for ch, (got, tension) in enumerate(zip(medians, pose.tension)):
-            want = tension * 127 / EMG_FULL_SCALE
+            want = tension * INT8_MAX / EMG_FULL_SCALE
             if not abs(got - want) <= ENVELOPE_TOL:
                 failures.append(f"performer {p} pose {k}: channel {ch} "
                                 f"median envelope {got:.4f}, want {want:.4f}")
-    assert not failures, "\n".join(failures)
+    return failures
 
 
-def test_orientation_sets_the_base_frequency_in_every_hold(piece):
+def _base_frequency_failures(poses):
     failures = []
-    for p, k, pose, _, ticks, _, hold in piece:
+    for p, k, pose, _, ticks, _, hold in poses:
         want = map_orientation(EulerAngles(*pose.orientation))[0]
         got = float(np.median(ticks.base_freq[hold]))
         off = abs(math.log2(got / want))
@@ -104,12 +113,12 @@ def test_orientation_sets_the_base_frequency_in_every_hold(piece):
             failures.append(f"performer {p} pose {k}: median base frequency "
                             f"{got:.2f} Hz, want {want:.2f} Hz "
                             f"({off:.4f} octave off)")
-    assert not failures, "\n".join(failures)
+    return failures
 
 
-def test_motion_mutes_and_stillness_opens_the_gain(piece):
+def _gain_failures(poses):
     failures = []
-    for p, k, _, start, ticks, in_pose, _ in piece:
+    for p, k, _, start, ticks, in_pose, _ in poses:
         t, gain = ticks.t_s[in_pose] - start, ticks.gain[in_pose]
         where = f"performer {p} pose {k}"
         rise_from, rise_s = 0, FIRST_RISE_S
@@ -132,4 +141,43 @@ def test_motion_mutes_and_stillness_opens_the_gain(piece):
         if gain[-1] != 1.0:
             failures.append(f"{where}: gain at the last tick {gain[-1]}, "
                             f"want 1")
+    return failures
+
+
+def test_tension_sets_each_channels_envelope_in_every_hold(piece):
+    failures = _envelope_failures(piece)
+    assert not failures, "\n".join(failures)
+
+
+def test_orientation_sets_the_base_frequency_in_every_hold(piece):
+    failures = _base_frequency_failures(piece)
+    assert not failures, "\n".join(failures)
+
+
+def test_motion_mutes_and_stillness_opens_the_gain(piece):
+    failures = _gain_failures(piece)
+    assert not failures, "\n".join(failures)
+
+
+# The shortest pose the property plays: the transition, the ramp and a
+# second of full gain.  Angles stay in EulerAngles' ranges, where a pose's
+# pitch is the pitch fusion reads back.
+MIN_POSE_S = session.TRANSITION_S + RAMP_S + 1.0
+_POSE = st.builds(
+    session.Pose,
+    duration_s=st.floats(MIN_POSE_S, MIN_POSE_S + 4.0),
+    orientation=st.tuples(st.floats(-math.pi, math.pi),
+                          st.floats(-math.pi / 2, math.pi / 2),
+                          st.floats(-math.pi, math.pi)),
+    tension=st.tuples(*[st.floats(0.0, 1.0)] * EMG_CHANNELS))
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.lists(_POSE, min_size=1, max_size=3), st.integers(0, 2**32 - 1))
+def test_any_one_performer_scenario_plays_as_scored(poses, seed):
+    script = session.PerformerScript(tuple(poses))
+    (log,) = session.generate_scenario(session.Scenario((script,)), seed)
+    rows = _poses(0, script, log)
+    failures = (_envelope_failures(rows) + _base_frequency_failures(rows)
+                + _gain_failures(rows))
     assert not failures, "\n".join(failures)

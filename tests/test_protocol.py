@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from myobridge import protocol
+from myobridge import mapping, protocol, session
 from myobridge.protocol import (
     BgapiStream,
     ProtocolError,
@@ -297,6 +297,34 @@ def test_emg_second_sample_half_period_later():
 def test_emg_wrong_length():
     with pytest.raises(WrongLengthError):
         parse_emg_packet(bytes(15), 0)
+
+
+# --- the sample layout -----------------------------------------------------
+
+def test_sample_layout_agrees_with_itself():
+    """Every module reads the raw sample layout from protocol's one block:
+    the structs and payload lengths, session's log layouts and mapping's
+    oscillators per EMG channel agree with its counts and bounds, and each
+    bound is the widest value its struct packs."""
+    imu, emg = protocol._IMU_STRUCT, protocol._EMG_STRUCT
+    assert (protocol.IMU_VALUES, protocol.EMG_CHANNELS) == (10, 8)
+    assert imu.size == protocol.IMU_PAYLOAD_LEN == 20
+    assert emg.size == protocol.EMG_PAYLOAD_LEN == 16
+    layouts = session._LAYOUTS
+    assert layouts == {
+        "imu": (protocol.IMU_VALUES, protocol.INT16_MIN, protocol.INT16_MAX),
+        "emg": (protocol.EMG_CHANNELS, protocol.INT8_MIN, protocol.INT8_MAX)}
+    # an EMG value holds two samples
+    for packer, values, (_, lo, hi) in (
+            (imu, protocol.IMU_VALUES, layouts["imu"]),
+            (emg, 2 * protocol.EMG_CHANNELS, layouts["emg"])):
+        assert len(packer.unpack(packer.pack(*[lo] * values))) == values
+        packer.pack(*[hi] * values)
+        for past in (lo - 1, hi + 1):
+            with pytest.raises(struct.error):
+                packer.pack(*[past] * values)
+    assert mapping.N_OSCILLATORS == protocol.EMG_CHANNELS
+    assert mapping.EMG_FULL_SCALE == -protocol.INT8_MIN
 
 
 # --- attribute dispatch ----------------------------------------------------

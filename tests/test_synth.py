@@ -619,6 +619,35 @@ def test_wav_refuses_bad_rate_and_writes_no_file(tmp_path, rate):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("earlier", [None, b"an earlier take"])
+def test_wav_failing_mid_write_leaves_path_as_it_was(tmp_path, monkeypatch,
+                                                     earlier):
+    # a full disk on the second chunk: the file at path must not become a
+    # truncated WAV whose patched header makes it look whole
+    write_raw = wave.Wave_write.writeframesraw
+    calls = []
+
+    def fail_second_call(self, data):
+        calls.append(len(data))
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        write_raw(self, data)
+
+    monkeypatch.setattr(wave.Wave_write, "writeframesraw", fail_second_call)
+    path = tmp_path / "take.wav"
+    if earlier is not None:
+        path.write_bytes(earlier)
+    with pytest.raises(OSError, match="No space"):
+        write_wav(AudioBlock(np.zeros(2 * _PCM_CHUNK + 1), 44100.0), path)
+    assert len(calls) == 2
+    if earlier is None:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == earlier
+    assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None
+                                                    else ["take.wav"])
+
+
 def test_wav_whole_float_rate_is_written(tmp_path):
     path = tmp_path / "float_rate.wav"
     write_wav(AudioBlock(np.zeros(4), 48000.0), path)
