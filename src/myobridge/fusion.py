@@ -15,13 +15,16 @@ calibrated in one room means the same in the next: the accelerometer
 magnitude's distance from the 1 g rest reading plus the gyro magnitude
 divided by GYRO_FULL_SCALE_DPS, smoothed by an EMA with QOM_ALPHA before
 the gate compares it.  A motionless sensor scores ~0.
+
+EulerAngles and MotionState are NamedTuples: immutable and hashable, and
+they compare as the tuples of their fields, so EulerAngles(0.0, 0.0, 0.0)
+equals (0.0, 0.0, 0.0).  A tracker's state cannot change behind its back.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -50,8 +53,7 @@ class NonNormalizableError(ValueError):
     """Quaternion norm too small to define an orientation."""
 
 
-@dataclass(frozen=True)
-class EulerAngles:
+class EulerAngles(NamedTuple):
     """roll in (-pi, pi], pitch in [-pi/2, pi/2], yaw in (-pi, pi], radians."""
 
     roll: float
@@ -59,8 +61,7 @@ class EulerAngles:
     yaw: float
 
 
-@dataclass(frozen=True)
-class MotionState:
+class MotionState(NamedTuple):
     """Per-performer motion summary updated once per IMU frame."""
 
     euler: EulerAngles

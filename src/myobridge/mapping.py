@@ -13,6 +13,9 @@ The envelopes are a plain tuple of floats in [0, 1], one per channel, as
 EnvelopeTracker.envelopes makes them; SynthParams.amps is that tuple.  The
 tracker keeps the last WINDOW_SAMPLES frames' squares and sums them per
 channel when read, against EMG_FULL_SCALE, the int8 magnitude (128).
+SynthParams is a NamedTuple: immutable and hashable, and it compares as
+the tuple of its fields, so a bank's previous parameters cannot change
+behind its back.
 
 The mapping's ranges are module constants, not options: the base frequency
 spans F_LO..F_HI (110-880 Hz, three octaves), yaw fans the partials out by
@@ -30,8 +33,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .fusion import EulerAngles
 from .protocol import EMG_CHANNELS, EMG_RATE_HZ, INT8_MIN, EmgFrame
@@ -48,8 +51,7 @@ F_TOP = F_HI * (1.0 + (N_OSCILLATORS - 1) * SPREAD_MAX)  # 3960.0
 _OCTAVES = math.log2(F_HI / F_LO)
 
 
-@dataclass(frozen=True)
-class SynthParams:
+class SynthParams(NamedTuple):
     """One control tick's oscillator settings."""
 
     freqs: tuple[float, ...]
@@ -110,5 +112,4 @@ def assemble_params(env: tuple[float, ...], base_freq: float, spread: float,
             f"{F_TOP / NYQUIST_FRACTION:.0f} Hz to keep F_TOP under "
             f"{NYQUIST_FRACTION} of it, got {sample_rate!r}")
     freqs = [base_freq * (1.0 + k * spread) for k in range(N_OSCILLATORS)]
-    return SynthParams(freqs=tuple(freqs), amps=env, drive=drive,
-                       master_gain=master_gain)
+    return SynthParams(tuple(freqs), env, drive, master_gain)

@@ -23,6 +23,12 @@ tags and a packer for the float32 arguments, in a bounded LRU cache; the
 seven addresses of a performer are cached the same way.  A miss checks
 the address as a first call would, and an address that fails the check
 is never cached, so a bad address raises on every call.
+
+UdpSender connects its socket once and sends each datagram with send(),
+skipping sendto()'s per-datagram address handling.  A connected socket
+reports an earlier datagram's ICMP error on the next send, which then
+sends nothing, so a failed send is tried once more: a receiver that is
+not listening is not a send error.
 """
 
 from __future__ import annotations
@@ -107,20 +113,26 @@ def emit_pipeline(state: MotionState, env: tuple[float, ...],
 class UdpSender:
     """Fire-and-forget datagram sender for a live stream.
 
-    The host name is resolved by the first send that succeeds in resolving
-    it, and that IPv4 address is used from then on: a name is not looked up
-    again for every datagram.  Transport failures, a name that does not
-    resolve and a datagram too large for the socket included, are counted
-    in send_errors and swallowed: a performance must not halt on a network
-    error.  An outage logs one warning when it starts and one, with its
-    count of failed sends, when a send next succeeds.
+    The first send resolves the host to an IPv4 address and connects the
+    socket to it.  The address is kept only once the connect succeeds, so
+    the next send tries a failed lookup or connect again, with a fresh
+    lookup; once connected, no send looks the name up.  A failed send is
+    tried once more: the failure may be an earlier datagram's ICMP error
+    (a refused port) that the connected socket reports late, so a refused
+    port is not an error.  A datagram that fails both tries (one too large
+    for the socket, say) and a send whose lookup or connect fails count in
+    send_errors and are swallowed: a performance must not halt on a
+    network error.  An outage logs one warning when it starts and one,
+    with its count of failed sends, when a send next succeeds.
 
     The host is a str, a name or a numeric IPv4 address; anything else
     raises TypeError here, where the resolver would raise it out of the
     first send (an int or bytes) or quietly send to 127.0.0.1 (None).
-    The port is any integer in 0-65535, numpy integers included, and is
+    The port is any integer in 1-65535, numpy integers included, and is
     kept as a plain int; a float or a bool raises TypeError here, where
-    the resolver would refuse it on every send.
+    the resolver would refuse it on every send.  Port 0 raises ValueError
+    here: no datagram can be sent to it, yet a socket connected to it
+    sends without an error.
     """
 
     def __init__(self, host: str, port: int):
@@ -132,8 +144,8 @@ class UdpSender:
             port = int(operator.index(port))
         except TypeError:
             raise TypeError(f"port must be an integer: {port!r}") from None
-        if not 0 <= port <= 0xFFFF:
-            raise ValueError(f"port must be 0-65535: {port}")
+        if not 0 < port <= 0xFFFF:
+            raise ValueError(f"port must be 1-65535: {port}")
         self.host = host
         self.port = port
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -144,10 +156,17 @@ class UdpSender:
     def send(self, data: bytes) -> None:
         try:
             if self._address is None:
-                self._address = socket.getaddrinfo(
+                address = socket.getaddrinfo(
                     self.host, self.port, socket.AF_INET,
                     socket.SOCK_DGRAM)[0][4]
-            self._sock.sendto(data, self._address)
+                self._sock.connect(address)
+                self._address = address
+            try:
+                self._sock.send(data)
+            except OSError:
+                # may be an earlier datagram's late ICMP error, reported
+                # instead of sending this one
+                self._sock.send(data)
         except OSError as exc:  # socket.gaierror included
             self.send_errors += 1
             self._outage_errors += 1

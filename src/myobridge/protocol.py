@@ -23,13 +23,16 @@ An EMG value is 16 bytes: two consecutive 8-channel int8 samples.  The
 sample layout block below is the one home of those counts and bounds; the
 structs, payload lengths and EMG split here, session's log layouts and
 generator bounds, and mapping's oscillators and EMG full scale derive from it.
+
+ImuFrame and EmgFrame are NamedTuples: immutable and hashable, and they
+compare as the tuples of their fields.  A frozen dataclass would set each
+field through object.__setattr__, a cost the live path pays per frame.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 HEADER_LEN = 4
 TYPE_EVENT_BIT = 0x80
@@ -76,8 +79,7 @@ class WrongLengthError(ProtocolError):
     pass
 
 
-@dataclass(frozen=True)
-class ImuFrame:
+class ImuFrame(NamedTuple):
     """One IMU sample in physical units.
 
     quat is (w, x, y, z); accel is in g; gyro is in deg/s.
@@ -89,8 +91,7 @@ class ImuFrame:
     gyro: tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class EmgFrame:
+class EmgFrame(NamedTuple):
     """One 8-channel EMG sample; values are signed 8-bit activations."""
 
     t_us: int

@@ -322,7 +322,7 @@ def records_to_frames(records: Iterable[SessionRecord]
         if rec.kind == "imu":
             yield protocol.scale_imu_values(rec.data, rec.t_us)
         elif rec.kind == "emg":
-            yield EmgFrame(t_us=rec.t_us, channels=tuple(rec.data))
+            yield EmgFrame(rec.t_us, tuple(rec.data))
 
 
 # --- scenario synthesis -------------------------------------------------------

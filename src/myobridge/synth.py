@@ -113,7 +113,8 @@ def _whole_hz(rate) -> int:
 
 
 class OscillatorBank:
-    """Eight phase accumulators plus the previous block's parameters.
+    """Eight phase accumulators plus the previous block's parameters, as
+    given and as the float64 vector the next block ramps from.
 
     Single-owner: one bank per performer, rendered in stream order.  The
     bank also owns render_block's scratch buffers, sized for the last
@@ -125,6 +126,7 @@ class OscillatorBank:
         self.sample_rate = float(_whole_hz(sample_rate))
         self._acc = np.zeros(N_OSCILLATORS, dtype=np.uint64)
         self._prev_params: Optional[SynthParams] = None
+        self._prev_vector: Optional[np.ndarray] = None
         self._scratch: Optional[_Scratch] = None
 
 
@@ -176,8 +178,13 @@ def render_block(bank: OscillatorBank, params: SynthParams,
     """
     if n <= 0:
         raise ValueError("sample count must be positive")
-    prev = bank._prev_params or params
-    bank._prev_params = params
+    end = _vector(params)
+    if bank._prev_params is None:
+        prev, start = params, end
+    else:
+        prev, start = bank._prev_params, bank._prev_vector
+    # this block's end vector is the next block's start
+    bank._prev_params, bank._prev_vector = params, end
     muted = (params.master_gain == 0.0 and prev.master_gain == 0.0
              and _skip_is_exact(prev, params))
 
@@ -188,11 +195,10 @@ def render_block(bank: OscillatorBank, params: SynthParams,
     # Each operand is spread to the full (rows, n) by assignment first:
     # numpy buffers a ufunc that broadcasts over rows this short, which
     # costs more than the copy.  A muted block needs the freq rows only.
-    start = _vector(prev)
     rows = N_OSCILLATORS if muted else _RAMP_ROWS
     ramps, grid = w.ramps[:rows], w.grid[:rows]
     grid[...] = w.t
-    ramps[...] = (_vector(params) - start)[:rows, None]
+    ramps[...] = (end - start)[:rows, None]
     ramps *= grid
     grid[...] = start[:rows, None]
     ramps += grid

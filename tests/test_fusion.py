@@ -5,7 +5,6 @@ quaternion and the Euler output are expanded to rotation matrices and
 compared entrywise.
 """
 
-import dataclasses
 import math
 import struct
 
@@ -373,8 +372,8 @@ def test_tracker_never_raises_on_arbitrary_imu_packets(packets):
 # --- reference control state -------------------------------------------------
 
 def reference_update_gate(state, qom, dt, threshold):
-    """The gate step as first written, a public update_gate that went
-    through dataclasses.replace."""
+    """The gate step as first written, a public update_gate that copied
+    the state with the new qom, stillness and gain."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if qom > threshold:
@@ -383,8 +382,8 @@ def reference_update_gate(state, qom, dt, threshold):
     else:
         stillness_s = state.stillness_s + dt
         master_gain = min(1.0, stillness_s / RAMP_S)
-    return dataclasses.replace(state, qom=qom, stillness_s=stillness_s,
-                               master_gain=master_gain)
+    return state._replace(qom=qom, stillness_s=stillness_s,
+                          master_gain=master_gain)
 
 
 class ReferenceTracker:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from myobridge.fusion import EulerAngles, MotionTracker
+from myobridge.fusion import EulerAngles, MotionState, MotionTracker
 from myobridge.mapping import (
     DRIVE_MAX,
     F_HI,
@@ -20,10 +20,11 @@ from myobridge.mapping import (
     N_OSCILLATORS,
     NYQUIST_FRACTION,
     EnvelopeTracker,
+    SynthParams,
     assemble_params,
     map_orientation,
 )
-from myobridge.protocol import EmgFrame, parse_imu_packet
+from myobridge.protocol import EmgFrame, ImuFrame, parse_imu_packet
 
 
 def brute_force_env(samples, window):
@@ -285,3 +286,33 @@ def test_gate_reaches_only_master_gain():
     p2 = assemble_params(env, 200.0, 0.3, 1.5, 1.0)
     assert p1.master_gain == 0.0 and p2.master_gain == 1.0
     assert p1.freqs == p2.freqs and p1.amps == p2.amps and p1.drive == p2.drive
+
+
+# --- per-frame value types -----------------------------------------------------
+
+_VALUE_TYPES = [
+    (ImuFrame, (20_000, (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0),
+                (0.5, 0.0, -0.5))),
+    (EmgFrame, (20_000, (1, -2, 3, -4, 5, -6, 7, -128))),
+    (EulerAngles, (0.1, -0.2, 0.3)),
+    (MotionState, (EulerAngles(0.1, -0.2, 0.3), 1.0, 2.0, 0.1, 3.5, 0.25)),
+    (SynthParams, ((110.0,) * N_OSCILLATORS, (0.5,) * N_OSCILLATORS, 1.5,
+                   0.25)),
+]
+
+
+@pytest.mark.parametrize("cls, fields", _VALUE_TYPES,
+                         ids=[cls.__name__ for cls, _ in _VALUE_TYPES])
+def test_value_types_are_immutable_values(cls, fields):
+    """A tracker's state or a bank's previous parameters cannot be changed
+    through a reference a caller kept."""
+    value = cls(*fields)
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    twin = cls(*fields)
+    assert twin == value and hash(twin) == hash(value)
+    last = cls._fields[-1]
+    changed = value._replace(**{last: None})
+    assert getattr(changed, last) is None
+    assert changed != value and value == twin

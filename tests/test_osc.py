@@ -245,24 +245,54 @@ def test_unresolvable_host_logged_not_raised(caplog):
     assert "failed" in caplog.text
 
 
-class FlakySocket:
-    """Stands in for a UDP socket: the sends listed in `fail` raise."""
+def _datagram(n):
+    """Datagram number n, as FlakySocket reads it back."""
+    return n.to_bytes(4, "big")
 
-    def __init__(self, fail):
-        self.fail = fail
-        self.calls = 0
+
+class FlakySocket:
+    """Stands in for a UDP socket that UdpSender connects.
+
+    A datagram is named by its number (_datagram): each numbered in `fail`
+    raises on every try, each in `fail_once` on its first try only.  The
+    first `refuse` connects raise."""
+
+    def __init__(self, fail=(), fail_once=(), refuse=0):
+        self.fail = set(fail)
+        self.fail_once = set(fail_once)
+        self.refuse = refuse
+        self.peer = None
+        self.connects = []
+        self.tries = 0
         self.sent = []
         self.addresses = []
 
-    def sendto(self, data, address):
-        self.calls += 1
-        if self.calls in self.fail:
+    def connect(self, address):
+        self.connects.append(address)
+        if len(self.connects) <= self.refuse:
             raise OSError("network is unreachable")
+        self.peer = address
+
+    def send(self, data):
+        self.tries += 1
+        n = int.from_bytes(data, "big")
+        if n in self.fail:
+            raise OSError("network is unreachable")
+        if n in self.fail_once:
+            self.fail_once.discard(n)
+            raise ConnectionRefusedError("connection refused")
         self.sent.append(data)
-        self.addresses.append(address)
+        self.addresses.append(self.peer)
 
     def close(self):
         pass
+
+
+def _flaky_sender(host, **flaky):
+    sender = UdpSender(host, 9)
+    sender._sock.close()
+    sender._sock = FlakySocket(**flaky)
+    return sender
 
 
 def test_host_name_resolved_once_and_numeric_address_sent(monkeypatch):
@@ -274,11 +304,9 @@ def test_host_name_resolved_once_and_numeric_address_sent(monkeypatch):
         return real_getaddrinfo(*args, **kwargs)
 
     monkeypatch.setattr(socket, "getaddrinfo", counting_getaddrinfo)
-    with UdpSender("localhost", 9) as sender:
-        sender._sock.close()
-        sender._sock = FlakySocket(fail=set())
-        for _ in range(100):
-            sender.send(b"abcd")
+    with _flaky_sender("localhost") as sender:
+        for n in range(1, 101):
+            sender.send(_datagram(n))
         assert sender._sock.addresses == [("127.0.0.1", 9)] * 100
     assert lookups == ["localhost"]
 
@@ -294,19 +322,62 @@ def test_unresolved_name_is_looked_up_again_on_each_send(monkeypatch):
         return real_getaddrinfo("127.0.0.1", *args, **kwargs)
 
     monkeypatch.setattr(socket, "getaddrinfo", resolves_on_third_try)
-    with UdpSender("performer-hub.local", 9) as sender:
-        sender._sock.close()
-        sender._sock = FlakySocket(fail=set())
-        for _ in range(5):
-            sender.send(b"abcd")
+    with _flaky_sender("performer-hub.local") as sender:
+        for n in range(1, 6):
+            sender.send(_datagram(n))
         assert sender.send_errors == 2
         assert sender._sock.addresses == [("127.0.0.1", 9)] * 3
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("port", [-1, 65536, 70000])
+def test_failed_connect_is_tried_again_with_a_fresh_lookup(monkeypatch):
+    real_getaddrinfo = socket.getaddrinfo
+    lookups = []
+
+    def counting_getaddrinfo(*args, **kwargs):
+        lookups.append(args[0])
+        return real_getaddrinfo(*args, **kwargs)
+
+    monkeypatch.setattr(socket, "getaddrinfo", counting_getaddrinfo)
+    with _flaky_sender("localhost", refuse=1) as sender:
+        for n in range(1, 4):
+            sender.send(_datagram(n))
+        assert sender.send_errors == 1
+        assert sender._sock.connects == [("127.0.0.1", 9)] * 2
+        assert sender._sock.sent == [_datagram(2), _datagram(3)]
+    assert lookups == ["localhost"] * 2
+
+
+def test_datagram_sent_on_its_second_try_is_not_an_error(caplog):
+    with caplog.at_level(logging.WARNING, logger="myobridge.osc"):
+        with _flaky_sender("127.0.0.1", fail_once={2, 3}) as sender:
+            for n in range(1, 5):
+                sender.send(_datagram(n))
+            assert sender.send_errors == 0
+            assert sender._sock.tries == 6
+            assert sender._sock.sent == [_datagram(n) for n in range(1, 5)]
+    assert caplog.records == []
+
+
+def test_port_nobody_listens_on_is_not_an_error(caplog):
+    # each datagram's ICMP port-unreachable reaches the connected socket
+    # as an error on the next send
+    closed = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    closed.bind(("127.0.0.1", 0))
+    port = closed.getsockname()[1]
+    closed.close()
+    with caplog.at_level(logging.WARNING, logger="myobridge.osc"):
+        with UdpSender("127.0.0.1", port) as sender:
+            for _ in range(10):
+                sender.send(b"abcd")
+            assert sender.send_errors == 0
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize("port", [-1, 0, 65536, 70000])
 def test_port_out_of_range_rejected_at_construction(port):
-    # the resolver would wrap 70000 to 4464 without a word
+    # the resolver would wrap 70000 to 4464 without a word; a socket
+    # connected to port 0 sends to it without an error
     with pytest.raises(ValueError, match="port"):
         UdpSender("127.0.0.1", port)
 
@@ -344,11 +415,9 @@ def test_send_outage_logs_its_start_and_its_end_only(caplog):
     # 350 failed sends are one second of a dropped network for one performer
     fail = set(range(2, 352)) | {400, 401, 402}
     with caplog.at_level(logging.WARNING, logger="myobridge.osc"):
-        with UdpSender("127.0.0.1", 9) as sender:
-            sender._sock.close()
-            sender._sock = FlakySocket(fail)
-            for _ in range(410):
-                sender.send(b"abcd")
+        with _flaky_sender("127.0.0.1", fail=fail) as sender:
+            for n in range(1, 411):
+                sender.send(_datagram(n))
             assert sender.send_errors == 353
             assert len(sender._sock.sent) == 410 - 353
     lines = [r.getMessage() for r in caplog.records]

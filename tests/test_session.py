@@ -357,17 +357,31 @@ def _read_until_error(records):
     return got, None
 
 
+def _blocks_of(fh, block_bytes):
+    """The line counts of the blocks iter_log reads from this file at this
+    block size: the same readline, then readlines(block_bytes) until the
+    file ends."""
+    fh.seek(0)
+    fh.readline()
+    return tuple(iter(lambda: len(fh.readlines(block_bytes)), 0))
+
+
 @settings(max_examples=200, deadline=None)
 @given(content=faulty_logs())
 def test_block_reader_yields_and_raises_as_the_line_parser(content):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.jsonl"
         path.write_bytes(content)
+        # blocks of 1 to 200 bytes break at every line, so each fault lands
+        # first, in the middle and last in a block.  iter_log uses the size
+        # only as the readlines hint, so sizes that cut the file into the
+        # same blocks read it alike: one size per distinct cut is run.
+        sizes = {}
         with open(path, "rb") as fh:
             expected = _read_until_error(session._parse_lines(fh, 1, None))
-        # blocks of 1 to 200 bytes break at every line, so each fault lands
-        # first, in the middle and last in a block
-        for block_bytes in range(1, 201):
+            for block_bytes in range(1, 201):
+                sizes.setdefault(_blocks_of(fh, block_bytes), block_bytes)
+        for block_bytes in sizes.values():
             with mock.patch.object(session, "_BLOCK_BYTES", block_bytes):
                 assert _read_until_error(iter_log(path)) == expected
 
