@@ -119,11 +119,14 @@ class UdpSender:
     lookup; once connected, no send looks the name up.  A failed send is
     tried once more: the failure may be an earlier datagram's ICMP error
     (a refused port) that the connected socket reports late, so a refused
-    port is not an error.  A datagram that fails both tries (one too large
-    for the socket, say) and a send whose lookup or connect fails count in
-    send_errors and are swallowed: a performance must not halt on a
-    network error.  An outage logs one warning when it starts and one,
-    with its count of failed sends, when a send next succeeds.
+    port is not an error.  The retry has a price: to a receiver that is
+    not listening, each datagram after the first costs two send calls and
+    one caught ConnectionRefusedError, and still counts as no error.  A
+    datagram that fails both tries (one too large for the socket, say) and
+    a send whose lookup or connect fails count in send_errors and are
+    swallowed: a performance must not halt on a network error.  An outage
+    logs one warning when it starts and one, with its count of failed
+    sends, when a send next succeeds.
 
     The host is a str, a name or a numeric IPv4 address; anything else
     raises TypeError here, where the resolver would raise it out of the

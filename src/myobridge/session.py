@@ -9,9 +9,12 @@ and is read back through the same scaling (protocol.scale_imu_values):
     {"t_us":0,"kind":"emg","data":[c0,...,c7]}
 
 Every line is byte for byte the json.dumps(separators=(",", ":")) form of
-its record.  The writer prints IMU and EMG lines whose values are all
-plain ints from one %-format template per kind, built at import, and
-every other record with json.dumps itself.
+its record.  _LAYOUTS is the one table of the IMU and EMG line layouts:
+each kind's value count and range.  Both block paths work from it: the
+reader checks a block's values against it, and the writer prints a block
+whose records are all IMU and EMG records of plain ints from _TEMPLATES,
+one %-format line per kind built from it at import.  Every record of any
+other block is printed with json.dumps itself.
 
 Producers write a leading meta record carrying the format version, device
 id, the RNG algorithm used for synthetic streams and the device units
@@ -58,9 +61,9 @@ import json
 import sys
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import attrgetter, eq, itemgetter
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -109,8 +112,7 @@ class InvalidScenarioError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SessionRecord:
+class SessionRecord(NamedTuple):
     """One timestamped log entry; data holds raw integers (or meta fields)."""
 
     t_us: int
@@ -119,7 +121,7 @@ class SessionRecord:
 
 
 def make_meta_record(device_id: str = "unknown") -> SessionRecord:
-    return SessionRecord(t_us=0, kind="meta", data={
+    return SessionRecord(0, "meta", {
         "version": LOG_VERSION,
         "device_id": device_id,
         "rng": RNG_ALGORITHM,
@@ -130,50 +132,109 @@ def make_meta_record(device_id: str = "unknown") -> SessionRecord:
 # kind -> (value count, lowest, highest) of a data record's raw integers
 _LAYOUTS = {"imu": (IMU_VALUES, INT16_MIN, INT16_MAX),
             "emg": (EMG_CHANNELS, INT8_MIN, INT8_MAX)}
-# kind -> (value count, line template).  %d prints an exact int as json.dumps
-# does, so a template line is byte for byte the json.dumps line.
-_TEMPLATES = {kind: (n, '{"t_us":%d,"kind":"' + kind + '","data":['
-                     + ",".join(["%d"] * n) + "]}")
+# kind -> line template, the only printer of IMU and EMG lines besides
+# json.dumps itself.  %d prints an exact int as json.dumps does, so a
+# template line is byte for byte the json.dumps line.
+_TEMPLATES = {kind: '{"t_us":%d,"kind":"' + kind + '","data":['
+              + ",".join(["%d"] * n) + "]}"
               for kind, (n, _, _) in _LAYOUTS.items()}
+_COUNTS = {kind: n for kind, (n, _, _) in _LAYOUTS.items()}
 _INTS_ONLY = frozenset({int})
+_STRS_ONLY = frozenset({str})
 _LISTS_ONLY = frozenset({list})
 _DICTS_ONLY = frozenset({dict})
+_SEQUENCES = frozenset({tuple, list})
 # iter_log's read size: small enough that a block's parsed objects add
 # nothing measurable to a render's peak memory
 _BLOCK_BYTES = 8192
+# record's block size, in records: a block's text is about 15 KB
+_BLOCK_RECORDS = 256
 
 
 def _serialize(rec: SessionRecord) -> str:
-    data = rec.data
-    template = _TEMPLATES.get(rec.kind) if type(rec.kind) is str else None
-    # exact types only: %d prints True as 1 where json.dumps prints true,
-    # and formats numpy ints that json.dumps refuses
-    if (template is not None and type(rec.t_us) is int
-            and (type(data) is tuple or type(data) is list)
-            and len(data) == template[0]
-            and set(map(type, data)) == _INTS_ONLY):
-        return template[1] % (rec.t_us, *data)
+    t_us, kind, data = rec
     data = data if isinstance(data, dict) else list(data)
-    return json.dumps({"t_us": rec.t_us, "kind": rec.kind, "data": data},
+    return json.dumps({"t_us": t_us, "kind": kind, "data": data},
                       separators=(",", ":"))
+
+
+def _block_text(block: list) -> Optional[str]:
+    """The lines of a block of records, printed with one % over the
+    block's joined templates, or None if the templates cannot print some
+    record of it.  Checks each rule in one pass over the whole block.  %
+    raises ValueError on an int past Python's int/str digit limit."""
+    t_us, kinds, datas = zip(*block)
+    if (set(map(type, kinds)) != _STRS_ONLY or not _COUNTS.keys() >= set(kinds)
+            or set(map(type, datas)) - _SEQUENCES
+            or list(map(len, datas)) != list(map(_COUNTS.__getitem__, kinds))):
+        return None
+    # t_us, then the data values, of each record in turn
+    args = []
+    for t, data in zip(t_us, datas):
+        args.append(t)
+        args.extend(data)
+    # exact ints only: %d prints True as 1 where json.dumps prints true,
+    # and formats numpy ints that json.dumps refuses
+    if set(map(type, args)) != _INTS_ONLY:
+        return None
+    return ("\n".join(map(_TEMPLATES.__getitem__, kinds)) + "\n") % tuple(args)
+
+
+def _write_block(fh, block: list) -> None:
+    try:
+        text = _block_text(block)
+    except ValueError:  # % refused an int: json.dumps raises at its record
+        text = None
+    if text is None:
+        # record by record, so the lines before a refused record are
+        # written before it raises
+        for rec in block:
+            fh.write(_serialize(rec) + "\n")
+    else:
+        fh.write(text)
 
 
 def record(records: Iterable[SessionRecord], path) -> int:
     """Write records to a log file, one line each, in arrival order.
 
-    Lines are written as records arrive, so records may be a generator
-    and memory does not grow with the log.  iter_log on the file yields
-    back every record it accepts, equal to the one written except that
-    list data reads back as a tuple; it refuses out-of-range values and
-    decreasing timestamps, naming the line.  Returns the number of lines
-    written.
+    The first record is written alone, and the rest _BLOCK_RECORDS at a
+    time: a block whose records the templates all print is written with
+    one write.  So records may be a generator, and memory does not grow
+    with the log: it holds one block and its text.  A block holding a
+    record the templates cannot print (a meta record, a bool, a numpy int,
+    a float, a wrong length) is written record by record through
+    json.dumps, and the next block is whole again.  Either way the file's
+    bytes are those of writing each record's line in turn.  A record that
+    json.dumps or %d refuses raises the same exception as its line would,
+    after every line before it has reached the file.  If records itself
+    raises (a device drops out, a take is interrupted), the records it
+    gave before that are written first.
+
+    iter_log on the file yields back every record it accepts, equal to the
+    one written except that list data reads back as a tuple; it refuses
+    out-of-range values and decreasing timestamps, naming the line.
+    Returns the number of lines written.
     """
+    records = iter(records)
     count = 0
+    # a log starts with its meta record: written alone, it leaves the
+    # first block whole
+    size = 1
     with open(path, "w", encoding="ascii") as fh:
-        for rec in records:
-            fh.write(_serialize(rec) + "\n")
-            count += 1
-    return count
+        while True:
+            block = []
+            try:
+                for rec in islice(records, size):
+                    block.append(rec)
+            finally:
+                # the records drawn so far reach the file even if the
+                # source raises
+                if block:
+                    _write_block(fh, block)
+            if not block:
+                return count
+            count += len(block)
+            size = _BLOCK_RECORDS
 
 
 def _check_int_list(values, n, lo, hi, line_no, what):
@@ -318,11 +379,11 @@ def iter_log(path) -> Iterator[SessionRecord]:
 def records_to_frames(records: Iterable[SessionRecord]
                       ) -> Iterator[Union[ImuFrame, EmgFrame]]:
     """Scale raw records into physical-unit frames, skipping meta records."""
-    for rec in records:
-        if rec.kind == "imu":
-            yield protocol.scale_imu_values(rec.data, rec.t_us)
-        elif rec.kind == "emg":
-            yield EmgFrame(rec.t_us, tuple(rec.data))
+    for t_us, kind, data in records:
+        if kind == "imu":
+            yield protocol.scale_imu_values(data, t_us)
+        elif kind == "emg":
+            yield EmgFrame(t_us, tuple(data))
 
 
 # --- scenario synthesis -------------------------------------------------------

@@ -25,6 +25,7 @@ from myobridge.mapping import (
     map_orientation,
 )
 from myobridge.protocol import EmgFrame, ImuFrame, parse_imu_packet
+from myobridge.session import SessionRecord
 
 
 def brute_force_env(samples, window):
@@ -298,6 +299,7 @@ _VALUE_TYPES = [
     (MotionState, (EulerAngles(0.1, -0.2, 0.3), 1.0, 2.0, 0.1, 3.5, 0.25)),
     (SynthParams, ((110.0,) * N_OSCILLATORS, (0.5,) * N_OSCILLATORS, 1.5,
                    0.25)),
+    (SessionRecord, (20_000, "emg", (1, -2, 3, -4, 5, -6, 7, -128))),
 ]
 
 

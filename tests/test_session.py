@@ -2,11 +2,13 @@
 
 import enum
 import hashlib
+import io
 import itertools
 import json
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -253,6 +255,13 @@ def odd_records(draw):
     return SessionRecord(t_us, kind, data)
 
 
+def _write_one(rec):
+    """The text the block writer writes for a block of one record."""
+    fh = io.StringIO()
+    session._write_block(fh, [rec])
+    return fh.getvalue()
+
+
 @settings(max_examples=500, deadline=None)
 @given(rec=odd_records())
 def test_serialize_matches_json_dumps_or_raises_alike(rec):
@@ -260,9 +269,9 @@ def test_serialize_matches_json_dumps_or_raises_alike(rec):
         expected = reference_serialize(rec)
     except Exception as exc:  # noqa: BLE001 - the type is what is compared
         with pytest.raises(type(exc)):
-            session._serialize(rec)
+            _write_one(rec)
         return
-    assert session._serialize(rec) == expected
+    assert _write_one(rec) == expected + "\n"
 
 
 _valid_record = st.one_of(
@@ -286,6 +295,115 @@ def test_record_then_iter_log_gives_back_every_valid_record(recs, device_id):
         path = Path(tmp) / "log.jsonl"
         assert record(iter(recs), path) == len(recs)
         assert list(iter_log(path)) == recs
+
+
+_meta_record = st.builds(make_meta_record, st.text(max_size=3))
+
+
+@st.composite
+def _spoiled_record(draw):
+    """A valid record with one value swapped for none, one or two odd
+    ones, so a block of valid records around it passes every check but
+    one."""
+    rec = draw(_valid_record)
+    data = list(rec.data)
+    at = draw(st.integers(0, len(data) - 1))
+    data[at:at + 1] = draw(st.lists(_odd_value, max_size=2))
+    return rec._replace(data=draw(st.sampled_from([tuple, list]))(data))
+
+
+def _reference_file(recs):
+    """The bytes the per-record writer leaves for recs, and the type of
+    the exception it raises at the first record json.dumps refuses."""
+    lines = []
+    for rec in recs:
+        try:
+            lines.append(reference_serialize(rec) + "\n")
+        except Exception as exc:  # noqa: BLE001 - the type is what is compared
+            return "".join(lines).encode(), type(exc)
+    return "".join(lines).encode(), None
+
+
+class SourceDropped(Exception):
+    """Raised by a record source that stops partway through a take."""
+
+
+def _source(recs, drops):
+    yield from recs
+    if drops:
+        raise SourceDropped
+
+
+@settings(max_examples=100, deadline=None)
+@given(recs=st.lists(st.one_of(_valid_record, _valid_record, _meta_record,
+                               _spoiled_record(), odd_records()),
+                     max_size=12),
+       drops=st.booleans())
+def test_block_writer_writes_and_raises_as_the_line_writer(recs, drops):
+    expected, refused = _reference_file(recs)
+    if refused is None and drops:
+        refused = SourceDropped
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.jsonl"
+        for size in (1, 2, 3, 255, session._BLOCK_RECORDS):
+            with mock.patch.object(session, "_BLOCK_RECORDS", size):
+                if refused is None:
+                    assert record(_source(recs, drops), path) == len(recs)
+                else:
+                    with pytest.raises(refused):
+                        record(_source(recs, drops), path)
+            assert path.read_bytes() == expected, size
+
+
+def test_record_keeps_what_a_source_gave_before_it_raised(tmp_path):
+    recs = [make_meta_record()] + [SessionRecord(i, "emg", (i % 128,) * 8)
+                                   for i in range(1, 300)]
+    path = tmp_path / "log.jsonl"
+    with pytest.raises(SourceDropped):
+        record(_source(recs, drops=True), path)
+    # 299 records after the meta line: one whole block and a partial one
+    assert path.read_bytes() == _reference_file(recs)[0]
+    assert path.read_bytes().count(b"\n") == 300
+
+
+def test_block_writer_meets_odd_records_deep_in_a_long_stream(tmp_path):
+    recs = [SessionRecord(i, "emg", (i % 128,) * 8) for i in range(900)]
+    recs[0] = make_meta_record()
+    recs[300] = SessionRecord(300, "meta", {"note": "resync"})
+    recs[301] = SessionRecord(301, "emg", (True,) * 8)
+    recs[517] = SessionRecord(517, "imu", (Level.LOW,) * 10)
+    recs[600] = SessionRecord(600, "emg", [1.5] * 8)
+    path = tmp_path / "log.jsonl"
+    assert record(recs, path) == 900
+    assert path.read_bytes() == _reference_file(recs)[0]
+    # an int past Python's int/str digit limit passes the type checks and
+    # is refused by %: the lines before it, in its block too, reach the file
+    recs[850] = SessionRecord(850, "emg", (1, 10**5000, 2, 3, 4, 5, 6, 7))
+    expected, refused = _reference_file(recs)
+    assert refused is ValueError
+    with pytest.raises(ValueError):
+        record(recs, path)
+    assert path.read_bytes() == expected
+    assert expected.count(b"\n") == 850
+
+
+def _writer_peak_bytes(path, n):
+    """Peak bytes allocated while record writes a generator of n records."""
+    records = (SessionRecord(i, "emg", (i % 128,) * 8) for i in range(n))
+    tracemalloc.start()
+    try:
+        assert record(records, path) == n
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_record_memory_does_not_grow_with_the_log(tmp_path):
+    small = _writer_peak_bytes(tmp_path / "small.jsonl", 5_000)
+    large = _writer_peak_bytes(tmp_path / "large.jsonl", 50_000)
+    # the large log's text is about 2.6 MB
+    assert large < 1 << 20
+    assert large < small + (64 << 10)
 
 
 _META_LINE = session._serialize(make_meta_record()).encode() + b"\n"
