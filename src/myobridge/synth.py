@@ -18,30 +18,29 @@ These are scratch the bank owns, rebuilt only when the block length
 changes; the samples returned are always a fresh array, never a view of
 it, so a caller may keep every block.
 
-A muted block, master gain exactly 0 at both ends, renders exact zeros
-without computing sin, mix or waveshaper; its phases still advance by the
-same integer increments, so whatever follows is unchanged.  This holds for
-the parameters the mapping produces (amps in [0, 1], finite drive >= 1);
-a muted block outside that range is rendered in full, so a NaN it makes
-still reaches write_wav's finite check.  Its samples are a read-only,
-stride-0 view of one immutable +0.0: silence held for a whole piece
-takes no sample memory.
+A muted block, silent parameters at both ends (master gain exactly 0,
+amps in [0, 1] and a finite drive >= 1, as the mapping produces them),
+renders exact zeros without computing sin, mix or waveshaper; its phases
+still advance by the same integer increments, so whatever follows is
+unchanged.  A block with gain 0 outside that range is rendered in full,
+so a NaN it makes still reaches write_wav's finite check.  A muted
+block's samples are a read-only, stride-0 view of one immutable +0.0:
+silence held for a whole piece takes no sample memory.
 
 Mixdown and PCM output take one path in bounded memory: mix_performers
-checks its tracks and returns a block that holds them, and write_wav reads
-any block as the mean of its tracks, a chunk at a time, and only replaces
-its path once every chunk has passed.  OscillatorBank applies write_wav's
-rate rule, so a render at a rate it refuses fails at once.
+checks its blocks and returns a mix that is just their tracks, and
+write_wav reads any block or mix as the mean of its tracks, a chunk at a
+time, and only replaces its path once every chunk has passed; the mean
+is computed nowhere else.  OscillatorBank applies write_wav's rate rule,
+so a render at a rate it refuses fails at once.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import wave
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -65,8 +64,7 @@ _WAV_MAX_RATE = 0xFFFFFFFF // 2
 _SILENCE = bytes(8)
 
 
-@dataclass
-class AudioBlock:
+class AudioBlock(NamedTuple):
     """Mono float samples in [-1, 1]."""
 
     samples: np.ndarray
@@ -85,21 +83,12 @@ def _mean_of(tracks: Sequence, lo: int, hi: int,
     return out
 
 
-class _Mix(AudioBlock):
-    """The samplewise mean of equal-length tracks, computed when read.
+class _Mix(NamedTuple):
+    """The samplewise mean of equal-length tracks, which write_wav
+    computes a chunk at a time and never builds whole."""
 
-    samples builds the whole mean once and keeps it; write_wav reads the
-    tracks a chunk at a time and never builds it.
-    """
-
-    def __init__(self, tracks: list, sample_rate: float):
-        self._tracks = tracks
-        self.sample_rate = sample_rate
-
-    @functools.cached_property
-    def samples(self) -> np.ndarray:
-        n = len(self._tracks[0])
-        return _mean_of(self._tracks, 0, n, np.empty(n))
+    tracks: tuple
+    sample_rate: float
 
 
 def _whole_hz(rate) -> int:
@@ -113,8 +102,9 @@ def _whole_hz(rate) -> int:
 
 
 class OscillatorBank:
-    """Eight phase accumulators plus the previous block's parameters, as
-    given and as the float64 vector the next block ramps from.
+    """Eight phase accumulators plus the previous block's parameters: the
+    float64 vector the next block ramps from, and whether they are
+    silent (_silent).
 
     Single-owner: one bank per performer, rendered in stream order.  The
     bank also owns render_block's scratch buffers, sized for the last
@@ -125,8 +115,8 @@ class OscillatorBank:
     def __init__(self, sample_rate: float = 44100.0):
         self.sample_rate = float(_whole_hz(sample_rate))
         self._acc = np.zeros(N_OSCILLATORS, dtype=np.uint64)
-        self._prev_params: Optional[SynthParams] = None
         self._prev_vector: Optional[np.ndarray] = None
+        self._prev_silent = False
         self._scratch: Optional[_Scratch] = None
 
 
@@ -144,19 +134,18 @@ class _Scratch:
         self.inc = self.grid[:N_OSCILLATORS].view(np.uint64)
 
 
-def _skip_is_exact(prev: SynthParams, params: SynthParams) -> bool:
-    """True when a muted block renders exact zeros under the full formula.
-
-    With amps in [0, 1] (as EnvelopeTracker.envelopes makes them) and a
-    finite drive >= 1 (as map_orientation gives it) at both ends, every
-    waveshaper output is finite, so gain 0 times it is 0.  Outside that
-    range a muted block can still be NaN (a NaN or inf amp or drive, drive
-    0 as 0/0, amps large enough that the mix overflows), and must be
-    rendered so that write_wav's finite check sees it.
+def _silent(p: SynthParams) -> bool:
+    """True when p is master gain 0 with amps in [0, 1] (as
+    EnvelopeTracker.envelopes makes them) and a finite drive >= 1 (as
+    map_orientation gives it).  A block silent at both ends renders exact
+    zeros under the full formula: every waveshaper output is finite, so
+    gain 0 times it is 0.  Outside that range a gain-0 block can still be
+    NaN (a NaN or inf amp or drive, drive 0 as 0/0, amps large enough
+    that the mix overflows), and must be rendered so that write_wav's
+    finite check sees it.
     """
-    return (all(0.0 <= a <= 1.0 for a in prev.amps + params.amps)
-            and 1.0 <= prev.drive < math.inf
-            and 1.0 <= params.drive < math.inf)
+    return (p.master_gain == 0.0 and 1.0 <= p.drive < math.inf
+            and all(0.0 <= a <= 1.0 for a in p.amps))
 
 
 def _vector(p: SynthParams) -> np.ndarray:
@@ -178,15 +167,12 @@ def render_block(bank: OscillatorBank, params: SynthParams,
     """
     if n <= 0:
         raise ValueError("sample count must be positive")
-    end = _vector(params)
-    if bank._prev_params is None:
-        prev, start = params, end
-    else:
-        prev, start = bank._prev_params, bank._prev_vector
-    # this block's end vector is the next block's start
-    bank._prev_params, bank._prev_vector = params, end
-    muted = (params.master_gain == 0.0 and prev.master_gain == 0.0
-             and _skip_is_exact(prev, params))
+    end, silent = _vector(params), _silent(params)
+    if bank._prev_vector is None:  # the first block starts where it ends
+        bank._prev_vector, bank._prev_silent = end, silent
+    start, muted = bank._prev_vector, silent and bank._prev_silent
+    # this block's end is the next block's start
+    bank._prev_vector, bank._prev_silent = end, silent
 
     w = bank._scratch
     if w is None or w.n != n:
@@ -239,16 +225,16 @@ def render_block(bank: OscillatorBank, params: SynthParams,
     return AudioBlock(samples=s, sample_rate=bank.sample_rate)
 
 
-def mix_performers(blocks: Sequence[AudioBlock]) -> AudioBlock:
+def mix_performers(blocks: Sequence[AudioBlock]) -> _Mix:
     """Samplewise mean across performers; never clips for inputs in [-1, 1].
 
-    The checks run now; the mean does not.  The block returned holds the
-    tracks, and its mean is computed by _mean_of, from +0.0, in track
-    order, then divided: bit for bit np.stack(...).sum(axis=0) / n.
-    write_wav computes it a chunk at a time; reading .samples builds it
-    whole, once.  So the arithmetic, and any numpy floating-point warning
-    it gives, happens when the mix is read or written, and the tracks
-    must not be changed before then.
+    The checks run now; the mean does not.  The mix returned is the
+    blocks' tracks and their rate, and write_wav computes its mean a
+    chunk at a time with _mean_of: from +0.0, in track order, then
+    divided, bit for bit np.stack(...).sum(axis=0) / n.  So the
+    arithmetic, and any numpy floating-point warning it gives, happens
+    when the mix is written, and the tracks must not be changed before
+    then.
     """
     if not blocks:
         raise ValueError("nothing to mix")
@@ -261,10 +247,10 @@ def mix_performers(blocks: Sequence[AudioBlock]) -> AudioBlock:
         if b.sample_rate != rate:
             raise ValueError(
                 f"sample rates differ: {b.sample_rate} vs {rate}")
-    return _Mix([b.samples for b in blocks], rate)
+    return _Mix(tuple(b.samples for b in blocks), rate)
 
 
-def write_wav(block: AudioBlock, path) -> None:
+def write_wav(block: AudioBlock | _Mix, path) -> None:
     """Write mono 16-bit PCM, little-endian; byte-exact across runs.
 
     Sample s maps to rint(s * 32767).  Samples must be finite and within
@@ -273,13 +259,14 @@ def write_wav(block: AudioBlock, path) -> None:
     OscillatorBank applies too.  The PCM goes to a sibling temporary file
     that replaces path once every chunk is checked and written, so a
     refused input (ValueError) or a failed write (a full disk) leaves path
-    as it was.  Every block is read as the mean of its tracks, a plain
-    block being one track (its -0.0 reads +0.0; rint writes both as 0),
-    computed chunk by chunk into one _PCM_CHUNK-sample buffer, so working
-    memory does not grow with the length and a mix is never built whole.
+    as it was.  A mix is read as the mean of its tracks, and a block as
+    a mix of one track (its -0.0 reads +0.0; rint writes both as 0), the
+    mean computed chunk by chunk into one _PCM_CHUNK-sample buffer, so
+    working memory does not grow with the length and a mix is never
+    built whole.
     """
     rate = _whole_hz(block.sample_rate)
-    tracks = block._tracks if isinstance(block, _Mix) else [block.samples]
+    tracks = block.tracks if isinstance(block, _Mix) else (block.samples,)
     n = len(tracks[0])
     buf = np.empty(min(n, _PCM_CHUNK))
     out_of_range = False

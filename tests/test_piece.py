@@ -77,12 +77,11 @@ def _poses(p, script, log):
 
 
 @pytest.fixture(scope="module")
-def piece():
+def piece(bundled_logs):
     """_poses of every performer of the bundled scenario at seed 1."""
     scenario = session.default_scenario()
-    logs = session.generate_scenario(scenario, 1)
     return [row for p, (script, log) in enumerate(zip(scenario.performers,
-                                                      logs))
+                                                      bundled_logs))
             for row in _poses(p, script, log)]
 
 

@@ -603,11 +603,11 @@ def test_recorded_scenario_matches_golden_hash(tmp_path):
         "005f1f24672789b67ce896c3fc8dc5d0c237f4874e838d4e97a27ec37eee933d")
 
 
-def test_bundled_scenario_matches_golden_hash(tmp_path):
+def test_bundled_scenario_matches_golden_hash(tmp_path, bundled_logs):
     """Pins the bundled scenario file and its loader, with the generator
-    and the writer."""
+    and the writer, at seed 1."""
     path = tmp_path / "p0.jsonl"
-    record(generate_scenario(default_scenario(), seed=1)[0][:5000], path)
+    record(bundled_logs[0][:5000], path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "7b2ba679c3b2cb8e6ed45ec55f0fb6c23ed4c2989f8481f26e27f63da928892f")
 

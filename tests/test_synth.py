@@ -1,7 +1,7 @@
 """Renderer tests: FFT spectral oracle, output bound, phase continuity,
 a sample-major reference renderer, whole-array reference mix and WAV
 writers, an independent struct-level WAV reader oracle, and traced memory
-bounds for muted blocks, the mix and the WAV writer."""
+bounds for muted blocks and for writing a block or a mix."""
 
 import math
 import struct
@@ -20,6 +20,7 @@ from myobridge.synth import (
     _PCM_CHUNK,
     AudioBlock,
     OscillatorBank,
+    _mean_of,
     mix_performers,
     render_block,
     write_wav,
@@ -64,11 +65,21 @@ def read_wav_oracle(path):
     }
 
 
+class ReferenceBank:
+    """reference_render_block's state: the phase accumulators and the
+    previous block's parameters, as given."""
+
+    def __init__(self, sample_rate):
+        self.sample_rate = sample_rate
+        self.acc = np.zeros(8, dtype=np.uint64)
+        self.prev = None
+
+
 def reference_render_block(bank, params, n):
     """render_block as first written: sample-major (n, 8) paths and no
-    muted-block skip.  render_block must equal it bit for bit, NaNs
-    included."""
-    prev = bank._prev_params or params
+    muted-block skip, on a ReferenceBank.  render_block must equal it bit
+    for bit, NaNs included."""
+    prev = bank.prev or params
 
     def lerp(a, b, t):
         return a + (b - a) * t
@@ -82,14 +93,20 @@ def reference_render_block(bank, params, n):
 
     increments = np.round(freqs * (2.0 ** 64 / bank.sample_rate)).astype(
         np.uint64)
-    acc_path = np.cumsum(increments, axis=0, dtype=np.uint64) + bank._acc
-    bank._acc = acc_path[-1].copy()
-    bank._prev_params = params
+    acc_path = np.cumsum(increments, axis=0, dtype=np.uint64) + bank.acc
+    bank.acc = acc_path[-1].copy()
+    bank.prev = params
 
     phases = acc_path.astype(np.float64) * (2.0 * math.pi / 2.0 ** 64)
     s = (np.sin(phases) * amps).sum(axis=1) / 8
     shaped = np.tanh(drive * s) / np.tanh(drive)
     return AudioBlock(samples=gain * shaped, sample_rate=bank.sample_rate)
+
+
+def mix_mean(mix):
+    """The whole mean of a mix, by the one path write_wav takes."""
+    n = len(mix.tracks[0])
+    return _mean_of(mix.tracks, 0, n, np.empty(n))
 
 
 def reference_mix(blocks):
@@ -265,6 +282,13 @@ def _p(gain, amp=0.5, drive=2.0):
                        amps=[amp] * 8, drive=drive, master_gain=gain)
 
 
+def renders_silent(p):
+    """The documented mute rule at one end of a block: master gain 0,
+    amps in [0, 1] and a finite drive >= 1."""
+    return (p.master_gain == 0.0 and 1.0 <= p.drive < math.inf
+            and all(0.0 <= a <= 1.0 for a in p.amps))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(_PARAMS, st.integers(1, 4000)),
                 min_size=1, max_size=8))
@@ -275,15 +299,28 @@ def _p(gain, amp=0.5, drive=2.0):
 @example([(_p(0.0), 100), (_p(0.0, amp=math.nan), 50), (_p(0.0), 50),
           (_p(0.0, drive=math.inf), 50), (_p(0.0, drive=0.0), 50),
           (_p(0.0, amp=1e300), 882)])
+# the first block ramps from its own parameters: gain 0 with a NaN amp
+# at both ends is rendered, NaN
+@example([(_p(0.0, amp=math.nan), 50)])
+# a silent block next to a gain-0 block with an infinite drive, in both
+# orders: the block from one to the other is rendered
+@example([(_p(0.0), 50), (_p(0.0, drive=math.inf), 50)])
+@example([(_p(0.0, drive=math.inf), 50), (_p(0.0), 50)])
 def test_render_block_equals_reference(blocks):
-    bank, ref = OscillatorBank(44100.0), OscillatorBank(44100.0)
+    bank, ref = OscillatorBank(44100.0), ReferenceBank(44100.0)
+    prev = blocks[0][0]
     with np.errstate(all="ignore"):
         for params, n in blocks:
             got = render_block(bank, params, n).samples
             want = reference_render_block(ref, params, n).samples
             assert got.dtype == np.float64 and got.shape == (n,)
-            assert np.array_equal(bank._acc, ref._acc)
-            if got.strides == (0,):
+            assert np.array_equal(bank._acc, ref.acc)
+            # muted, and so a stride-0 view, exactly when silent at both
+            # ends
+            muted = renders_silent(prev) and renders_silent(params)
+            prev = params
+            assert (got.strides == (0,)) == muted
+            if muted:
                 # a skipped muted block is +0.0 where the full formula
                 # can give -0.0 (gain 0 times a negative sample)
                 assert np.array_equal(got, want)
@@ -377,19 +414,29 @@ def test_kept_muted_blocks_hold_no_sample_memory():
 def test_mix_single_block_identity():
     block = AudioBlock(np.array([0.1, -0.2, 0.3]), 44100.0)
     out = mix_performers([block])
-    assert np.array_equal(out.samples, block.samples)
+    assert np.array_equal(mix_mean(out), block.samples)
 
 
 def test_mix_identical_blocks_is_identity():
     x = np.array([0.5, -0.5, 0.25, 0.0])
     out = mix_performers([AudioBlock(x, 44100.0), AudioBlock(x.copy(), 44100.0)])
-    assert np.array_equal(out.samples, x)
+    assert np.array_equal(mix_mean(out), x)
 
 
 def test_mix_cancellation():
     x = np.array([0.9, -0.7, 0.2])
     out = mix_performers([AudioBlock(x, 44100.0), AudioBlock(-x, 44100.0)])
-    assert np.all(out.samples == 0.0)
+    assert np.all(mix_mean(out) == 0.0)
+
+
+def test_block_and_mix_fields_cannot_be_rebound():
+    block = AudioBlock(np.zeros(4), 44100.0)
+    mix = mix_performers([block, block])
+    for value, fields in ((block, ("samples", "sample_rate")),
+                          (mix, ("tracks", "sample_rate"))):
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
 
 
 def test_mix_mismatches():
@@ -427,23 +474,14 @@ def test_mix_equals_stacked_reference_bitwise(rows):
     blocks = [AudioBlock(a, 44100.0) for a in arrays]
     with np.errstate(all="ignore"):
         got = mix_performers(blocks)
-        got.samples  # the mean is computed, once, when first read
+        mean = mix_mean(got)
         want = reference_mix(blocks)
-    assert got.samples.dtype == np.float64
+    assert mean.dtype == np.float64
     assert got.sample_rate == 44100.0
-    assert got.samples.tobytes() == want.tobytes()
+    assert mean.tobytes() == want.tobytes()
     assert [a.tobytes() for a in arrays] == before
-    assert all(got.samples is not a for a in arrays)
-
-
-def test_mix_peak_memory_is_one_track():
-    rng = np.random.default_rng(3)
-    blocks = [AudioBlock(rng.uniform(-1, 1, 1 << 20), 44100.0)
-              for _ in range(4)]
-    track_bytes = blocks[0].samples.nbytes
-    # the stacked mix peaked at 5 tracks: the stack of 4 and its sum
-    peak = traced_peak_bytes(lambda: mix_performers(blocks).samples)
-    assert peak <= 1.25 * track_bytes
+    # the mix is the tracks as given, not copies
+    assert all(t is a for t, a in zip(got.tracks, arrays, strict=True))
 
 
 def test_writing_a_mix_never_builds_it(tmp_path):
