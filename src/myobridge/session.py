@@ -8,13 +8,15 @@ and is read back through the same scaling (protocol.scale_imu_values):
     {"t_us":0,"kind":"imu","data":[qw,qx,qy,qz,ax,ay,az,gx,gy,gz]}
     {"t_us":0,"kind":"emg","data":[c0,...,c7]}
 
-Every line is byte for byte the json.dumps(separators=(",", ":")) form of
-its record.  _LAYOUTS is the one table of the IMU and EMG line layouts:
-each kind's value count and range.  Both block paths work from it: the
-reader checks a block's values against it, and the writer prints a block
-whose records are all IMU and EMG records of plain ints from _TEMPLATES,
-one %-format line per kind built from it at import.  Every record of any
-other block is printed with json.dumps itself.
+A log is ASCII bytes, and every line is byte for byte the
+json.dumps(separators=(",", ":")) form of its record.  _LAYOUTS is the one
+table of the IMU and EMG line layouts: each kind's value count and range.
+Both block paths work from it: the reader checks a block's values against
+it, and the writer prints a block whose records are all IMU and EMG
+records of plain ints from _TEMPLATES, one bytes %-format line per kind
+built from it and encoded once at import.  Every record of any other
+block is printed with json.dumps itself, which escapes non-ASCII text, so
+its line encodes as ASCII.
 
 Producers write a leading meta record carrying the format version, device
 id, the RNG algorithm used for synthetic streams and the device units
@@ -132,11 +134,11 @@ def make_meta_record(device_id: str = "unknown") -> SessionRecord:
 # kind -> (value count, lowest, highest) of a data record's raw integers
 _LAYOUTS = {"imu": (IMU_VALUES, INT16_MIN, INT16_MAX),
             "emg": (EMG_CHANNELS, INT8_MIN, INT8_MAX)}
-# kind -> line template, the only printer of IMU and EMG lines besides
-# json.dumps itself.  %d prints an exact int as json.dumps does, so a
-# template line is byte for byte the json.dumps line.
-_TEMPLATES = {kind: '{"t_us":%d,"kind":"' + kind + '","data":['
-              + ",".join(["%d"] * n) + "]}"
+# kind -> line template, ASCII bytes, the only printer of IMU and EMG
+# lines besides json.dumps itself.  bytes %d prints an exact int as
+# json.dumps does, so a template line is byte for byte the json.dumps line.
+_TEMPLATES = {kind: ('{"t_us":%d,"kind":"' + kind + '","data":['
+                     + ",".join(["%d"] * n) + "]}").encode("ascii")
               for kind, (n, _, _) in _LAYOUTS.items()}
 _COUNTS = {kind: n for kind, (n, _, _) in _LAYOUTS.items()}
 _INTS_ONLY = frozenset({int})
@@ -158,11 +160,12 @@ def _serialize(rec: SessionRecord) -> str:
                       separators=(",", ":"))
 
 
-def _block_text(block: list) -> Optional[str]:
-    """The lines of a block of records, printed with one % over the
-    block's joined templates, or None if the templates cannot print some
-    record of it.  Checks each rule in one pass over the whole block.  %
-    raises ValueError on an int past Python's int/str digit limit."""
+def _block_text(block: list) -> Optional[bytes]:
+    """The lines of a block of records, as ASCII bytes printed with one %
+    over the block's joined templates, or None if the templates cannot
+    print some record of it.  Checks each rule in one pass over the whole
+    block.  % raises ValueError on an int past Python's int/str digit
+    limit."""
     t_us, kinds, datas = zip(*block)
     if (set(map(type, kinds)) != _STRS_ONLY or not _COUNTS.keys() >= set(kinds)
             or set(map(type, datas)) - _SEQUENCES
@@ -177,7 +180,8 @@ def _block_text(block: list) -> Optional[str]:
     # and formats numpy ints that json.dumps refuses
     if set(map(type, args)) != _INTS_ONLY:
         return None
-    return ("\n".join(map(_TEMPLATES.__getitem__, kinds)) + "\n") % tuple(args)
+    return ((b"\n".join(map(_TEMPLATES.__getitem__, kinds)) + b"\n")
+            % tuple(args))
 
 
 def _write_block(fh, block: list) -> None:
@@ -187,9 +191,10 @@ def _write_block(fh, block: list) -> None:
         text = None
     if text is None:
         # record by record, so the lines before a refused record are
-        # written before it raises
+        # written before it raises.  json.dumps escapes non-ASCII text, so
+        # the encode cannot fail
         for rec in block:
-            fh.write(_serialize(rec) + "\n")
+            fh.write((_serialize(rec) + "\n").encode("ascii"))
     else:
         fh.write(text)
 
@@ -208,7 +213,9 @@ def record(records: Iterable[SessionRecord], path) -> int:
     json.dumps or %d refuses raises the same exception as its line would,
     after every line before it has reached the file.  If records itself
     raises (a device drops out, a take is interrupted), the records it
-    gave before that are written first.
+    gave before that are written first.  The file is opened in binary and
+    written as ASCII bytes, with no newline translation, so its bytes are
+    the same on every platform.
 
     iter_log on the file yields back every record it accepts, equal to the
     one written except that list data reads back as a tuple; it refuses
@@ -220,7 +227,7 @@ def record(records: Iterable[SessionRecord], path) -> int:
     # a log starts with its meta record: written alone, it leaves the
     # first block whole
     size = 1
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "wb") as fh:
         while True:
             block = []
             try:

@@ -1,5 +1,6 @@
 """Log format and scenario generator tests."""
 
+import dataclasses
 import enum
 import hashlib
 import io
@@ -14,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from myobridge import session
@@ -257,9 +258,9 @@ def odd_records(draw):
 
 def _write_one(rec):
     """The text the block writer writes for a block of one record."""
-    fh = io.StringIO()
+    fh = io.BytesIO()
     session._write_block(fh, [rec])
-    return fh.getvalue()
+    return fh.getvalue().decode("ascii")
 
 
 @settings(max_examples=500, deadline=None)
@@ -334,11 +335,20 @@ def _source(recs, drops):
         raise SourceDropped
 
 
+# json.dumps escapes non-ASCII text, and the writer encodes the escaped
+# line: a meta record with such a device id, alone and ahead of a block
+# that the templates print
+_NON_ASCII_META = make_meta_record("\u00e9\u2603")
+_EMG_RECORDS = [SessionRecord(t, "emg", (t - 64,) * 8) for t in range(5)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(recs=st.lists(st.one_of(_valid_record, _valid_record, _meta_record,
                                _spoiled_record(), odd_records()),
                      max_size=12),
        drops=st.booleans())
+@example(recs=[_NON_ASCII_META], drops=False)
+@example(recs=[_NON_ASCII_META] + _EMG_RECORDS, drops=False)
 def test_block_writer_writes_and_raises_as_the_line_writer(recs, drops):
     expected, refused = _reference_file(recs)
     if refused is None and drops:
@@ -576,11 +586,11 @@ def test_default_scenario_shape():
         assert sum(p.duration_s for p in script.poses) == 540.0
 
 
-def test_default_scenario_spans_nine_minutes_per_performer():
-    scenario = default_scenario()
-    logs = generate_scenario(scenario, seed=9)
-    assert len(logs) == 4
-    for recs in logs:
+def test_default_scenario_spans_nine_minutes_per_performer(bundled_logs):
+    # the seed moves no value asserted here: timestamps are sample index
+    # times period, and counts are the pose durations times the rate
+    assert len(bundled_logs) == 4
+    for recs in bundled_logs:
         imu = [r for r in recs if r.kind == "imu"]
         assert len(imu) == 27000
         span_s = (imu[-1].t_us - imu[0].t_us) / 1e6
@@ -613,7 +623,11 @@ def test_bundled_scenario_matches_golden_hash(tmp_path, bundled_logs):
 
 
 def test_generated_logs_are_monotone_and_in_range(tmp_path):
-    logs = generate_scenario(default_scenario(), seed=3)
+    # performer 0 alone: SeedSequence(3).spawn(n)[0] is the same child for
+    # any n, so its log is the one the whole scenario gives it
+    scenario = default_scenario()
+    logs = generate_scenario(dataclasses.replace(
+        scenario, performers=scenario.performers[:1]), seed=3)
     path = tmp_path / "p0.jsonl"
     record(logs[0][:5000], path)
     parsed = list(iter_log(path))  # raises if malformed
