@@ -1,6 +1,6 @@
 """Print the versions the goldens depend on.
 
-The JSONL goldens come from numpy's PCG64 draws and float64 sin/cos, and
+The log goldens come from numpy's PCG64 draws and float64 sin/cos, and
 the WAV goldens from libm's float64 sin and numpy's float64 tanh, whose
 bits change with numpy's SIMD dispatch level.  So this prints numpy's
 version, the libc, numpy's compiled CPU baseline and the dispatch targets

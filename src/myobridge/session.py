@@ -1,37 +1,36 @@
 """Deterministic recording, reading, and synthesis of sensor streams.
 
-Logs are JSON lines, one flat record per line, storing the raw sensor
-integers the armband sends, so a log holds exactly what the wire carried
-and is read back through the same scaling (protocol.scale_imu_values):
+A log stores the raw sensor integers the armband sends, so it holds exactly
+what the wire carried and is read back through the same scaling
+(protocol.scale_imu_values).  Log format version 2:
 
-    {"t_us":0,"kind":"meta","data":{"version":"1.0",...}}
-    {"t_us":0,"kind":"imu","data":[qw,qx,qy,qz,ax,ay,az,gx,gy,gz]}
-    {"t_us":0,"kind":"emg","data":[c0,...,c7]}
+- Line 1 is the meta record, the ASCII bytes of its compact JSON line and a
+  newline, as json.dumps(..., separators=(",", ":")) prints it:
 
-A log is ASCII bytes, and every line is byte for byte the
-json.dumps(separators=(",", ":")) form of its record.  _LAYOUTS is the one
-table of the IMU and EMG line layouts: each kind's value count and range.
-Both block paths work from it: the reader checks a block's values against
-it, and the writer prints a block whose records are all IMU and EMG
-records of plain ints from _TEMPLATES, one bytes %-format line per kind
-built from it and encoded once at import.  Every record of any other
-block is printed with json.dumps itself, which escapes non-ASCII text, so
-its line encodes as ASCII.
+      {"t_us":0,"kind":"meta","data":{"version":"2.0",...}}
 
-Producers write a leading meta record carrying the format version, device
-id, the RNG algorithm used for synthetic streams and the device units
-(_DEVICE_UNITS: scale divisors and sample rates).  The units are fixed by
-the device, not options: iter_log refuses a meta record that declares
-different ones, naming its line.  Timestamps are microseconds and must be
-non-decreasing, and they are the only clock a reader uses.
+  It carries the format version, device id, the RNG algorithm used for
+  synthetic streams and the device units (_DEVICE_UNITS: scale divisors and
+  sample rates).
+- Each record after it is binary, little-endian: an int64 t_us, one kind
+  byte, then the raw values.  _LAYOUTS is the one table of the two layouts:
 
-iter_log reads the first line, the meta record, with the line parser and
-the rest in blocks of lines, each parsed with one json.loads and checked
-in passes over the whole block.  A block it cannot accept in full, for a
-blank, meta or malformed line, a value out of range or a decreasing
-timestamp, goes through the line parser: that yields the block's good
-records and then names the first bad line.  So every error message and
-line number comes from the line parser.
+      imu  kind byte 1  10 int16: qw qx qy qz ax ay az gx gy gz   29 bytes
+      emg  kind byte 2   8 int8:  c0 ... c7, one sample            17 bytes
+
+Timestamps are microseconds and must be non-decreasing, the meta record's
+included, and they are the only clock a reader uses.
+
+iter_log refuses a log with LogParseError, naming the 1-based record number
+(the meta line is record 1) and the byte offset where that record starts,
+for: a first line that is not a JSON meta record of major version 2, so a
+version-1 JSON-lines log is refused whole; a meta record declaring units
+other than the device's, which are fixed by the device, not options; an
+unknown kind byte; a decreasing timestamp; and a truncated last record.
+There is no other version and no JSON-lines reader.  record refuses a record
+it cannot write in this layout (see its docstring).  To read a log as text:
+
+    for rec in iter_log(path): print(json.dumps(rec._asdict()))
 
 The scenario generator synthesizes ensemble performances: each performer
 holds a sequence of poses.  A scenario file, read by scenario_from_dict:
@@ -60,12 +59,12 @@ jitter.
 from __future__ import annotations
 
 import json
+import struct
 import sys
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, compress, islice, repeat
-from operator import attrgetter, eq, itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -75,7 +74,7 @@ from .protocol import (
     EMG_CHANNELS, EMG_PERIOD_US, IMU_PERIOD_US, IMU_VALUES, INT8_MAX, INT8_MIN,
     INT16_MAX, INT16_MIN, EmgFrame, ImuFrame)
 
-LOG_VERSION = "1.0"
+LOG_VERSION = "2.0"
 LOG_MAJOR = int(LOG_VERSION.split(".", 1)[0])
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -97,17 +96,17 @@ TRANSITION_S = 2.0
 BURST_GYRO_DPS = 2000.0
 BURST_ACCEL_G = 1.0
 
-_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
-
 _BUNDLED_SCENARIO = "ensemble_9min.json"
 
 
-class LogParseError(Exception):
-    """Malformed log content; carries the 1-based line number."""
+class LogParseError(ValueError):
+    """Malformed log content; carries the 1-based record number and the
+    byte offset where that record starts."""
 
-    def __init__(self, line_no: int, message: str):
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, record_no: int, offset: int, message: str):
+        self.record_no = record_no
+        self.offset = offset
+        super().__init__(f"record {record_no} at byte {offset}: {message}")
 
 
 class InvalidScenarioError(ValueError):
@@ -131,256 +130,156 @@ def make_meta_record(device_id: str = "unknown") -> SessionRecord:
     })
 
 
-# kind -> (value count, lowest, highest) of a data record's raw integers
-_LAYOUTS = {"imu": (IMU_VALUES, INT16_MIN, INT16_MAX),
-            "emg": (EMG_CHANNELS, INT8_MIN, INT8_MAX)}
-# kind -> line template, ASCII bytes, the only printer of IMU and EMG
-# lines besides json.dumps itself.  bytes %d prints an exact int as
-# json.dumps does, so a template line is byte for byte the json.dumps line.
-_TEMPLATES = {kind: ('{"t_us":%d,"kind":"' + kind + '","data":['
-                     + ",".join(["%d"] * n) + "]}").encode("ascii")
-              for kind, (n, _, _) in _LAYOUTS.items()}
-_COUNTS = {kind: n for kind, (n, _, _) in _LAYOUTS.items()}
-_INTS_ONLY = frozenset({int})
-_STRS_ONLY = frozenset({str})
-_LISTS_ONLY = frozenset({list})
-_DICTS_ONLY = frozenset({dict})
-_SEQUENCES = frozenset({tuple, list})
-# iter_log's read size: small enough that a block's parsed objects add
-# nothing measurable to a render's peak memory
-_BLOCK_BYTES = 8192
-# record's block size, in records: a block's text is about 15 KB
-_BLOCK_RECORDS = 256
-
-
-def _serialize(rec: SessionRecord) -> str:
-    t_us, kind, data = rec
-    data = data if isinstance(data, dict) else list(data)
-    return json.dumps({"t_us": t_us, "kind": kind, "data": data},
-                      separators=(",", ":"))
-
-
-def _block_text(block: list) -> Optional[bytes]:
-    """The lines of a block of records, as ASCII bytes printed with one %
-    over the block's joined templates, or None if the templates cannot
-    print some record of it.  Checks each rule in one pass over the whole
-    block.  % raises ValueError on an int past Python's int/str digit
-    limit."""
-    t_us, kinds, datas = zip(*block)
-    if (set(map(type, kinds)) != _STRS_ONLY or not _COUNTS.keys() >= set(kinds)
-            or set(map(type, datas)) - _SEQUENCES
-            or list(map(len, datas)) != list(map(_COUNTS.__getitem__, kinds))):
-        return None
-    # t_us, then the data values, of each record in turn
-    args = []
-    for t, data in zip(t_us, datas):
-        args.append(t)
-        args.extend(data)
-    # exact ints only: %d prints True as 1 where json.dumps prints true,
-    # and formats numpy ints that json.dumps refuses
-    if set(map(type, args)) != _INTS_ONLY:
-        return None
-    return ((b"\n".join(map(_TEMPLATES.__getitem__, kinds)) + b"\n")
-            % tuple(args))
-
-
-def _write_block(fh, block: list) -> None:
-    try:
-        text = _block_text(block)
-    except ValueError:  # % refused an int: json.dumps raises at its record
-        text = None
-    if text is None:
-        # record by record, so the lines before a refused record are
-        # written before it raises.  json.dumps escapes non-ASCII text, so
-        # the encode cannot fail
-        for rec in block:
-            fh.write((_serialize(rec) + "\n").encode("ascii"))
-    else:
-        fh.write(text)
+# kind -> (kind byte, layout of t_us, kind byte and raw values).  The struct
+# codes q, h and b refuse a value outside int64, int16 and int8.
+_LAYOUTS = {"imu": (1, struct.Struct(f"<qB{IMU_VALUES}h")),
+            "emg": (2, struct.Struct(f"<qB{EMG_CHANNELS}b"))}
+_KINDS = {code: (kind, layout) for kind, (code, layout) in _LAYOUTS.items()}
+_KIND_AT = 8  # the kind byte's offset in a record, past its int64 t_us
+# record's write size and iter_log's read size: a log's memory stays about
+# this much whatever its length
+_IO_BYTES = 1 << 16
 
 
 def record(records: Iterable[SessionRecord], path) -> int:
-    """Write records to a log file, one line each, in arrival order.
+    """Write records to a log file in arrival order; returns how many.
 
-    The first record is written alone, and the rest _BLOCK_RECORDS at a
-    time: a block whose records the templates all print is written with
-    one write.  So records may be a generator, and memory does not grow
-    with the log: it holds one block and its text.  A block holding a
-    record the templates cannot print (a meta record, a bool, a numpy int,
-    a float, a wrong length) is written record by record through
-    json.dumps, and the next block is whole again.  Either way the file's
-    bytes are those of writing each record's line in turn.  A record that
-    json.dumps or %d refuses raises the same exception as its line would,
-    after every line before it has reached the file.  If records itself
-    raises (a device drops out, a take is interrupted), the records it
-    gave before that are written first.  The file is opened in binary and
-    written as ASCII bytes, with no newline translation, so its bytes are
-    the same on every platform.
+    The first record must be the meta record, written as the JSON line and
+    checked as iter_log checks it, so a bad one is refused before the take,
+    not when it is rendered.  Every later record is packed into a buffer
+    written each time it reaches _IO_BYTES, so records may be a generator
+    and memory does not grow with the log.  A record is refused with
+    ValueError (LogParseError for the meta line), naming its 1-based
+    number, when it cannot be written: a first record that is not meta, a
+    meta record after the first, an unknown kind, a t_us or value that is
+    not an int (a float) or is outside int64, int16 or int8, or the wrong
+    number of values.  Values are packed by value under struct's rule, so a
+    bool or a numpy int is written as its int and reads back as a plain
+    int.  Whether a record is refused or records itself raises (a device
+    drops out, a take is interrupted), every record before it has reached
+    the file when the exception escapes.
 
-    iter_log on the file yields back every record it accepts, equal to the
-    one written except that list data reads back as a tuple; it refuses
-    out-of-range values and decreasing timestamps, naming the line.
-    Returns the number of lines written.
+    Timestamps are written as given: iter_log yields back every record up
+    to one that precedes the last, equal to the one written except that
+    data reads back as a tuple of plain ints.
     """
     records = iter(records)
-    count = 0
-    # a log starts with its meta record: written alone, it leaves the
-    # first block whole
-    size = 1
     with open(path, "wb") as fh:
-        while True:
-            block = []
-            try:
-                for rec in islice(records, size):
-                    block.append(rec)
-            finally:
-                # the records drawn so far reach the file even if the
-                # source raises
-                if block:
-                    _write_block(fh, block)
-            if not block:
-                return count
-            count += len(block)
-            size = _BLOCK_RECORDS
+        first = next(records, None)
+        if first is None:
+            return 0
+        t_us, kind, data = first
+        if kind != "meta":
+            raise ValueError(f"record 1: a log starts with its meta record, "
+                             f"not {kind!r}")
+        line = json.dumps({"t_us": t_us, "kind": kind, "data": data},
+                          separators=(",", ":")).encode("ascii") + b"\n"
+        _read_meta(line)  # refused now, not when the take is rendered
+        fh.write(line)
+        count = 1
+        buf = bytearray()
+        try:
+            for count, (t_us, kind, data) in enumerate(records, start=2):
+                try:
+                    code, layout = _LAYOUTS[kind]
+                except (KeyError, TypeError):
+                    raise ValueError(
+                        f"record {count}: past the meta record, a log holds "
+                        f"imu and emg records only, not {kind!r}") from None
+                try:
+                    buf += layout.pack(t_us, code, *data)
+                except (TypeError, struct.error) as exc:
+                    raise ValueError(f"record {count}: {kind} record "
+                                     f"refused ({exc})") from exc
+                if len(buf) >= _IO_BYTES:
+                    fh.write(buf)
+                    buf.clear()
+            return count
+        finally:
+            # the records packed so far reach the file even if the source
+            # or a record raises
+            fh.write(buf)
 
 
-def _check_int_list(values, n, lo, hi, line_no, what):
-    if not isinstance(values, list) or len(values) != n:
-        raise LogParseError(line_no, f"{what} data must be {n} integers")
-    for v in values:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise LogParseError(line_no, f"{what} data must be integers")
-        if not lo <= v <= hi:
-            raise LogParseError(line_no,
-                                f"{what} value {v} outside [{lo}, {hi}]")
-
-
-def _parse_line(line: str, line_no: int) -> SessionRecord:
+def _read_meta(line: bytes) -> SessionRecord:
+    """Record 1, the meta line, checked."""
     try:
-        obj = json.loads(line)
+        obj = json.loads(line.decode("ascii"))
+    except UnicodeDecodeError as exc:
+        raise LogParseError(
+            1, 0, f"non-ASCII byte 0x{line[exc.start]:02x}") from exc
     except (RecursionError, ValueError) as exc:
         # JSONDecodeError, a plain ValueError for an integer longer than
         # Python's int/str conversion limit, or a RecursionError for arrays
         # nested deeper than the decoder's stack
         raise LogParseError(
-            line_no, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
-    if not isinstance(obj, dict):
-        raise LogParseError(line_no, "record must be an object")
+            1, 0, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+    if not (isinstance(obj, dict) and obj.get("kind") == "meta"
+            and isinstance(obj.get("data"), dict)):
+        raise LogParseError(1, 0, "the first line must be a meta record")
+    t_us, data = obj.get("t_us"), obj["data"]
+    if type(t_us) is not int:  # nor a bool
+        raise LogParseError(1, 0, "t_us must be an integer")
     try:
-        t_us = obj["t_us"]
-        kind = obj["kind"]
-        data = obj["data"]
-    except KeyError as exc:
-        raise LogParseError(line_no, f"missing field {exc.args[0]!r}") from exc
-    if not isinstance(t_us, int) or isinstance(t_us, bool):
-        raise LogParseError(line_no, "t_us must be an integer")
-    # a reader's clock arithmetic converts t_us to float
-    if not _INT64_MIN <= t_us <= _INT64_MAX:
-        raise LogParseError(line_no, "t_us outside the signed 64-bit range")
-    # a JSON kind may be an unhashable list or object
-    if isinstance(kind, str) and kind in _LAYOUTS:
-        _check_int_list(data, *_LAYOUTS[kind], line_no, kind)
-        return SessionRecord(t_us, kind, tuple(data))
-    if kind == "meta":
-        if not isinstance(data, dict):
-            raise LogParseError(line_no, "meta data must be an object")
-        version = str(data.get("version", ""))
-        major = version.split(".", 1)[0]
-        if not major.isdigit() or int(major) != LOG_MAJOR:
+        # a reader's clock arithmetic converts t_us to float
+        struct.pack("<q", t_us)
+    except struct.error:
+        raise LogParseError(
+            1, 0, "t_us outside the signed 64-bit range") from None
+    version = str(data.get("version", ""))
+    if version.split(".", 1)[0] != str(LOG_MAJOR):
+        raise LogParseError(1, 0, f"unsupported log version {version!r}")
+    for key, unit in _DEVICE_UNITS.items():
+        if key in data and data[key] != unit:
             raise LogParseError(
-                line_no, f"unsupported log version {version!r}")
-        for key, unit in _DEVICE_UNITS.items():
-            if key in data and data[key] != unit:
-                raise LogParseError(
-                    line_no, f"meta {key} {data[key]!r} is not the device's "
-                             f"{unit!r}")
-        return SessionRecord(t_us, "meta", data)
-    raise LogParseError(line_no, f"unknown record kind {kind!r}")
-
-
-def _parse_lines(lines, line_no: int, last_t):
-    """The line parser: yields each line's record, numbering lines from
-    line_no, and returns the last timestamp read."""
-    for line_no, raw in enumerate(lines, start=line_no):
-        try:
-            # JSON's whitespace only: str.strip would also drop form
-            # feeds and other control bytes that json.loads refuses
-            line = raw.decode("ascii").strip(" \t\r\n")
-        except UnicodeDecodeError as exc:
-            raise LogParseError(
-                line_no, f"non-ASCII byte 0x{raw[exc.start]:02x}") from exc
-        if not line:
-            continue
-        rec = _parse_line(line, line_no)
-        if last_t is not None and rec.t_us < last_t:
-            raise LogParseError(
-                line_no, f"timestamp {rec.t_us} precedes {last_t}")
-        last_t = rec.t_us
-        yield rec
-    return last_t
-
-
-def _ints_within(datas: list, n: int, lo: int, hi: int) -> bool:
-    """Whether every item of datas is a list of n exact ints in [lo, hi]."""
-    if set(map(type, datas)) - _LISTS_ONLY or set(map(len, datas)) - {n}:
-        return False
-    values = list(chain.from_iterable(datas))
-    return not values or (set(map(type, values)) == _INTS_ONLY
-                          and lo <= min(values) and max(values) <= hi)
-
-
-def _read_block(block: list, last_t):
-    """(t_us, kinds, datas) of a block of IMU and EMG lines, each checked
-    in a few passes over the whole block, or None for a block that the
-    line parser must read."""
-    n = len(block)
-    joined = b",".join(block)
-    # one "{" per line, at its start, and as many "}": every line holds
-    # one flat object, so no object can span two lines
-    if (not joined.isascii() or joined.count(b"{") != n
-            or joined.count(b"}") != n
-            or not all(map(bytes.startswith, block, repeat(b"{")))):
-        return None
-    try:
-        objs = json.loads(b"[" + joined + b"]")
-        if len(objs) != n or set(map(type, objs)) != _DICTS_ONLY:
-            return None
-        t_us = list(map(itemgetter("t_us"), objs))
-        kinds = list(map(itemgetter("kind"), objs))
-        datas = list(map(itemgetter("data"), objs))
-    except (KeyError, RecursionError, ValueError):
-        return None
-    if (set(map(type, t_us)) != _INTS_ONLY or t_us != sorted(t_us)
-            or t_us[0] < _INT64_MIN or t_us[-1] > _INT64_MAX
-            or last_t is not None and t_us[0] < last_t):
-        return None
-    # list.count compares by ==, so kinds of any JSON type are safe here
-    if sum(map(kinds.count, _LAYOUTS)) != n:
-        return None
-    for kind, (count, lo, hi) in _LAYOUTS.items():
-        of_kind = list(compress(datas, map(eq, kinds, repeat(kind))))
-        if not _ints_within(of_kind, count, lo, hi):
-            return None
-    return t_us, kinds, datas
+                1, 0, f"meta {key} {data[key]!r} is not the device's {unit!r}")
+    return SessionRecord(t_us, "meta", data)
 
 
 def iter_log(path) -> Iterator[SessionRecord]:
-    """Parse a log file; raises LogParseError with the offending 1-based
-    line number (a malformed line, an unsupported version, a timestamp
-    that precedes the last).  Reads blocks of about _BLOCK_BYTES past the
-    first line; see the module docstring."""
+    """Read a log file (format in the module docstring), record by record.
+
+    Reads the meta line, then chunks of _IO_BYTES, carrying a record cut
+    by a chunk's end into the next, so memory does not grow with the log.
+    Raises LogParseError naming the record and its byte offset for each
+    refusal the module docstring lists, after yielding every record before
+    it.
+    """
     with open(path, "rb") as fh:
-        last_t = yield from _parse_lines([fh.readline()], 1, None)
-        line_no = 2
-        while block := fh.readlines(_BLOCK_BYTES):
-            checked = _read_block(block, last_t)
-            if checked is None:
-                last_t = yield from _parse_lines(block, line_no, last_t)
-            else:
-                t_us, kinds, datas = checked
-                yield from map(SessionRecord, t_us, kinds, map(tuple, datas))
-                last_t = t_us[-1]
-            line_no += len(block)
+        line = fh.readline()
+        if not line:
+            return
+        meta = _read_meta(line)
+        yield meta
+        last_t, record_no = meta.t_us, 1
+        base, buf = len(line), b""  # buf[0] is at file offset base
+        while chunk := fh.read(_IO_BYTES):
+            buf += chunk
+            pos, end = 0, len(buf)
+            while pos + _KIND_AT < end:
+                try:
+                    kind, layout = _KINDS[buf[pos + _KIND_AT]]
+                except KeyError:
+                    raise LogParseError(
+                        record_no + 1, base + pos,
+                        f"unknown kind byte {buf[pos + _KIND_AT]}") from None
+                if pos + layout.size > end:
+                    break
+                values = layout.unpack_from(buf, pos)
+                t_us = values[0]
+                record_no += 1
+                if t_us < last_t:
+                    raise LogParseError(record_no, base + pos,
+                                        f"timestamp {t_us} precedes {last_t}")
+                last_t = t_us
+                pos += layout.size
+                yield SessionRecord(t_us, kind, values[2:])
+            base += pos
+            buf = buf[pos:]
+        if buf:
+            raise LogParseError(record_no + 1, base,
+                                f"truncated record: the log ends "
+                                f"{len(buf)} bytes into it")
 
 
 def records_to_frames(records: Iterable[SessionRecord]

@@ -310,19 +310,26 @@ def test_sample_layout_agrees_with_itself():
     assert (protocol.IMU_VALUES, protocol.EMG_CHANNELS) == (10, 8)
     assert imu.size == protocol.IMU_PAYLOAD_LEN == 20
     assert emg.size == protocol.EMG_PAYLOAD_LEN == 16
+    # a log record is t_us, its kind byte and the values of one IMU frame
+    # or one EMG sample; an EMG notification holds two samples
     layouts = session._LAYOUTS
-    assert layouts == {
-        "imu": (protocol.IMU_VALUES, protocol.INT16_MIN, protocol.INT16_MAX),
-        "emg": (protocol.EMG_CHANNELS, protocol.INT8_MIN, protocol.INT8_MAX)}
-    # an EMG value holds two samples
-    for packer, values, (_, lo, hi) in (
-            (imu, protocol.IMU_VALUES, layouts["imu"]),
-            (emg, 2 * protocol.EMG_CHANNELS, layouts["emg"])):
-        assert len(packer.unpack(packer.pack(*[lo] * values))) == values
-        packer.pack(*[hi] * values)
+    assert {kind: (code, layout.format, layout.size)
+            for kind, (code, layout) in layouts.items()} == {
+        "imu": (1, f"<qB{protocol.IMU_VALUES}h", 29),
+        "emg": (2, f"<qB{protocol.EMG_CHANNELS}b", 17)}
+    int16, int8 = (protocol.INT16_MIN, protocol.INT16_MAX), (
+        protocol.INT8_MIN, protocol.INT8_MAX)
+    for packer, head, values, (lo, hi) in (
+            (imu, [], protocol.IMU_VALUES, int16),
+            (emg, [], 2 * protocol.EMG_CHANNELS, int8),
+            (layouts["imu"][1], [0, 1], protocol.IMU_VALUES, int16),
+            (layouts["emg"][1], [0, 2], protocol.EMG_CHANNELS, int8)):
+        assert len(packer.unpack(packer.pack(*head, *[lo] * values))) == (
+            len(head) + values)
+        packer.pack(*head, *[hi] * values)
         for past in (lo - 1, hi + 1):
             with pytest.raises(struct.error):
-                packer.pack(*[past] * values)
+                packer.pack(*head, *[past] * values)
     assert mapping.N_OSCILLATORS == protocol.EMG_CHANNELS
     assert mapping.EMG_FULL_SCALE == -protocol.INT8_MIN
 

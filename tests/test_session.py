@@ -3,11 +3,10 @@
 import dataclasses
 import enum
 import hashlib
-import io
 import itertools
 import json
 import math
-import re
+import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -48,56 +47,78 @@ def tiny_scenario():
 
 # --- log writing and parsing ---------------------------------------------------
 
+_META = make_meta_record()
+_META_LINE = json.dumps(_META._asdict(),
+                        separators=(",", ":")).encode() + b"\n"
+# a valid log past its meta record
+_BODY = [SessionRecord(0, "imu", (16384, 0, 0, 0, 0, 0, 2048, 0, 0, 0)),
+         SessionRecord(2500, "emg", (1,) * 8),
+         SessionRecord(5000, "emg", (-1,) * 8)]
+
+
+def _emg_bytes(t_us, code=2):
+    """An EMG record's bytes, under any kind byte."""
+    return struct.pack("<qB8b", t_us, code, *(0,) * 8)
+
+
 def test_record_empty_stream_writes_empty_file(tmp_path):
-    path = tmp_path / "empty.jsonl"
+    path = tmp_path / "empty.log"
     assert record([], path) == 0
     assert path.read_bytes() == b""
     assert list(iter_log(path)) == []
 
 
 def test_record_preserves_arrival_order(tmp_path):
-    recs = [
-        SessionRecord(0, "imu", (0,) * 10),
-        SessionRecord(2500, "emg", (1,) * 8),
-        SessionRecord(5000, "emg", (-1,) * 8),
-    ]
-    path = tmp_path / "log.jsonl"
-    assert record(recs, path) == 3
-    lines = path.read_text().splitlines()
-    assert len(lines) == 3
-    assert [json.loads(l)["kind"] for l in lines] == ["imu", "emg", "emg"]
+    recs = [_META] + _BODY
+    path = tmp_path / "log.log"
+    assert record(recs, path) == 4
+    content = path.read_bytes()
+    starts = [len(_META_LINE) + at for at in (0, 29, 29 + 17)]
+    assert content.startswith(_META_LINE) and len(content) == starts[-1] + 17
+    # the kind byte follows each record's int64 t_us
+    assert [content[at + 8] for at in starts] == [1, 2, 2]
     assert list(iter_log(path)) == recs
 
 
 def test_record_replay_record_round_trip(tmp_path):
     logs = generate_scenario(tiny_scenario(), seed=5)
-    p1 = tmp_path / "a.jsonl"
-    p2 = tmp_path / "b.jsonl"
+    p1 = tmp_path / "a.log"
+    p2 = tmp_path / "b.log"
     record(logs[0], p1)
     record(iter_log(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_monotonicity_error_names_line(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    recs = [SessionRecord(100, "imu", (0,) * 10),
+    # the writer keeps the order it is given; the reader yields every
+    # record before the one that goes back in time
+    path = tmp_path / "bad.log"
+    recs = [_META, SessionRecord(100, "imu", (0,) * 10),
             SessionRecord(50, "imu", (0,) * 10)]
-    record(recs, path)
+    assert record(recs, path) == 3
+    got = []
     with pytest.raises(LogParseError, match="precedes") as excinfo:
+        got.extend(iter_log(path))
+    assert got == recs[:2]
+    assert (excinfo.value.record_no, excinfo.value.offset) == (
+        3, len(_META_LINE) + 29)
+    assert f"record 3 at byte {len(_META_LINE) + 29}" in str(excinfo.value)
+
+
+def _refusal(path):
+    """The LogParseError iter_log raises on path."""
+    with pytest.raises(LogParseError) as excinfo:
         list(iter_log(path))
-    assert excinfo.value.line_no == 2
-    assert "line 2" in str(excinfo.value)
+    return excinfo.value
 
 
 def test_corrupt_json_names_line(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    lines = [session._serialize(SessionRecord(i * 1000, "emg", (0,) * 8))
-             for i in range(20)]
-    lines[16] = '{"t_us": 16000, "kind": "emg", "data": [0,0,0'
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(LogParseError) as excinfo:
-        list(iter_log(path))
-    assert excinfo.value.line_no == 17
+    path = tmp_path / "bad.log"
+    path.write_bytes(_META_LINE[:len(_META_LINE) // 2] + b"\n"
+                     + _emg_bytes(0))
+    error = _refusal(path)
+    assert (error.record_no, error.offset) == (1, 0)
+    assert "invalid JSON" in str(error)
 
 
 @pytest.mark.parametrize("t_us, error", [
@@ -111,27 +132,26 @@ def test_corrupt_json_names_line(tmp_path):
     ("1" + "0" * 5000, "invalid JSON"),
 ])
 def test_t_us_outside_int64_names_line(tmp_path, t_us, error):
-    path = tmp_path / "log.jsonl"
-    path.write_text('{"t_us":-9223372036854775808,"kind":"meta",'
-                    '"data":{"version":"1.0"}}\n'
-                    '{"t_us":%s,"kind":"emg","data":[0,0,0,0,0,0,0,0]}\n'
-                    % t_us)
+    # the meta line is JSON, so its t_us is checked against int64 when read;
+    # a binary record's t_us is an int64 by its layout
+    path = tmp_path / "log.log"
+    path.write_bytes(b'{"t_us":%s,"kind":"meta","data":{"version":"2.0"}}\n'
+                     % t_us.encode())
     if error is None:
-        assert [r.t_us for r in iter_log(path)] == [-2**63, int(t_us)]
+        assert [r.t_us for r in iter_log(path)] == [int(t_us)]
         return
     with pytest.raises(LogParseError, match=error) as excinfo:
         list(iter_log(path))
-    assert excinfo.value.line_no == 2
+    assert excinfo.value.record_no == 1
 
 
 def test_non_ascii_byte_names_line(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_bytes(b'{"t_us":0,"kind":"emg","data":[0,0,0,0,0,0,0,0]}\n'
-                     b'{"t_us":5000,"kind":"emg\xff","data":[]}\n')
-    with pytest.raises(LogParseError) as excinfo:
-        list(iter_log(path))
-    assert excinfo.value.line_no == 2
-    assert "0xff" in str(excinfo.value)
+    path = tmp_path / "bad.log"
+    path.write_bytes(_META_LINE.replace(b'"meta"', b'"meta\xff"')
+                     + _emg_bytes(0))
+    error = _refusal(path)
+    assert (error.record_no, error.offset) == (1, 0)
+    assert "0xff" in str(error)
 
 
 _EMG_LINE = b'{"t_us":%d,"kind":"emg","data":[0,0,0,0,0,0,0,0]}'
@@ -145,43 +165,61 @@ _EMG_LINE = b'{"t_us":%d,"kind":"emg","data":[0,0,0,0,0,0,0,0]}'
     b"\x1e",
 ])
 def test_control_bytes_json_refuses_name_their_line(tmp_path, line):
-    # str.strip() dropped these, so the line was read as a valid record
-    path = tmp_path / "bad.jsonl"
-    path.write_bytes(_EMG_LINE % 0 + b"\n" + line + b"\n")
+    # str.strip() would drop these bytes; json.loads refuses them, before
+    # it could see that the line is not a meta record
+    path = tmp_path / "bad.log"
+    path.write_bytes(line + b"\n" + _emg_bytes(5000))
     with pytest.raises(LogParseError, match="invalid JSON") as excinfo:
         list(iter_log(path))
-    assert excinfo.value.line_no == 2
+    assert excinfo.value.record_no == 1
 
 
-def test_json_whitespace_and_blank_lines_are_accepted(tmp_path):
-    path = tmp_path / "ok.jsonl"
-    path.write_bytes(b"\n \t\r\n" + _EMG_LINE % 0 + b"\r\n\n"
-                     + b" \t" + _EMG_LINE % 5000 + b" \t\r\n")
-    assert [r.t_us for r in iter_log(path)] == [0, 5000]
+def test_json_whitespace_around_the_meta_line_is_accepted(tmp_path):
+    path = tmp_path / "ok.log"
+    path.write_bytes(b" \t" + _META_LINE[:-1] + b" \t\r\n" + _emg_bytes(0))
+    assert [r.kind for r in iter_log(path)] == ["meta", "emg"]
+    # a blank line is not a meta record
+    path.write_bytes(b"\n" + _META_LINE)
+    assert _refusal(path).record_no == 1
 
 
-def test_unknown_major_version_rejected(tmp_path):
-    path = tmp_path / "v2.jsonl"
-    path.write_text('{"t_us":0,"kind":"meta","data":{"version":"2.0"}}\n')
+@pytest.mark.parametrize("version", ["1.0", "3.0", "", "20.0", "².0"])
+def test_unknown_major_version_rejected(tmp_path, version):
+    path = tmp_path / "log.log"
+    meta = SessionRecord(0, "meta", {"version": version})
+    with pytest.raises(LogParseError, match="unsupported log version"):
+        record([meta], path)
+    assert path.read_bytes() == b""
+    path.write_bytes(json.dumps(meta._asdict()).encode() + b"\n")
     with pytest.raises(LogParseError, match="unsupported log version"):
         list(iter_log(path))
 
 
+def _refused_at(path, recs, record_no):
+    """record refuses recs at record_no, after writing every record before
+    it: the file reads back as exactly those records."""
+    with pytest.raises(ValueError, match=f"^record {record_no}: "):
+        record(recs, path)
+    assert list(iter_log(path)) == recs[:record_no - 1]
+
+
 def test_out_of_range_values_rejected(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text('{"t_us":0,"kind":"emg","data":[999,0,0,0,0,0,0,0]}\n')
-    with pytest.raises(LogParseError):
-        list(iter_log(path))
-    path.write_text('{"t_us":0,"kind":"imu","data":[40000,0,0,0,0,0,0,0,0,0]}\n')
-    with pytest.raises(LogParseError):
-        list(iter_log(path))
+    path = tmp_path / "log.log"
+    for kind, n, lo, hi in (("imu", 10, -32768, 32767), ("emg", 8, -128, 127)):
+        ok = [_META, SessionRecord(1, kind, (lo,) * n),
+              SessionRecord(2, kind, (hi,) * n)]
+        assert record(ok, path) == 3
+        assert list(iter_log(path)) == ok
+        for past in (lo - 1, hi + 1):
+            past_record = SessionRecord(3, kind, (0, past) * (n // 2))
+            _refused_at(path, ok + [past_record], 4)
 
 
 def test_unknown_kind_rejected(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text('{"t_us":0,"kind":"wat","data":[]}\n')
-    with pytest.raises(LogParseError):
-        list(iter_log(path))
+    path = tmp_path / "log.log"
+    for kind in ("wat", "", ["imu"]):
+        _refused_at(path, [_META] + _BODY + [SessionRecord(6000, kind, ())],
+                    5)
 
 
 def test_records_to_frames_applies_meta_scales(tmp_path):
@@ -200,24 +238,61 @@ def test_records_to_frames_applies_meta_scales(tmp_path):
 
 
 def test_log_declaring_other_units_names_line(tmp_path):
-    path = tmp_path / "log.jsonl"
-    other = dict(make_meta_record().data, quat_scale=8192.0)
-    record([SessionRecord(0, "imu", (0,) * 10),
-            SessionRecord(0, "meta", other)], path)
-    with pytest.raises(LogParseError) as excinfo:
-        list(iter_log(path))
-    assert excinfo.value.line_no == 2
-    assert "quat_scale" in str(excinfo.value)
+    path = tmp_path / "log.log"
+    other = SessionRecord(0, "meta", dict(_META.data, quat_scale=8192.0))
+    # the writer refuses the meta record the reader would refuse
+    with pytest.raises(LogParseError, match="quat_scale"):
+        record([other] + _BODY, path)
+    assert path.read_bytes() == b""
+    path.write_bytes(json.dumps(other._asdict()).encode() + b"\n")
+    error = _refusal(path)
+    assert (error.record_no, error.offset) == (1, 0)
+    assert "quat_scale" in str(error)
     # a meta record that leaves the units out is accepted
-    record([SessionRecord(0, "meta", {"version": "1.0"})], path)
+    record([SessionRecord(0, "meta", {"version": "2.0"})], path)
     assert len(list(iter_log(path))) == 1
 
 
-def reference_serialize(rec):
-    """The writer's line before per-kind templates: json.dumps alone."""
-    data = rec.data if isinstance(rec.data, dict) else list(rec.data)
-    return json.dumps({"t_us": rec.t_us, "kind": rec.kind, "data": data},
-                      separators=(",", ":"))
+# fault -> (the log's bytes, the record refused, where it starts, its message)
+_READ_FAULTS = {
+    "truncated-last-record": (
+        _META_LINE + _emg_bytes(0) + _emg_bytes(5)[:-3],
+        3, len(_META_LINE) + 17, "truncated record"),
+    "unknown-kind-byte": (
+        _META_LINE + _emg_bytes(0) + _emg_bytes(5, code=7) + _emg_bytes(9),
+        3, len(_META_LINE) + 17, "unknown kind byte 7"),
+    "decreasing-timestamp": (
+        _META_LINE + _emg_bytes(0) + _emg_bytes(5) + _emg_bytes(4),
+        4, len(_META_LINE) + 34, "timestamp 4 precedes 5"),
+    "version-1-jsonl-log": (
+        b'{"t_us":0,"kind":"meta","data":{"version":"1.0"}}\n'
+        + _EMG_LINE % 0 + b"\n", 1, 0, "unsupported log version '1.0'"),
+    "first-line-not-meta": (
+        _EMG_LINE % 0 + b"\n" + _emg_bytes(5), 1, 0, "must be a meta record"),
+    "other-device-units": (
+        _META_LINE.replace(b'"gyro_scale":16.0', b'"gyro_scale":16.5'),
+        1, 0, "meta gyro_scale 16.5 is not the device's 16.0"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_READ_FAULTS))
+def test_iter_log_refuses_a_fault_naming_its_record_and_offset(tmp_path,
+                                                               fault):
+    content, record_no, offset, message = _READ_FAULTS[fault]
+    path = tmp_path / "bad.log"
+    path.write_bytes(content)
+    good = content[:offset]  # the records before the fault, whole
+    if good:
+        (tmp_path / "good.log").write_bytes(good)
+    expected = list(iter_log(tmp_path / "good.log")) if good else []
+    got = []
+    with pytest.raises(LogParseError) as excinfo:
+        got.extend(iter_log(path))
+    assert got == expected and len(got) == record_no - 1
+    error = excinfo.value
+    assert (error.record_no, error.offset) == (record_no, offset)
+    assert str(error).startswith(f"record {record_no} at byte {offset}: ")
+    assert message in str(error)
 
 
 class Level(enum.IntEnum):
@@ -225,104 +300,57 @@ class Level(enum.IntEnum):
     HIGH = 40000
 
 
-_odd_value = st.one_of(
-    st.integers(),
-    st.sampled_from([2**63, -2**63 - 1, 10**30, 10**5000, -10**5000]),
-    st.booleans(),
-    st.floats(),  # NaN and infinities included
-    st.sampled_from([Level.LOW, Level.HIGH, np.int64(7), np.int16(-2)]),
-)
+# fault -> the record refused, at record 5 after four good ones; None for a
+# log that does not start with its meta record.  Values one past their
+# range and unknown kinds are refused the same way in
+# test_out_of_range_values_rejected and test_unknown_kind_rejected.
+_WRITE_FAULTS = {
+    "intenum-past-range": SessionRecord(6000, "imu", (Level.HIGH,) * 10),
+    "float-value": SessionRecord(6000, "emg", (1.0,) + (0,) * 7),
+    "float-t_us": SessionRecord(6000.0, "emg", (0,) * 8),
+    "t_us-past-int64": SessionRecord(2**63, "emg", (0,) * 8),
+    "huge-int": SessionRecord(6000, "emg", (10**5000,) + (0,) * 7),
+    "wrong-count": SessionRecord(6000, "emg", (0,) * 7),
+    "not-a-sequence": SessionRecord(6000, "emg", 0),
+    "meta-after-first": make_meta_record(),
+    "first-not-meta": None,
+}
 
 
-@st.composite
-def odd_records(draw):
-    """Mostly near-valid records: the kind's length or one off, int16
-    values with up to two odd ones, and t_us of any int, bool or float."""
-    kind = draw(st.sampled_from(["imu", "emg", "meta", "other"]))
-    t_us = draw(st.integers() | st.sampled_from(
-        [True, False, 2.0, math.nan, 10**5000]))
-    form = draw(st.sampled_from([list, tuple, tuple, dict]))
-    if form is dict:
-        data = draw(st.dictionaries(st.text(max_size=3), _odd_value,
-                                    max_size=3))
+@pytest.mark.parametrize("fault", sorted(_WRITE_FAULTS))
+def test_record_refuses_a_record_after_writing_every_earlier_one(tmp_path,
+                                                                 fault):
+    bad = _WRITE_FAULTS[fault]
+    path = tmp_path / "log.log"
+    if bad is None:
+        _refused_at(path, _BODY, 1)
     else:
-        n = {"imu": 10, "emg": 8}.get(kind, 8) + draw(
-            st.sampled_from([0, 0, 0, -1, 1]))
-        values = draw(st.lists(st.integers(-32768, 32767),
-                               min_size=n, max_size=n))
-        for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
-            values[i] = draw(_odd_value)
-        data = form(values)
-    return SessionRecord(t_us, kind, data)
-
-
-def _write_one(rec):
-    """The text the block writer writes for a block of one record."""
-    fh = io.BytesIO()
-    session._write_block(fh, [rec])
-    return fh.getvalue().decode("ascii")
-
-
-@settings(max_examples=500, deadline=None)
-@given(rec=odd_records())
-def test_serialize_matches_json_dumps_or_raises_alike(rec):
-    try:
-        expected = reference_serialize(rec)
-    except Exception as exc:  # noqa: BLE001 - the type is what is compared
-        with pytest.raises(type(exc)):
-            _write_one(rec)
-        return
-    assert _write_one(rec) == expected + "\n"
-
-
-_valid_record = st.one_of(
-    st.builds(SessionRecord, t_us=st.integers(-2**63, 2**63 - 1),
-              kind=st.just("imu"),
-              data=st.tuples(*[st.integers(-32768, 32767)] * 10)),
-    st.builds(SessionRecord, t_us=st.integers(-2**63, 2**63 - 1),
-              kind=st.just("emg"),
-              data=st.tuples(*[st.integers(-128, 127)] * 8)),
-)
+        _refused_at(path, [_META] + _BODY + [bad, _BODY[-1]], 5)
 
 
 @settings(max_examples=100, deadline=None)
-@given(recs=st.lists(_valid_record, max_size=30),
-       device_id=st.text(max_size=5))
-def test_record_then_iter_log_gives_back_every_valid_record(recs, device_id):
+@given(recs=st.lists(st.one_of(
+           st.builds(SessionRecord, t_us=st.integers(-2**63, 2**63 - 1),
+                     kind=st.just("imu"),
+                     data=st.tuples(*[st.integers(-32768, 32767)] * 10)),
+           st.builds(SessionRecord, t_us=st.integers(-2**63, 2**63 - 1),
+                     kind=st.just("emg"),
+                     data=st.tuples(*[st.integers(-128, 127)] * 8))),
+           max_size=30),
+       device_id=st.text(max_size=5),
+       io_bytes=st.integers(1, 64))
+@example(recs=[], device_id="é☃", io_bytes=1)
+def test_record_then_iter_log_gives_back_every_valid_record(recs, device_id,
+                                                            io_bytes):
+    # io_bytes cuts the file into chunks that split records anywhere
     meta = make_meta_record(device_id)
     recs = [SessionRecord(-2**63, "meta", meta.data)] + sorted(
         recs, key=lambda r: r.t_us)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "log.jsonl"
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            session, "_IO_BYTES", io_bytes):
+        path = Path(tmp) / "log.log"
         assert record(iter(recs), path) == len(recs)
         assert list(iter_log(path)) == recs
-
-
-_meta_record = st.builds(make_meta_record, st.text(max_size=3))
-
-
-@st.composite
-def _spoiled_record(draw):
-    """A valid record with one value swapped for none, one or two odd
-    ones, so a block of valid records around it passes every check but
-    one."""
-    rec = draw(_valid_record)
-    data = list(rec.data)
-    at = draw(st.integers(0, len(data) - 1))
-    data[at:at + 1] = draw(st.lists(_odd_value, max_size=2))
-    return rec._replace(data=draw(st.sampled_from([tuple, list]))(data))
-
-
-def _reference_file(recs):
-    """The bytes the per-record writer leaves for recs, and the type of
-    the exception it raises at the first record json.dumps refuses."""
-    lines = []
-    for rec in recs:
-        try:
-            lines.append(reference_serialize(rec) + "\n")
-        except Exception as exc:  # noqa: BLE001 - the type is what is compared
-            return "".join(lines).encode(), type(exc)
-    return "".join(lines).encode(), None
 
 
 class SourceDropped(Exception):
@@ -335,71 +363,47 @@ def _source(recs, drops):
         raise SourceDropped
 
 
-# json.dumps escapes non-ASCII text, and the writer encodes the escaped
-# line: a meta record with such a device id, alone and ahead of a block
-# that the templates print
-_NON_ASCII_META = make_meta_record("\u00e9\u2603")
-_EMG_RECORDS = [SessionRecord(t, "emg", (t - 64,) * 8) for t in range(5)]
-
-
-@settings(max_examples=100, deadline=None)
-@given(recs=st.lists(st.one_of(_valid_record, _valid_record, _meta_record,
-                               _spoiled_record(), odd_records()),
-                     max_size=12),
-       drops=st.booleans())
-@example(recs=[_NON_ASCII_META], drops=False)
-@example(recs=[_NON_ASCII_META] + _EMG_RECORDS, drops=False)
-def test_block_writer_writes_and_raises_as_the_line_writer(recs, drops):
-    expected, refused = _reference_file(recs)
-    if refused is None and drops:
-        refused = SourceDropped
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "log.jsonl"
-        for size in (1, 2, 3, 255, session._BLOCK_RECORDS):
-            with mock.patch.object(session, "_BLOCK_RECORDS", size):
-                if refused is None:
-                    assert record(_source(recs, drops), path) == len(recs)
-                else:
-                    with pytest.raises(refused):
-                        record(_source(recs, drops), path)
-            assert path.read_bytes() == expected, size
-
-
 def test_record_keeps_what_a_source_gave_before_it_raised(tmp_path):
+    # more records than one write holds: one whole write and a partial one
     recs = [make_meta_record()] + [SessionRecord(i, "emg", (i % 128,) * 8)
-                                   for i in range(1, 300)]
-    path = tmp_path / "log.jsonl"
+                                   for i in range(1, 5000)]
+    path = tmp_path / "log.log"
     with pytest.raises(SourceDropped):
         record(_source(recs, drops=True), path)
-    # 299 records after the meta line: one whole block and a partial one
-    assert path.read_bytes() == _reference_file(recs)[0]
-    assert path.read_bytes().count(b"\n") == 300
+    assert list(iter_log(path)) == recs
+    assert record(recs, tmp_path / "whole.log") == 5000
+    assert path.read_bytes() == (tmp_path / "whole.log").read_bytes()
 
 
 def test_block_writer_meets_odd_records_deep_in_a_long_stream(tmp_path):
-    recs = [SessionRecord(i, "emg", (i % 128,) * 8) for i in range(900)]
+    # past the first write: ints of other types are packed by value and read
+    # back as plain ints, and a float is refused at its record
+    recs = [SessionRecord(i, "emg", (i % 128,) * 8) for i in range(10_000)]
     recs[0] = make_meta_record()
-    recs[300] = SessionRecord(300, "meta", {"note": "resync"})
-    recs[301] = SessionRecord(301, "emg", (True,) * 8)
-    recs[517] = SessionRecord(517, "imu", (Level.LOW,) * 10)
-    recs[600] = SessionRecord(600, "emg", [1.5] * 8)
-    path = tmp_path / "log.jsonl"
-    assert record(recs, path) == 900
-    assert path.read_bytes() == _reference_file(recs)[0]
-    # an int past Python's int/str digit limit passes the type checks and
-    # is refused by %: the lines before it, in its block too, reach the file
-    recs[850] = SessionRecord(850, "emg", (1, 10**5000, 2, 3, 4, 5, 6, 7))
-    expected, refused = _reference_file(recs)
-    assert refused is ValueError
-    with pytest.raises(ValueError):
-        record(recs, path)
-    assert path.read_bytes() == expected
-    assert expected.count(b"\n") == 850
+    recs[4001] = SessionRecord(4001, "emg", (True, False) * 4)
+    recs[4517] = SessionRecord(4517, "imu", (Level.LOW,) * 10)
+    recs[4600] = SessionRecord(np.int64(4600), "emg", (np.int8(-5),) * 8)
+    path = tmp_path / "log.log"
+    assert record(recs, path) == 10_000
+    back = list(iter_log(path))
+    assert back[4001].data == (1, 0) * 4
+    assert back[4517].data == (-3,) * 10
+    assert back[4600] == SessionRecord(4600, "emg", (-5,) * 8)
+    assert {type(v) for rec in back[1:] for v in (rec.t_us,) + rec.data} == {
+        int}
+    recs[8000] = SessionRecord(8000, "emg", [1.5] * 8)
+    _refused_at(path, recs, 8001)
+
+
+def _emg_log(n):
+    """A generator of a meta record and n - 1 EMG records."""
+    return itertools.chain([make_meta_record()], (
+        SessionRecord(i, "emg", (i % 128,) * 8) for i in range(1, n)))
 
 
 def _writer_peak_bytes(path, n):
-    """Peak bytes allocated while record writes a generator of n records."""
-    records = (SessionRecord(i, "emg", (i % 128,) * 8) for i in range(n))
+    """Peak bytes allocated while record writes _emg_log(n)."""
+    records = _emg_log(n)
     tracemalloc.start()
     try:
         assert record(records, path) == n
@@ -409,142 +413,57 @@ def _writer_peak_bytes(path, n):
 
 
 def test_record_memory_does_not_grow_with_the_log(tmp_path):
-    small = _writer_peak_bytes(tmp_path / "small.jsonl", 5_000)
-    large = _writer_peak_bytes(tmp_path / "large.jsonl", 50_000)
-    # the large log's text is about 2.6 MB
+    small = _writer_peak_bytes(tmp_path / "small.log", 5_000)
+    large = _writer_peak_bytes(tmp_path / "large.log", 50_000)
+    # the large log is about 0.85 MB
     assert large < 1 << 20
     assert large < small + (64 << 10)
 
 
-_META_LINE = session._serialize(make_meta_record()).encode() + b"\n"
-
-
-def _first_value(token):
-    return lambda line: [re.sub(rb"\[-?\d+", b"[" + token, line, count=1)]
-
-
-def _t_us(token):
-    return lambda line: [re.sub(rb'"t_us":-?\d+', b'"t_us":' + token, line)]
-
-
-# fault -> the lines that replace a good line
-_FAULTS = {
-    "bad-json": lambda line: [line[:len(line) // 2] + b"\n"],
-    "int8-range": _first_value(b"128"),
-    "int8-low": _first_value(b"-129"),
-    "int16-range": _first_value(b"-32769"),
-    "int16-high": _first_value(b"32768"),
-    "true": _first_value(b"true"),
-    "float": _first_value(b"1.0"),
-    "decreasing-t": _t_us(b"-1"),
-    "int64-range": _t_us(b"9223372036854775808"),
-    "non-ascii": lambda line: [line[:5] + b"\xe9" + line[5:]],
-    "blank": lambda line: [b" \t\n", line],
-    "crlf": lambda line: [line.replace(b"\n", b"\r\n")],
-    "kind-swap": lambda line: [line.replace(b'"imu"', b'"x"').replace(
-        b'"emg"', b'"imu"').replace(b'"x"', b'"emg"')],
-    "unknown-kind": lambda line: [line.replace(b'"kind":"', b'"kind":"x')],
-    "extra-key": lambda line: [line.replace(b'"kind"', b'"x":[1],"kind"')],
-    "meta": lambda line: [_META_LINE, line],
-    "split": lambda line: [line.replace(b',"data"', b',\n"data"')],
-    # the joined block parses, as one object where two lines stood
-    "nested": lambda line: [b'{"t_us":0,"kind":"emg","data":[1\n',
-                            b'{"a":1},2,3,4,5,6,7]}\n'],
-    "deep": lambda line: [b'{"a":' + b"[" * 2000 + b"]" * 2000 + b"}\n"],
-}
-
-
-@st.composite
-def faulty_logs(draw):
-    """A written log, with faults injected at random lines past its meta
-    record."""
-    recs = draw(st.lists(_valid_record, min_size=1, max_size=40))
-    t0 = draw(st.integers(0, 10**6))
-    steps = draw(st.lists(st.integers(0, 5000), min_size=len(recs),
-                          max_size=len(recs)))
-    lines = [_META_LINE] + [
-        session._serialize(SessionRecord(t, rec.kind, rec.data)).encode()
-        + b"\n" for t, rec in zip(itertools.accumulate(steps, initial=t0),
-                                  recs)]
-    for fault in draw(st.lists(st.sampled_from(sorted(_FAULTS)),
-                               min_size=1, max_size=3)):
-        at = draw(st.integers(1, len(lines) - 1))
-        lines[at:at + 1] = _FAULTS[fault](lines[at])
-    if draw(st.booleans()):
-        lines[-1] = lines[-1].rstrip(b"\r\n")
-    return b"".join(lines)
-
-
-def _read_until_error(records):
-    got = []
+def _reader_peak_bytes(path, n):
+    """Peak bytes allocated while iter_log reads _emg_log(n) back."""
+    record(_emg_log(n), path)
+    tracemalloc.start()
     try:
-        for rec in records:
-            got.append(rec)
-    except LogParseError as exc:
-        return got, (type(exc), str(exc), getattr(exc, "line_no", None))
-    return got, None
+        assert sum(1 for _ in iter_log(path)) == n
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
-def _blocks_of(fh, block_bytes):
-    """The line counts of the blocks iter_log reads from this file at this
-    block size: the same readline, then readlines(block_bytes) until the
-    file ends."""
-    fh.seek(0)
-    fh.readline()
-    return tuple(iter(lambda: len(fh.readlines(block_bytes)), 0))
+def test_iter_log_memory_does_not_grow_with_the_log(tmp_path):
+    small = _reader_peak_bytes(tmp_path / "small.log", 5_000)
+    large = _reader_peak_bytes(tmp_path / "large.log", 50_000)
+    assert large < 1 << 20
+    assert large < small + (64 << 10)
 
 
-@settings(max_examples=200, deadline=None)
-@given(content=faulty_logs())
-def test_block_reader_yields_and_raises_as_the_line_parser(content):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "log.jsonl"
-        path.write_bytes(content)
-        # blocks of 1 to 200 bytes break at every line, so each fault lands
-        # first, in the middle and last in a block.  iter_log uses the size
-        # only as the readlines hint, so sizes that cut the file into the
-        # same blocks read it alike: one size per distinct cut is run.
-        sizes = {}
-        with open(path, "rb") as fh:
-            expected = _read_until_error(session._parse_lines(fh, 1, None))
-            for block_bytes in range(1, 201):
-                sizes.setdefault(_blocks_of(fh, block_bytes), block_bytes)
-        for block_bytes in sizes.values():
-            with mock.patch.object(session, "_BLOCK_BYTES", block_bytes):
-                assert _read_until_error(iter_log(path)) == expected
-
-
-def test_a_valid_log_is_read_in_blocks_past_its_meta_line(tmp_path,
-                                                          monkeypatch):
+def test_a_valid_log_is_read_in_blocks_past_its_meta_line(tmp_path):
     scenario = Scenario(performers=(PerformerScript(
         poses=(still_pose(duration_s=4.0),)),))
     recs = generate_scenario(scenario, seed=1)[0]
-    path = tmp_path / "p0.jsonl"
+    path = tmp_path / "p0.log"
     assert record(recs, path) == 1001
-    calls = []
-    parse_line = session._parse_line
-
-    def counted(line, line_no):
-        calls.append(line_no)
-        return parse_line(line, line_no)
-
-    monkeypatch.setattr(session, "_parse_line", counted)
-    assert list(iter_log(path)) == recs
-    assert calls == [1]
+    # reads that end inside a record's t_us, at its kind byte, in its
+    # values and at its end, and one read for the whole file
+    for io_bytes in (1, 2, 8, 9, 10, 16, 17, 28, 29, 30, 1 << 20):
+        with mock.patch.object(session, "_IO_BYTES", io_bytes):
+            assert list(iter_log(path)) == recs, io_bytes
 
 
 def test_record_writes_lines_while_the_stream_is_still_running(tmp_path):
-    path = tmp_path / "log.jsonl"
+    path = tmp_path / "log.log"
     sizes = []
 
     def live_bridge():
+        yield make_meta_record()
         for i in range(20_000):
             if i % 5000 == 0:
                 sizes.append(path.stat().st_size)
             yield SessionRecord(i, "emg", (i % 128,) * 8)
 
-    assert record(live_bridge(), path) == 20_000
-    # earlier lines reach the file before the generator is exhausted
+    assert record(live_bridge(), path) == 20_001
+    # earlier records reach the file before the generator is exhausted
     assert sizes[0] == 0 and sizes[-1] > 0
 
 
@@ -607,19 +526,19 @@ def test_recorded_scenario_matches_golden_hash(tmp_path):
         Pose(duration_s=2.0, orientation=(-2.5, 0.9, -2.9),
              tension=(0.8, 0.0, 0.6, 0.0, 0.4, 0.0, 0.2, 0.0)),
     )),))
-    path = tmp_path / "p0.jsonl"
+    path = tmp_path / "p0.log"
     assert record(generate_scenario(scenario, seed=2012)[0], path) == 1001
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "005f1f24672789b67ce896c3fc8dc5d0c237f4874e838d4e97a27ec37eee933d")
+        "c12d2fe8d69443cfc7df908b4caebbfc2aa8420757077ec42a1bdf1ba62b7c59")
 
 
 def test_bundled_scenario_matches_golden_hash(tmp_path, bundled_logs):
     """Pins the bundled scenario file and its loader, with the generator
     and the writer, at seed 1."""
-    path = tmp_path / "p0.jsonl"
+    path = tmp_path / "p0.log"
     record(bundled_logs[0][:5000], path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "7b2ba679c3b2cb8e6ed45ec55f0fb6c23ed4c2989f8481f26e27f63da928892f")
+        "b5e7d797ddb2fa6dc94e735793f8b5322d3d314c00d82c4a6e28adcb8b8c6735")
 
 
 def test_generated_logs_are_monotone_and_in_range(tmp_path):
@@ -628,7 +547,7 @@ def test_generated_logs_are_monotone_and_in_range(tmp_path):
     scenario = default_scenario()
     logs = generate_scenario(dataclasses.replace(
         scenario, performers=scenario.performers[:1]), seed=3)
-    path = tmp_path / "p0.jsonl"
+    path = tmp_path / "p0.log"
     record(logs[0][:5000], path)
     parsed = list(iter_log(path))  # raises if malformed
     assert parsed[0].kind == "meta"
@@ -770,6 +689,6 @@ def test_every_accepted_scenario_generates_logs_that_read_back(poses, seed):
     scenario = Scenario(performers=(PerformerScript(poses=tuple(poses)),))
     logs = generate_scenario(scenario, seed)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "p0.jsonl"
+        path = Path(tmp) / "p0.log"
         record(logs[0], path)
         assert list(iter_log(path)) == logs[0]
