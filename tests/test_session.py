@@ -183,16 +183,16 @@ def test_json_whitespace_around_the_meta_line_is_accepted(tmp_path):
     assert _refusal(path).record_no == 1
 
 
-@pytest.mark.parametrize("version", ["1.0", "3.0", "", "20.0", "².0"])
-def test_unknown_major_version_rejected(tmp_path, version):
+def test_unknown_major_version_rejected(tmp_path):
     path = tmp_path / "log.log"
-    meta = SessionRecord(0, "meta", {"version": version})
-    with pytest.raises(LogParseError, match="unsupported log version"):
-        record([meta], path)
-    assert path.read_bytes() == b""
-    path.write_bytes(json.dumps(meta._asdict()).encode() + b"\n")
-    with pytest.raises(LogParseError, match="unsupported log version"):
-        list(iter_log(path))
+    for version in ["1.0", "3.0", "", "20.0", "².0"]:
+        meta = SessionRecord(0, "meta", {"version": version})
+        with pytest.raises(LogParseError, match="unsupported log version"):
+            record([meta], path)
+        assert path.read_bytes() == b""
+        path.write_bytes(json.dumps(meta._asdict()).encode() + b"\n")
+        with pytest.raises(LogParseError, match="unsupported log version"):
+            list(iter_log(path))
 
 
 def _refused_at(path, recs, record_no):
