@@ -24,13 +24,13 @@ included, and they are the only clock a reader uses.
 iter_log refuses a log with LogParseError, naming the 1-based record number
 (the meta line is record 1) and the byte offset where that record starts,
 for: a first line that is not a JSON meta record of major version 2, so a
-version-1 JSON-lines log is refused whole; a meta record declaring units
-other than the device's, which are fixed by the device, not options; an
-unknown kind byte; a decreasing timestamp; and a truncated last record.
+version-1 JSON-lines log is refused whole; a meta line longer than
+_IO_BYTES, newline included; a meta record declaring units other than the
+device's, which are fixed by the device, not options; an unknown kind
+byte; a decreasing timestamp; and a truncated last record.
 There is no other version and no JSON-lines reader.  record refuses a record
-it cannot write in this layout (see its docstring).  To read a log as text:
-
-    for rec in iter_log(path): print(json.dumps(rec._asdict()))
+it cannot write in this layout (see its docstring).  To read a log as text,
+`myobridge cat LOG` prints it as JSON lines.
 
 The scenario generator synthesizes ensemble performances: each performer
 holds a sequence of poses.  A scenario file, read by scenario_from_dict:
@@ -136,8 +136,8 @@ _LAYOUTS = {"imu": (1, struct.Struct(f"<qB{IMU_VALUES}h")),
             "emg": (2, struct.Struct(f"<qB{EMG_CHANNELS}b"))}
 _KINDS = {code: (kind, layout) for kind, (code, layout) in _LAYOUTS.items()}
 _KIND_AT = 8  # the kind byte's offset in a record, past its int64 t_us
-# record's write size and iter_log's read size: a log's memory stays about
-# this much whatever its length
+# record's write size, iter_log's read size and the longest meta line: a
+# log's memory stays about this much whatever its length
 _IO_BYTES = 1 << 16
 
 
@@ -203,6 +203,8 @@ def record(records: Iterable[SessionRecord], path) -> int:
 
 def _read_meta(line: bytes) -> SessionRecord:
     """Record 1, the meta line, checked."""
+    if len(line) > _IO_BYTES:
+        raise LogParseError(1, 0, f"meta line longer than {_IO_BYTES} bytes")
     try:
         obj = json.loads(line.decode("ascii"))
     except UnicodeDecodeError as exc:
@@ -239,14 +241,15 @@ def _read_meta(line: bytes) -> SessionRecord:
 def iter_log(path) -> Iterator[SessionRecord]:
     """Read a log file (format in the module docstring), record by record.
 
-    Reads the meta line, then chunks of _IO_BYTES, carrying a record cut
+    Reads the meta line, at most _IO_BYTES + 1 bytes of it, so a longer
+    one is refused unread, then chunks of _IO_BYTES, carrying a record cut
     by a chunk's end into the next, so memory does not grow with the log.
     Raises LogParseError naming the record and its byte offset for each
     refusal the module docstring lists, after yielding every record before
     it.
     """
     with open(path, "rb") as fh:
-        line = fh.readline()
+        line = fh.readline(_IO_BYTES + 1)
         if not line:
             return
         meta = _read_meta(line)

@@ -1,0 +1,69 @@
+"""The myobridge command: render and cat."""
+
+import json
+import wave
+
+import pytest
+
+from myobridge import cli, pipeline, session
+from myobridge.session import Pose, PerformerScript, Scenario, SessionRecord
+
+
+def _logs(tmp_path, performers, duration_s):
+    """Record a scenario of still poses, one log per performer."""
+    scenario = Scenario(performers=tuple(
+        PerformerScript(poses=(Pose(duration_s, (0.1 * p, -0.2, 0.3),
+                                    (0.5,) * 8),))
+        for p in range(performers)))
+    paths = []
+    for p, log in enumerate(session.generate_scenario(scenario, seed=1)):
+        paths.append(tmp_path / f"p{p}.log")
+        session.record(log, paths[-1])
+    return paths
+
+
+def test_render_lasts_until_the_last_imu_frames_block_ends(tmp_path):
+    paths = _logs(tmp_path, 2, 1.5)
+    out = tmp_path / "out.wav"
+    assert cli.main(["render", *map(str, paths), "-o", str(out)]) == 0
+    with wave.open(str(out), "rb") as w:
+        # the last IMU frame is at 1.48 s: 65 268 samples, plus a block
+        assert w.getnframes() == 66_150
+    ensemble = pipeline.Ensemble(2, 1.5)
+    for pid, path in enumerate(paths):
+        for _ in ensemble.play_log(pid, path):
+            pass
+    ensemble.write_wav(tmp_path / "direct.wav")
+    assert out.read_bytes() == (tmp_path / "direct.wav").read_bytes()
+
+
+def test_cat_prints_the_records_iter_log_reads(tmp_path, capsys):
+    (path,) = _logs(tmp_path, 1, 0.2)
+    assert cli.main(["cat", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    back = [SessionRecord(**json.loads(line)) for line in lines]
+    back = [rec if rec.kind == "meta" else rec._replace(data=tuple(rec.data))
+            for rec in back]
+    assert back == list(session.iter_log(path))
+    # the meta line is printed as the log holds it
+    assert lines[0].encode() == path.read_bytes().split(b"\n", 1)[0]
+
+
+@pytest.mark.parametrize("command", ["render", "cat"])
+def test_a_refused_log_ends_the_command_with_its_message(tmp_path, capsys,
+                                                         command):
+    path = tmp_path / "bad.log"
+    path.write_bytes(b"not a log\n")
+    argv = [command, str(path)] + (["-o", str(tmp_path / "out.wav")]
+                                   if command == "render" else [])
+    assert cli.main(argv) == 1
+    assert "record 1 at byte 0" in capsys.readouterr().err
+    assert not (tmp_path / "out.wav").exists()
+
+
+def test_render_refuses_logs_without_an_imu_record(tmp_path, capsys):
+    path = tmp_path / "meta-only.log"
+    session.record([session.make_meta_record()], path)
+    out = tmp_path / "out.wav"
+    assert cli.main(["render", str(path), "-o", str(out)]) == 1
+    assert "no IMU record" in capsys.readouterr().err

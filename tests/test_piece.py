@@ -3,10 +3,10 @@
 The piece has three rules: stillness opens the sound, motion mutes it,
 and muscle tension sets the mix.  ensemble_9min.json writes them down
 per pose, so this reads them back out of the control chain, performer by
-performer, through records_to_frames, MotionTracker, EnvelopeTracker and
-map_orientation.  A hold is [pose start + TRANSITION_S, pose end): the
-generator lerps the orientation and bursts the IMU during the transition
-before it.  Every failure names the performer, the pose and the quantity.
+performer, through records_to_frames and PerformerPipeline.  A hold is
+[pose start + TRANSITION_S, pose end): the generator lerps the
+orientation and bursts the IMU during the transition before it.  Every
+failure names the performer, the pose and the quantity.
 A property then checks the same rules, within the same tolerances, on any
 one-performer scenario whose poses last long enough for the gate to reopen.
 """
@@ -20,9 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from myobridge import session
-from myobridge.fusion import RAMP_S, EulerAngles, MotionTracker
-from myobridge.mapping import EMG_FULL_SCALE, EnvelopeTracker, map_orientation
-from myobridge.protocol import EMG_CHANNELS, INT8_MAX, EmgFrame
+from myobridge.fusion import RAMP_S, EulerAngles
+from myobridge.mapping import EMG_FULL_SCALE, map_orientation
+from myobridge.pipeline import PerformerPipeline
+from myobridge.protocol import EMG_CHANNELS, INT8_MAX
 
 # stated tolerances, each above what seed 1 gives
 ENVELOPE_TOL = 0.02        # measured 0.0154: the EMG jitter floor
@@ -45,18 +46,19 @@ class Ticks:
     base_freq: np.ndarray
 
 
-def _ticks(log) -> Ticks:
-    tracker, envelopes = MotionTracker(), EnvelopeTracker()
+def _ticks(p, log) -> Ticks:
+    pipeline = PerformerPipeline(p)
     t_s, gain, env, base = [], [], [], []
     for frame in session.records_to_frames(log):
-        if isinstance(frame, EmgFrame):
-            envelopes.push(frame)
+        tick = pipeline.step(frame)
+        if tick is None:  # an EMG frame
             continue
-        state = tracker.update(frame)
+        state, params, _ = tick
         t_s.append(frame.t_us / 1e6)
         gain.append(state.master_gain)
-        env.append(envelopes.envelopes())
-        base.append(map_orientation(state.euler)[0])
+        env.append(params.amps)
+        # map_orientation's base, times 1.0 + 0 * spread
+        base.append(params.freqs[0])
     return Ticks(np.array(t_s), np.array(gain), np.array(env),
                  np.array(base))
 
@@ -65,7 +67,7 @@ def _poses(p, script, log):
     """(performer, pose index, pose, pose start in s, the performer's
     Ticks, the pose's tick mask, its hold's tick mask) for every pose of
     performer p, who played script into log."""
-    ticks = _ticks(log)
+    ticks = _ticks(p, log)
     poses, start = [], 0.0
     for k, pose in enumerate(script.poses):
         end = start + pose.duration_s

@@ -328,6 +328,34 @@ def test_record_refuses_a_record_after_writing_every_earlier_one(tmp_path,
         _refused_at(path, [_META] + _BODY + [bad, _BODY[-1]], 5)
 
 
+class _ShortReads:
+    """A log opened for iter_log whose read(n) returns at most io_bytes
+    bytes, so the reader's chunks end wherever a test puts them."""
+
+    def __init__(self, path, io_bytes):
+        self._fh = open(path, "rb")
+        self._io_bytes = io_bytes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def readline(self, limit):
+        return self._fh.readline(limit)
+
+    def read(self, n):
+        return self._fh.read(min(n, self._io_bytes))
+
+
+def _read_in_chunks_of(path, io_bytes):
+    """iter_log's records, its reads past the meta line cut to io_bytes."""
+    with mock.patch.object(session, "open", create=True,
+                           new=lambda p, mode: _ShortReads(p, io_bytes)):
+        return list(iter_log(path))
+
+
 @settings(max_examples=100, deadline=None)
 @given(recs=st.lists(st.one_of(
            st.builds(SessionRecord, t_us=st.integers(-2**63, 2**63 - 1),
@@ -346,11 +374,10 @@ def test_record_then_iter_log_gives_back_every_valid_record(recs, device_id,
     meta = make_meta_record(device_id)
     recs = [SessionRecord(-2**63, "meta", meta.data)] + sorted(
         recs, key=lambda r: r.t_us)
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
-            session, "_IO_BYTES", io_bytes):
+    with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.log"
         assert record(iter(recs), path) == len(recs)
-        assert list(iter_log(path)) == recs
+        assert _read_in_chunks_of(path, io_bytes) == recs
 
 
 class SourceDropped(Exception):
@@ -438,6 +465,50 @@ def test_iter_log_memory_does_not_grow_with_the_log(tmp_path):
     assert large < small + (64 << 10)
 
 
+def test_a_meta_line_without_a_newline_is_refused_unread(tmp_path):
+    path = tmp_path / "no-newline.log"
+    with open(path, "wb") as fh:
+        for _ in range(20):
+            fh.write(b"\x01" * (1 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(LogParseError, match="meta line longer") as err:
+            list(iter_log(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.record_no, err.value.offset) == (1, 0)
+    # the whole 20 MB file once peaked at 40.6 MB
+    assert peak < 4 * session._IO_BYTES
+
+
+def _meta_of_line_length(n):
+    """A meta record whose line, newline included, is n bytes long."""
+    short = len(json.dumps(make_meta_record("")._asdict(),
+                           separators=(",", ":"))) + 1
+    return make_meta_record("x" * (n - short))
+
+
+def test_the_longest_meta_line_is_read_and_one_byte_more_is_refused(tmp_path):
+    path = tmp_path / "longest.log"
+    recs = [_meta_of_line_length(session._IO_BYTES)] + _BODY
+    assert record(recs, path) == len(recs)
+    assert path.read_bytes().index(b"\n") + 1 == session._IO_BYTES
+    assert list(iter_log(path)) == recs
+    # record refuses the longer line before writing a byte ...
+    too_long = _meta_of_line_length(session._IO_BYTES + 1)
+    with pytest.raises(LogParseError, match="meta line longer") as err:
+        record([too_long] + _BODY, path)
+    assert (err.value.record_no, err.value.offset) == (1, 0)
+    assert path.read_bytes() == b""
+    # ... and iter_log refuses the same line written by hand
+    path.write_bytes(json.dumps(too_long._asdict(), separators=(",", ":"))
+                     .encode() + b"\n")
+    with pytest.raises(LogParseError, match="meta line longer") as err:
+        list(iter_log(path))
+    assert (err.value.record_no, err.value.offset) == (1, 0)
+
+
 def test_a_valid_log_is_read_in_blocks_past_its_meta_line(tmp_path):
     scenario = Scenario(performers=(PerformerScript(
         poses=(still_pose(duration_s=4.0),)),))
@@ -447,8 +518,7 @@ def test_a_valid_log_is_read_in_blocks_past_its_meta_line(tmp_path):
     # reads that end inside a record's t_us, at its kind byte, in its
     # values and at its end, and one read for the whole file
     for io_bytes in (1, 2, 8, 9, 10, 16, 17, 28, 29, 30, 1 << 20):
-        with mock.patch.object(session, "_IO_BYTES", io_bytes):
-            assert list(iter_log(path)) == recs, io_bytes
+        assert _read_in_chunks_of(path, io_bytes) == recs, io_bytes
 
 
 def test_record_writes_lines_while_the_stream_is_still_running(tmp_path):
