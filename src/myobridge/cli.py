@@ -24,12 +24,9 @@ def _render(logs, out) -> None:
                    if rec.kind == "imu"), default=None)
     if last_us is None:
         raise ValueError("no IMU record in the logs")
-    ensemble = pipeline.Ensemble(
-        len(logs), last_us / 1e6 + pipeline.BLOCK / pipeline.SAMPLE_RATE)
-    for pid, path in enumerate(logs):
-        for _ in ensemble.play_log(pid, path):
-            pass
-    ensemble.write_wav(out)
+    pipeline.render(
+        [session.records_to_frames(session.iter_log(path)) for path in logs],
+        last_us / 1e6 + pipeline.BLOCK / pipeline.SAMPLE_RATE, out)
 
 
 def _cat(log) -> None:

@@ -1,24 +1,24 @@
 """One control chain: logs or dongle bytes in, OSC datagrams and a WAV out.
 
 A PerformerPipeline is one performer's chain: frames decoded from the wire
-or scaled from a log go through fusion, mapping and osc, one control tick
-per IMU frame.  An Ensemble holds one pipeline and one oscillator bank per
-performer and renders each tick's audio into that performer's track.
+(feed) or scaled from a log go through fusion, mapping and osc, one
+control tick per IMU frame.  render writes the performers' mix, rendering
+each one's audio as the WAV writer reads it, in memory that does not grow
+with the length of the piece.
 
 Render timing: a tick renders its performer's track up to its own time
-plus one block, cut at the performance length when the tick arrives, so a
-lost tick lengthens the next block instead of shifting the track.  A block
-ramps over its whole length, so a block rendered past the end and cut
-later would hold other samples.
+plus one block, cut at the performance length: a lost tick lengthens the
+next block instead of shifting the track.  A block ramps over its whole
+length, so it is rendered whole however the reads slice it.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import fusion, mapping, osc, protocol, session, synth
+from . import fusion, mapping, osc, protocol, synth
 
 SAMPLE_RATE = 44100
 BLOCK = round(SAMPLE_RATE / protocol.IMU_RATE_HZ)  # 882 samples per tick
@@ -71,51 +71,54 @@ class PerformerPipeline:
         msgs = osc.emit_pipeline(state, env, params, self.pid)
         return state, params, [osc.encode_message(m) for m in msgs]
 
+    def feed(self, data: bytes, t_us: int) -> list[bytes]:
+        """The datagrams of the ticks completed by data arriving at t_us."""
+        ticks = filter(None, map(self.step, self.decode(data, t_us)))
+        return [gram for _, _, grams in ticks for gram in grams]
 
-class Ensemble:
-    """The performers' pipelines, banks and tracks (timing rule above).
 
-    Each performer's track is allocated whole, zeros past its last block;
-    write_wav mixes the tracks.  Feed each performer in time order: a log
-    in parts is the same performance as the whole log.
+class _Track:
+    """One performer's audio, rendered as it is read (timing rule above).
+
+    len() is the performance length in samples.  A read track[lo:hi] must
+    start where the last one ended, or IndexError is raised.  It steps
+    frames until it holds sample hi - 1 or they run out, returns [lo, hi),
+    zeros past the last block, and keeps only the samples after hi.
     """
 
-    def __init__(self, performers: int, performance_s: float):
-        total = round(performance_s * SAMPLE_RATE)
-        self.pipelines = [PerformerPipeline(p) for p in range(performers)]
-        self.banks = [synth.OscillatorBank(SAMPLE_RATE)
-                      for _ in range(performers)]
-        self.tracks = [np.zeros(total) for _ in range(performers)]
-        self.done = [0] * performers
+    def __init__(self, pid: int, frames: Iterable[Frame], total: int):
+        self.pipeline = PerformerPipeline(pid)
+        self.bank = synth.OscillatorBank(SAMPLE_RATE)
+        self.frames, self.total = iter(frames), total
+        # where the last read ended, and the samples rendered past it
+        self.read, self.ahead = 0, np.empty(0)
 
-    def _step(self, pid: int, frame: Frame) -> list[bytes]:
-        """Take one frame through performer pid's chain and render its
-        tick; returns the tick's datagrams, none for an EMG frame."""
-        tick = self.pipelines[pid].step(frame)
-        if tick is None:
-            return []
-        _, params, grams = tick
-        track, done = self.tracks[pid], self.done[pid]
-        end = min(round(frame.t_us * SAMPLE_RATE / 1e6) + BLOCK, len(track))
-        if end > done:
-            track[done:end] = synth.render_block(self.banks[pid], params,
-                                                 end - done).samples
-            self.done[pid] = end
-        return grams
+    def __len__(self) -> int:
+        return self.total
 
-    def play_log(self, pid: int, path) -> Iterator[bytes]:
-        """Performer pid's log, or its next part, tick by tick; yields the
-        datagrams of each tick once its audio is rendered."""
-        for frame in session.records_to_frames(session.iter_log(path)):
-            yield from self._step(pid, frame)
+    def __getitem__(self, s: slice) -> np.ndarray:
+        lo, hi, _ = s.indices(self.total)
+        if lo != self.read:
+            raise IndexError(f"read from {lo}, not from {self.read}")
+        spans, done = [self.ahead], lo + len(self.ahead)
+        while done < hi and (frame := next(self.frames, None)) is not None:
+            tick = self.pipeline.step(frame)
+            end = min(round(frame.t_us * SAMPLE_RATE / 1e6) + BLOCK,
+                      self.total)
+            if tick is not None and end > done:
+                spans.append(synth.render_block(self.bank, tick[1],
+                                                end - done).samples)
+                done = end
+        rendered = np.concatenate(spans + [np.zeros(max(0, hi - done))])
+        self.read, self.ahead = hi, rendered[hi - lo:]
+        return rendered[:hi - lo]
 
-    def feed(self, pid: int, data: bytes, t_us: int) -> list[bytes]:
-        """Dongle bytes from performer pid arriving at t_us; returns the
-        datagrams of the ticks they complete."""
-        return [gram for frame in self.pipelines[pid].decode(data, t_us)
-                for gram in self._step(pid, frame)]
 
-    def write_wav(self, path) -> None:
-        """Mix the tracks and write them as 16-bit PCM (synth.write_wav)."""
-        synth.write_wav(synth.mix_performers(
-            [synth.AudioBlock(t, SAMPLE_RATE) for t in self.tracks]), path)
+def render(frames: Sequence[Iterable[Frame]], performance_s: float,
+           path) -> None:
+    """Write the performers' mix, performance_s long, as a WAV at path;
+    frames holds each performer's frames, in time order."""
+    total = round(performance_s * SAMPLE_RATE)
+    synth.write_wav(synth.mix_performers(
+        [synth.AudioBlock(_Track(pid, f, total), SAMPLE_RATE)
+         for pid, f in enumerate(frames)]), path)

@@ -263,7 +263,9 @@ def write_wav(block: AudioBlock | _Mix, path) -> None:
     a mix of one track (its -0.0 reads +0.0; rint writes both as 0), the
     mean computed chunk by chunk into one _PCM_CHUNK-sample buffer, so
     working memory does not grow with the length and a mix is never
-    built whole.
+    built whole.  That is all a track is asked for: len(), and t[lo:hi]
+    as a float array, each slice read once, front to back, in chunks.
+    So a track may render its samples as they are read (pipeline.render).
     """
     rate = _whole_hz(block.sample_rate)
     tracks = block.tracks if isinstance(block, _Mix) else (block.samples,)

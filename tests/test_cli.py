@@ -29,11 +29,8 @@ def test_render_lasts_until_the_last_imu_frames_block_ends(tmp_path):
     with wave.open(str(out), "rb") as w:
         # the last IMU frame is at 1.48 s: 65 268 samples, plus a block
         assert w.getnframes() == 66_150
-    ensemble = pipeline.Ensemble(2, 1.5)
-    for pid, path in enumerate(paths):
-        for _ in ensemble.play_log(pid, path):
-            pass
-    ensemble.write_wav(tmp_path / "direct.wav")
+    pipeline.render([session.records_to_frames(session.iter_log(path))
+                     for path in paths], 1.5, tmp_path / "direct.wav")
     assert out.read_bytes() == (tmp_path / "direct.wav").read_bytes()
 
 

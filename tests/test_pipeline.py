@@ -1,20 +1,31 @@
-"""The pipeline against the benchmark's glue, which the goldens pin.
+"""The pipeline against the benchmark's glue, which the goldens pin, and
+its pulled audio against the whole-track render it replaced.
 
 perfbench/glue.py chains the layers by hand for the benchmark.  For each
-workload at seed 7, half a second per run second, the Ensemble must give
+workload at seed 7, half a second per run second, the pipeline must give
 what the glue gives: the WAV bytes and OSC of the logs rendered segment
 by segment, and the OSC, frames out, rejections and dropped bytes of the
 dongle bytes streamed flat out.  Seed 7 puts corrupt bytes where
 stream_wire rejects frames and drops a byte.
+
+reference_track renders every tick into one whole preallocated track, as
+the pipeline did before its audio was pulled.  A track read in any slice
+sizes must give its bytes, in memory that does not grow with the length.
 """
 
 import hashlib
+import itertools
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from myobridge import pipeline, session
+from myobridge import pipeline, session, synth
+from myobridge.session import Pose, PerformerScript, Scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import glue  # noqa: E402
@@ -36,6 +47,12 @@ def _log_paths(inputs, tmp_path):
     return segments
 
 
+def _frames(paths):
+    """One performer's frames from its log parts, in order."""
+    for path in paths:
+        yield from session.records_to_frames(session.iter_log(path))
+
+
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_ensemble_equals_the_benchmark_glue(name, tmp_path):
     inputs = workloads.make_inputs(name, SEED, SECONDS)
@@ -43,36 +60,129 @@ def test_ensemble_equals_the_benchmark_glue(name, tmp_path):
     segments = _log_paths(inputs, tmp_path)
 
     render = glue.Render(n, performance_s, spans.Tracer(False))
-    ensemble = pipeline.Ensemble(n, performance_s)
+    chains = [pipeline.PerformerPipeline(p) for p in range(n)]
     render_osc = hashlib.sha256()
     for paths in segments:
         render.segment(paths)
         # glue hashes a segment's performers in turn, so this must too
-        for pid, path in enumerate(paths):
-            for gram in ensemble.play_log(pid, path):
-                render_osc.update(gram)
+        for chain, path in zip(chains, paths):
+            for tick in filter(None, map(chain.step, _frames([path]))):
+                for gram in tick[2]:
+                    render_osc.update(gram)
     render.finish(tmp_path / "glue.wav")
-    ensemble.write_wav(tmp_path / "ensemble.wav")
+    # zip(*segments) binds each performer's parts now: a generator that
+    # read segments[k][p] itself would see the last p by the time it ran
+    pipeline.render([_frames(parts) for parts in zip(*segments)],
+                    performance_s, tmp_path / "pipeline.wav")
     assert render_osc.hexdigest() == render.osc_hash.hexdigest()
-    assert ((tmp_path / "ensemble.wav").read_bytes()
+    assert ((tmp_path / "pipeline.wav").read_bytes()
             == (tmp_path / "glue.wav").read_bytes())
 
     stream = glue.Stream(n, 1.0, spans.Tracer(False), paced=False)
-    live = pipeline.Ensemble(n, performance_s)
+    live = [pipeline.PerformerPipeline(p) for p in range(n)]
     wire_osc = hashlib.sha256()
     try:
         for schedule in inputs.schedules():
             stream.segment(schedule)
             for due_us, pid, data in schedule:
-                for gram in live.feed(pid, data, due_us):
+                for gram in live[pid].feed(data, due_us):
                     wire_osc.update(gram)
     finally:
         stream.close()
     assert wire_osc.hexdigest() == stream.osc_hash.hexdigest()
-    performers = live.pipelines
-    assert sum(p.frames_out for p in performers) == stream.frames_out
-    assert sum(p.rejected for p in performers) == stream.rejected
-    assert (sum(p.stream.bytes_dropped for p in performers)
+    assert sum(p.frames_out for p in live) == stream.frames_out
+    assert sum(p.rejected for p in live) == stream.rejected
+    assert (sum(p.stream.bytes_dropped for p in live)
             == stream.bytes_dropped)
     if inputs.corrupt_bytes:
         assert stream.rejected > 0
+
+
+def reference_track(frames, total):
+    """One performer's frames rendered into np.zeros(total), each tick's
+    span (pipeline's timing rule) copied in as its tick arrives."""
+    chain = pipeline.PerformerPipeline(0)
+    bank = synth.OscillatorBank(pipeline.SAMPLE_RATE)
+    track, done = np.zeros(total), 0
+    for frame in frames:
+        tick = chain.step(frame)
+        if tick is None:
+            continue
+        end = min(round(frame.t_us * pipeline.SAMPLE_RATE / 1e6)
+                  + pipeline.BLOCK, total)
+        if end > done:
+            track[done:end] = synth.render_block(bank, tick[1],
+                                                 end - done).samples
+            done = end
+    return track
+
+
+# one performer for 1 s: still, then a pose change whose burst mutes the
+# gate at 0.5 s.  The last IMU frame is at 0.98 s, so its block ends at
+# sample 44 100.
+_RECORDS = session.generate_scenario(Scenario(performers=(PerformerScript(
+    poses=(Pose(0.5, (0.1, -0.2, 0.3), (0.5,) * 8),
+           Pose(0.5, (-0.4, 0.2, 0.0), (0.9,) * 8))),)), seed=1)[0]
+_LAST_BLOCK_END = 44_100
+
+
+def _pulled_bytes(frames, total, sizes):
+    """A _Track's bytes, read in the given sizes and then in _PCM_CHUNK
+    reads to its end (the last read cut at the total)."""
+    track, lo, out = pipeline._Track(0, frames, total), 0, []
+    reads = itertools.chain(sizes, itertools.repeat(synth._PCM_CHUNK))
+    while lo < total:
+        n = next(reads)
+        out.append(track[lo:lo + n].tobytes())
+        lo += n
+    return b"".join(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes=st.lists(st.integers(1, 3000) | st.just(synth._PCM_CHUNK),
+                      max_size=30),
+       gap=st.tuples(st.integers(0, 1_000_000), st.integers(0, 300_000)),
+       total=st.integers(_LAST_BLOCK_END - 3000, _LAST_BLOCK_END + 3000))
+# the frames end before the total, so the reads end in zeros
+@example(sizes=[1, 881, 2, 3000], gap=(0, 0), total=_LAST_BLOCK_END + 2000)
+# the total cuts the last tick's span, [43 218, 44 100)
+@example(sizes=[43_217, 1, 2], gap=(0, 0), total=_LAST_BLOCK_END - 500)
+# a dropout over the pose change: the tick after it renders a long span
+@example(sizes=[17_000, 3000, 7], gap=(400_000, 200_000),
+         total=_LAST_BLOCK_END)
+def test_any_read_sizes_give_the_whole_track_bytes(sizes, gap, total):
+    gap_lo, gap_us = gap
+    records = [r for r in _RECORDS
+               if not gap_lo <= r.t_us < gap_lo + gap_us]
+    frames = list(session.records_to_frames(records))
+    # tobytes compares the sign of zero too
+    assert (_pulled_bytes(frames, total, sizes)
+            == reference_track(frames, total).tobytes())
+
+
+def test_a_read_must_start_where_the_last_one_ended():
+    frames = list(session.records_to_frames(_RECORDS))
+    whole = reference_track(frames, _LAST_BLOCK_END)
+    track = pipeline._Track(0, frames, _LAST_BLOCK_END)
+    assert track[0:1000].tobytes() == whole[0:1000].tobytes()
+    for lo in (0, 999, 1001):
+        with pytest.raises(IndexError):
+            track[lo:lo + 1000]
+    # a refused read leaves the track where it was
+    assert track[1000:2000].tobytes() == whole[1000:2000].tobytes()
+
+
+def test_render_memory_stays_under_one_whole_track(bundled_logs, tmp_path):
+    seconds = 30
+    frames = [list(session.records_to_frames(
+        rec for rec in log if rec.t_us < seconds * 1e6))
+        for log in bundled_logs[:2]]
+    tracemalloc.start()
+    try:
+        pipeline.render(frames, seconds, tmp_path / "out.wav")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one whole float64 track is 10.6 MB; whole tracks, one per performer,
+    # peaked at 22.6 MB, the pulled render at 3.4 MB
+    assert peak < seconds * pipeline.SAMPLE_RATE * 8
