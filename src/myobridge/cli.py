@@ -2,7 +2,7 @@
 
     myobridge render LOG... -o OUT.wav   one log per performer, in order;
                                          the WAV lasts until the latest IMU
-                                         frame's block ends
+                                         tick's block ends (pipeline.render)
     myobridge cat LOG                    the log as JSON lines, one record
                                          a line, the meta line as written
 
@@ -17,16 +17,6 @@ import json
 import sys
 
 from . import pipeline, session
-
-
-def _render(logs, out) -> None:
-    last_us = max((rec.t_us for path in logs for rec in session.iter_log(path)
-                   if rec.kind == "imu"), default=None)
-    if last_us is None:
-        raise ValueError("no IMU record in the logs")
-    pipeline.render(
-        [session.records_to_frames(session.iter_log(path)) for path in logs],
-        last_us / 1e6 + pipeline.BLOCK / pipeline.SAMPLE_RATE, out)
 
 
 def _cat(log) -> None:
@@ -45,7 +35,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "render":
-            _render(args.logs, args.out)
+            pipeline.render(args.logs, args.out)
         else:
             _cat(args.log)
     except (OSError, ValueError) as exc:  # LogParseError is a ValueError

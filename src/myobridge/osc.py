@@ -26,9 +26,8 @@ is never cached, so a bad address raises on every call.
 
 UdpSender connects its socket once and sends each datagram with send(),
 skipping sendto()'s per-datagram address handling.  A connected socket
-reports an earlier datagram's ICMP error on the next send, which then
-sends nothing, so a failed send is tried once more: a receiver that is
-not listening is not a send error.
+reports an earlier datagram's ICMP port-unreachable as a refused send,
+which is not retried: every tick resends the whole state.
 """
 
 from __future__ import annotations
@@ -116,17 +115,16 @@ class UdpSender:
     The first send resolves the host to an IPv4 address and connects the
     socket to it.  The address is kept only once the connect succeeds, so
     the next send tries a failed lookup or connect again, with a fresh
-    lookup; once connected, no send looks the name up.  A failed send is
-    tried once more: the failure may be an earlier datagram's ICMP error
-    (a refused port) that the connected socket reports late, so a refused
-    port is not an error.  The retry has a price: to a receiver that is
-    not listening, each datagram after the first costs two send calls and
-    one caught ConnectionRefusedError, and still counts as no error.  A
-    datagram that fails both tries (one too large for the socket, say) and
-    a send whose lookup or connect fails count in send_errors and are
-    swallowed: a performance must not halt on a network error.  An outage
-    logs one warning when it starts and one, with its count of failed
-    sends, when a send next succeeds.
+    lookup; once connected, no send looks the name up.  Each datagram is
+    sent once.  ConnectionRefusedError is an earlier datagram's ICMP
+    port-unreachable, reported late by the connected socket in place of
+    this send: a receiver that is not listening is not an error, and the
+    datagram lost is replaced by the next tick's.  Any other failed send
+    (a datagram too large for the socket, say) and a send whose lookup or
+    connect fails count in send_errors and are swallowed: a performance
+    must not halt on a network error.  An outage logs one warning when it
+    starts and one, with its count of failed sends, when a send next
+    succeeds.
 
     The host is a str, a name or a numeric IPv4 address; anything else
     raises TypeError here, where the resolver would raise it out of the
@@ -164,12 +162,9 @@ class UdpSender:
                     socket.SOCK_DGRAM)[0][4]
                 self._sock.connect(address)
                 self._address = address
-            try:
-                self._sock.send(data)
-            except OSError:
-                # may be an earlier datagram's late ICMP error, reported
-                # instead of sending this one
-                self._sock.send(data)
+            self._sock.send(data)
+        except ConnectionRefusedError:
+            return
         except OSError as exc:  # socket.gaierror included
             self.send_errors += 1
             self._outage_errors += 1

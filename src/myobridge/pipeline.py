@@ -7,9 +7,10 @@ each one's audio as the WAV writer reads it, in memory that does not grow
 with the length of the piece.
 
 Render timing: a tick renders its performer's track up to its own time
-plus one block, cut at the performance length: a lost tick lengthens the
-next block instead of shifting the track.  A block ramps over its whole
-length, so it is rendered whole however the reads slice it.
+plus one block (_tick_end): a lost tick lengthens the next block instead
+of shifting the track.  The WAV lasts until the latest IMU tick's block
+ends, so no span is cut.  A block ramps over its whole length, so it is
+rendered whole however the reads slice it.
 """
 
 from __future__ import annotations
@@ -18,13 +19,18 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import fusion, mapping, osc, protocol, synth
+from . import fusion, mapping, osc, protocol, session, synth
 
 SAMPLE_RATE = 44100
 BLOCK = round(SAMPLE_RATE / protocol.IMU_RATE_HZ)  # 882 samples per tick
 
 Frame = Union[protocol.ImuFrame, protocol.EmgFrame]
 Tick = tuple[fusion.MotionState, mapping.SynthParams, list[bytes]]
+
+
+def _tick_end(t_us: int) -> int:
+    """The sample at which the block of a tick stamped t_us ends."""
+    return round(t_us * SAMPLE_RATE / 1e6) + BLOCK
 
 
 class PerformerPipeline:
@@ -80,10 +86,11 @@ class PerformerPipeline:
 class _Track:
     """One performer's audio, rendered as it is read (timing rule above).
 
-    len() is the performance length in samples.  A read track[lo:hi] must
-    start where the last one ended, or IndexError is raised.  It steps
-    frames until it holds sample hi - 1 or they run out, returns [lo, hi),
-    zeros past the last block, and keeps only the samples after hi.
+    len() is total, which must be no less than any tick's _tick_end, as
+    spans are not cut.  A read track[lo:hi] must start where the last one
+    ended, or IndexError is raised.  It steps frames until it holds sample
+    hi - 1 or they run out, returns [lo, hi), zeros past the last block,
+    and keeps only the samples after hi.
     """
 
     def __init__(self, pid: int, frames: Iterable[Frame], total: int):
@@ -103,8 +110,7 @@ class _Track:
         spans, done = [self.ahead], lo + len(self.ahead)
         while done < hi and (frame := next(self.frames, None)) is not None:
             tick = self.pipeline.step(frame)
-            end = min(round(frame.t_us * SAMPLE_RATE / 1e6) + BLOCK,
-                      self.total)
+            end = _tick_end(frame.t_us)
             if tick is not None and end > done:
                 spans.append(synth.render_block(self.bank, tick[1],
                                                 end - done).samples)
@@ -114,11 +120,15 @@ class _Track:
         return rendered[:hi - lo]
 
 
-def render(frames: Sequence[Iterable[Frame]], performance_s: float,
-           path) -> None:
-    """Write the performers' mix, performance_s long, as a WAV at path;
-    frames holds each performer's frames, in time order."""
-    total = round(performance_s * SAMPLE_RATE)
+def render(logs: Sequence, path) -> None:
+    """Write the mix of logs, one session log per performer, as a WAV at
+    path; ValueError before path is opened if no IMU tick ends after 0."""
+    total = max((_tick_end(rec.t_us) for log in logs
+                 for rec in session.iter_log(log) if rec.kind == "imu"),
+                default=0)
+    if total <= 0:
+        raise ValueError("no IMU record's block ends after time 0")
     synth.write_wav(synth.mix_performers(
-        [synth.AudioBlock(_Track(pid, f, total), SAMPLE_RATE)
-         for pid, f in enumerate(frames)]), path)
+        [synth.AudioBlock(_Track(pid, session.records_to_frames(
+            session.iter_log(log)), total), SAMPLE_RATE)
+         for pid, log in enumerate(logs)]), path)

@@ -5,12 +5,13 @@ import wave
 
 import pytest
 
-from myobridge import cli, pipeline, session
+from myobridge import cli, session
 from myobridge.session import Pose, PerformerScript, Scenario, SessionRecord
 
 
-def _logs(tmp_path, performers, duration_s):
-    """Record a scenario of still poses, one log per performer."""
+def _logs(tmp_path, performers, duration_s, shift_us=0):
+    """Record a scenario of still poses, one log per performer, each record
+    stamped shift_us later."""
     scenario = Scenario(performers=tuple(
         PerformerScript(poses=(Pose(duration_s, (0.1 * p, -0.2, 0.3),
                                     (0.5,) * 8),))
@@ -18,20 +19,29 @@ def _logs(tmp_path, performers, duration_s):
     paths = []
     for p, log in enumerate(session.generate_scenario(scenario, seed=1)):
         paths.append(tmp_path / f"p{p}.log")
-        session.record(log, paths[-1])
+        session.record([rec._replace(t_us=rec.t_us + shift_us)
+                        for rec in log], paths[-1])
     return paths
 
 
 def test_render_lasts_until_the_last_imu_frames_block_ends(tmp_path):
-    paths = _logs(tmp_path, 2, 1.5)
-    out = tmp_path / "out.wav"
-    assert cli.main(["render", *map(str, paths), "-o", str(out)]) == 0
-    with wave.open(str(out), "rb") as w:
-        # the last IMU frame is at 1.48 s: 65 268 samples, plus a block
-        assert w.getnframes() == 66_150
-    pipeline.render([session.records_to_frames(session.iter_log(path))
-                     for path in paths], 1.5, tmp_path / "direct.wav")
-    assert out.read_bytes() == (tmp_path / "direct.wav").read_bytes()
+    # IMU frames come every 20 000 us from 0 until duration_s, then shift_us
+    for performers, duration_s, shift_us, frames in [
+            # the last IMU frame is at 1.48 s: 65 268 samples, plus a block
+            (2, 1.5, 0, 66_150),
+            # one performer, its last IMU frame at 140 000 us: 6174 + 882
+            (1, 0.15, 0, 7056),
+            # at 155 000 us: 6835.5 samples round (half to even) to 6836
+            (1, 0.15, 15_000, 7718),
+            # at 65 000 us: 2866.5 samples round to 2866
+            (1, 0.07, 5_000, 3748)]:
+        case = tmp_path / f"{performers}-{duration_s}-{shift_us}"
+        case.mkdir()
+        paths = _logs(case, performers, duration_s, shift_us)
+        out = case / "out.wav"
+        assert cli.main(["render", *map(str, paths), "-o", str(out)]) == 0
+        with wave.open(str(out), "rb") as w:
+            assert w.getnframes() == frames, (duration_s, shift_us)
 
 
 def test_cat_prints_the_records_iter_log_reads(tmp_path, capsys):
@@ -59,8 +69,13 @@ def test_a_refused_log_ends_the_command_with_its_message(tmp_path, capsys,
 
 
 def test_render_refuses_logs_without_an_imu_record(tmp_path, capsys):
-    path = tmp_path / "meta-only.log"
-    session.record([session.make_meta_record()], path)
-    out = tmp_path / "out.wav"
-    assert cli.main(["render", str(path), "-o", str(out)]) == 1
-    assert "no IMU record" in capsys.readouterr().err
+    meta_only = tmp_path / "meta-only.log"
+    session.record([session.make_meta_record()], meta_only)
+    # every IMU frame at or before -20 000 us, so every block ends at or
+    # before sample 0
+    (early,) = _logs(tmp_path, 1, 0.1, -100_000)
+    for path in (meta_only, early):
+        out = tmp_path / "out.wav"
+        assert cli.main(["render", str(path), "-o", str(out)]) == 1
+        assert "no IMU record" in capsys.readouterr().err
+        assert not out.exists()

@@ -253,13 +253,14 @@ def _datagram(n):
 class FlakySocket:
     """Stands in for a UDP socket that UdpSender connects.
 
-    A datagram is named by its number (_datagram): each numbered in `fail`
-    raises on every try, each in `fail_once` on its first try only.  The
-    first `refuse` connects raise."""
+    A datagram is named by its number (_datagram): a send of one numbered
+    in `fail` raises OSError, in `refused` ConnectionRefusedError (an
+    earlier datagram's ICMP port-unreachable).  The first `refuse`
+    connects raise."""
 
-    def __init__(self, fail=(), fail_once=(), refuse=0):
+    def __init__(self, fail=(), refused=(), refuse=0):
         self.fail = set(fail)
-        self.fail_once = set(fail_once)
+        self.refused = set(refused)
         self.refuse = refuse
         self.peer = None
         self.connects = []
@@ -278,8 +279,7 @@ class FlakySocket:
         n = int.from_bytes(data, "big")
         if n in self.fail:
             raise OSError("network is unreachable")
-        if n in self.fail_once:
-            self.fail_once.discard(n)
+        if n in self.refused:
             raise ConnectionRefusedError("connection refused")
         self.sent.append(data)
         self.addresses.append(self.peer)
@@ -348,15 +348,29 @@ def test_failed_connect_is_tried_again_with_a_fresh_lookup(monkeypatch):
     assert lookups == ["localhost"] * 2
 
 
-def test_datagram_sent_on_its_second_try_is_not_an_error(caplog):
+def test_refused_datagram_costs_one_send_and_is_not_an_error(caplog):
     with caplog.at_level(logging.WARNING, logger="myobridge.osc"):
-        with _flaky_sender("127.0.0.1", fail_once={2, 3}) as sender:
+        with _flaky_sender("127.0.0.1", refused={2, 3}) as sender:
             for n in range(1, 5):
                 sender.send(_datagram(n))
             assert sender.send_errors == 0
-            assert sender._sock.tries == 6
-            assert sender._sock.sent == [_datagram(n) for n in range(1, 5)]
+            assert sender._sock.tries == 4
+            assert sender._sock.sent == [_datagram(1), _datagram(4)]
     assert caplog.records == []
+
+
+class _CountingSocket:
+    """A real socket whose send calls are counted."""
+
+    def __init__(self, sock):
+        self.sock, self.sends = sock, 0
+
+    def send(self, data):
+        self.sends += 1
+        return self.sock.send(data)
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
 
 
 def test_port_nobody_listens_on_is_not_an_error(caplog):
@@ -368,9 +382,12 @@ def test_port_nobody_listens_on_is_not_an_error(caplog):
     closed.close()
     with caplog.at_level(logging.WARNING, logger="myobridge.osc"):
         with UdpSender("127.0.0.1", port) as sender:
+            sender._sock = _CountingSocket(sender._sock)
             for _ in range(10):
                 sender.send(b"abcd")
             assert sender.send_errors == 0
+            # a refused send is not tried again
+            assert sender._sock.sends <= 10
     assert caplog.records == []
 
 

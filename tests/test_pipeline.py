@@ -3,10 +3,12 @@ its pulled audio against the whole-track render it replaced.
 
 perfbench/glue.py chains the layers by hand for the benchmark.  For each
 workload at seed 7, half a second per run second, the pipeline must give
-what the glue gives: the WAV bytes and OSC of the logs rendered segment
-by segment, and the OSC, frames out, rejections and dropped bytes of the
-dongle bytes streamed flat out.  Seed 7 puts corrupt bytes where
-stream_wire rejects frames and drops a byte.
+what the glue gives: the OSC of the logs stepped segment by segment, the
+WAV bytes of each performer's segments rendered as one log, and the OSC,
+frames out, rejections and dropped bytes of the dongle bytes streamed
+flat out.  Seed 7 puts corrupt bytes where stream_wire rejects frames and
+drops a byte.  No wire bytes at all may stop the chain or send an
+argument out of range.
 
 reference_track renders every tick into one whole preallocated track, as
 the pipeline did before its audio was pulled.  A track read in any slice
@@ -15,6 +17,8 @@ sizes must give its bytes, in memory that does not grow with the length.
 
 import hashlib
 import itertools
+import math
+import struct
 import sys
 import tracemalloc
 from pathlib import Path
@@ -24,12 +28,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from myobridge import pipeline, session, synth
+from myobridge import pipeline, protocol, session, synth
 from myobridge.session import Pose, PerformerScript, Scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import glue  # noqa: E402
 import spans  # noqa: E402
+import wire  # noqa: E402
 import workloads  # noqa: E402
 
 SEED = 7
@@ -37,27 +42,27 @@ SECONDS = 0.5
 
 
 def _log_paths(inputs, tmp_path):
-    """Per segment, per performer: the path its part of the log went to."""
-    segments = []
-    for k, parts in enumerate(inputs.log_segments()):
+    """Per segment, per performer: the path its part of the log went to;
+    and per performer, the path of its whole log (the meta record, then
+    every segment's part in order)."""
+    segments, parts = [], inputs.log_segments()
+    for k, part in enumerate(parts):
         segments.append([tmp_path / f"log-{k}-{p}.log"
                          for p in range(inputs.performers)])
-        for records, path in zip(parts, segments[-1]):
+        for records, path in zip(part, segments[-1]):
             session.record(records, path)
-    return segments
-
-
-def _frames(paths):
-    """One performer's frames from its log parts, in order."""
-    for path in paths:
-        yield from session.records_to_frames(session.iter_log(path))
+    logs = [tmp_path / f"log-{p}.log" for p in range(inputs.performers)]
+    for p, path in enumerate(logs):
+        session.record([parts[0][p][0]] + [rec for part in parts
+                                           for rec in part[p][1:]], path)
+    return segments, logs
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_ensemble_equals_the_benchmark_glue(name, tmp_path):
     inputs = workloads.make_inputs(name, SEED, SECONDS)
     n, performance_s = inputs.performers, inputs.performance_s
-    segments = _log_paths(inputs, tmp_path)
+    segments, logs = _log_paths(inputs, tmp_path)
 
     render = glue.Render(n, performance_s, spans.Tracer(False))
     chains = [pipeline.PerformerPipeline(p) for p in range(n)]
@@ -66,14 +71,12 @@ def test_ensemble_equals_the_benchmark_glue(name, tmp_path):
         render.segment(paths)
         # glue hashes a segment's performers in turn, so this must too
         for chain, path in zip(chains, paths):
-            for tick in filter(None, map(chain.step, _frames([path]))):
+            frames = session.records_to_frames(session.iter_log(path))
+            for tick in filter(None, map(chain.step, frames)):
                 for gram in tick[2]:
                     render_osc.update(gram)
     render.finish(tmp_path / "glue.wav")
-    # zip(*segments) binds each performer's parts now: a generator that
-    # read segments[k][p] itself would see the last p by the time it ran
-    pipeline.render([_frames(parts) for parts in zip(*segments)],
-                    performance_s, tmp_path / "pipeline.wav")
+    pipeline.render(logs, tmp_path / "pipeline.wav")
     assert render_osc.hexdigest() == render.osc_hash.hexdigest()
     assert ((tmp_path / "pipeline.wav").read_bytes()
             == (tmp_path / "glue.wav").read_bytes())
@@ -96,6 +99,47 @@ def test_ensemble_equals_the_benchmark_glue(name, tmp_path):
             == stream.bytes_dropped)
     if inputs.corrupt_bytes:
         assert stream.rejected > 0
+
+
+_ADDRESSES = ("emg", "euler", "accmag", "gyrmag", "qom", "gate", "synth")
+_NOTIFICATION = (
+    st.binary(min_size=20, max_size=20).map(
+        lambda v: wire.attribute_event(protocol.IMU_DATA_HANDLE, v))
+    | st.builds(wire.attribute_event,
+                st.sampled_from(protocol.EMG_DATA_HANDLES),
+                st.binary(min_size=16, max_size=16)))
+
+
+def _address_and_args(gram):
+    """An OSC datagram's address and float32 arguments, which must be its
+    only arguments."""
+    end = gram.index(b"\0")
+    tags_at = end // 4 * 4 + 4  # past the address and 1 to 4 NULs
+    n = gram.index(b"\0", tags_at) - tags_at - 1
+    args_at = tags_at + (n + 1) // 4 * 4 + 4
+    assert gram[tags_at:tags_at + n + 1] == b"," + b"f" * n
+    assert len(gram) == args_at + 4 * n
+    return gram[:end].decode(), struct.unpack(f">{n}f", gram[args_at:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(pieces=st.lists(_NOTIFICATION | st.binary(max_size=40), max_size=40),
+       cuts=st.lists(st.integers(0, 4000), max_size=20),
+       stamps=st.lists(st.integers(-2**63, 2**63 - 1), min_size=1,
+                       max_size=21))
+def test_no_wire_bytes_can_stop_the_bridge(pieces, cuts, stamps):
+    data = b"".join(pieces)
+    bounds = sorted({0, len(data), *(c % (len(data) + 1) for c in cuts)})
+    chain, grams = pipeline.PerformerPipeline(0), []
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        grams += chain.feed(data[lo:hi], stamps[k % len(stamps)])
+    assert len(grams) % 7 == 0
+    for k, gram in enumerate(grams):
+        address, args = _address_and_args(gram)
+        assert address == f"/myo/0/{_ADDRESSES[k % 7]}"
+        assert all(map(math.isfinite, args)), (address, args)
+        if k % 7 == 5:
+            assert 0.0 <= args[0] <= 1.0
 
 
 def reference_track(frames, total):
@@ -138,15 +182,14 @@ def _pulled_bytes(frames, total, sizes):
     return b"".join(out)
 
 
+# render makes the total no less than any tick's end, so none is cut
 @settings(max_examples=100, deadline=None)
 @given(sizes=st.lists(st.integers(1, 3000) | st.just(synth._PCM_CHUNK),
                       max_size=30),
        gap=st.tuples(st.integers(0, 1_000_000), st.integers(0, 300_000)),
-       total=st.integers(_LAST_BLOCK_END - 3000, _LAST_BLOCK_END + 3000))
+       total=st.integers(_LAST_BLOCK_END, _LAST_BLOCK_END + 3000))
 # the frames end before the total, so the reads end in zeros
 @example(sizes=[1, 881, 2, 3000], gap=(0, 0), total=_LAST_BLOCK_END + 2000)
-# the total cuts the last tick's span, [43 218, 44 100)
-@example(sizes=[43_217, 1, 2], gap=(0, 0), total=_LAST_BLOCK_END - 500)
 # a dropout over the pose change: the tick after it renders a long span
 @example(sizes=[17_000, 3000, 7], gap=(400_000, 200_000),
          total=_LAST_BLOCK_END)
@@ -174,12 +217,12 @@ def test_a_read_must_start_where_the_last_one_ended():
 
 def test_render_memory_stays_under_one_whole_track(bundled_logs, tmp_path):
     seconds = 30
-    frames = [list(session.records_to_frames(
-        rec for rec in log if rec.t_us < seconds * 1e6))
-        for log in bundled_logs[:2]]
+    logs = [tmp_path / f"p{p}.log" for p in range(2)]
+    for log, path in zip(bundled_logs, logs):
+        session.record((rec for rec in log if rec.t_us < seconds * 1e6), path)
     tracemalloc.start()
     try:
-        pipeline.render(frames, seconds, tmp_path / "out.wav")
+        pipeline.render(logs, tmp_path / "out.wav")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
