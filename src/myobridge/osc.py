@@ -18,11 +18,11 @@ Address scheme, one namespace per performer (the public contract):
 Messages are emitted in exactly that order on every control tick, each as
 a plain (address, args) pair.
 
-The encoder caches, per (address, arg count), the padded address and type
-tags and a packer for the float32 arguments, in a bounded LRU cache; the
-seven addresses of a performer are cached the same way.  A miss checks
-the address as a first call would, and an address that fails the check
-is never cached, so a bad address raises on every call.
+emit_pipeline formats a performer's seven addresses on every tick.  The
+encoder's one cache, a bounded LRU, holds per (address, arg count) the
+padded address and type tags and a packer for the float32 arguments.  A
+miss checks the address as a first call would, and an address that fails
+the check is never cached, so a bad address raises on every call.
 
 UdpSender connects its socket once and sends each datagram with send(),
 skipping sendto()'s per-datagram address handling.  A connected socket
@@ -43,9 +43,9 @@ from .mapping import SynthParams
 
 logger = logging.getLogger(__name__)
 
-# Entries per cache: every address in use repeats on every tick, so a
-# bound far above an ensemble's 7 addresses per performer only guards
-# memory against a caller that varies its addresses.
+# Entries in the encoder cache: every address in use repeats on every
+# tick, so a bound far above an ensemble's 7 addresses per performer only
+# guards memory against a caller that varies its addresses.
 _CACHE_SIZE = 256
 
 
@@ -83,29 +83,19 @@ def encode_message(msg: tuple[str, tuple[float, ...]]) -> bytes:
     return header + pack(*args)
 
 
-# typed: True and 1 format differently but hash alike
-@functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
-def _performer_addresses(performer_id: int) -> tuple[str, ...]:
-    prefix = f"/myo/{performer_id}"
-    return tuple(f"{prefix}/{name}" for name in
-                 ("emg", "euler", "accmag", "gyrmag", "qom", "gate", "synth"))
-
-
 def emit_pipeline(state: MotionState, env: tuple[float, ...],
                   params: SynthParams, performer_id: int) -> list[tuple]:
     """One control tick's (address, args) pairs, in the documented order."""
-    emg, euler, accmag, gyrmag, qom, gate, synth = _performer_addresses(
-        performer_id)
-    e = state.euler
+    prefix, e = f"/myo/{performer_id}/", state.euler
     return [
-        (emg, env),
-        (euler, (e.roll, e.pitch, e.yaw)),
-        (accmag, (state.accel_mag,)),
-        (gyrmag, (state.gyro_mag,)),
-        (qom, (state.qom,)),
-        (gate, (state.master_gain,)),
-        (synth, (*params.freqs, *params.amps,
-                 params.drive, params.master_gain)),
+        (prefix + "emg", env),
+        (prefix + "euler", (e.roll, e.pitch, e.yaw)),
+        (prefix + "accmag", (state.accel_mag,)),
+        (prefix + "gyrmag", (state.gyro_mag,)),
+        (prefix + "qom", (state.qom,)),
+        (prefix + "gate", (state.master_gain,)),
+        (prefix + "synth", (*params.freqs, *params.amps,
+                            params.drive, params.master_gain)),
     ]
 
 

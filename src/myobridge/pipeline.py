@@ -11,6 +11,32 @@ plus one block (_tick_end): a lost tick lengthens the next block instead
 of shifting the track.  The WAV lasts until the latest IMU tick's block
 ends, so no span is cut.  A block ramps over its whole length, so it is
 rendered whole however the reads slice it.
+
+Failure ledger: on each fault, what the bridge does, the counter that
+shows it (PerformerPipeline's or UdpSender's) and the test that pins it.
+
+fault                   the bridge                    counter
+degenerate quaternion   keeps the last orientation    motion.degenerate_frames
+  test_fusion.py::test_tracker_holds_orientation_over_degenerate_quaternion
+IMU gap over MAX_GAP_S  advances the gate one period  motion.gap_frames
+  test_fusion.py::test_tracker_dropout_is_not_stillness
+corrupt serial bytes    drops bad type bytes, skips   stream.bytes_dropped,
+                        frames not notifications      rejected
+  test_pipeline.py::test_no_wire_bytes_can_stop_the_bridge
+valid frames a corrupt  lost unseen (ROADMAP item 3)  none
+header's length covers
+  test_protocol.py::test_corrupt_header_loses_no_valid_frame_unseen (xfail)
+malformed log           refused, LogParseError        none
+  test_session.py::test_any_bytes_give_records_then_at_most_one_refusal
+failed send             counted, logged, not raised   send_errors
+  test_osc.py::test_send_outage_logs_its_start_and_its_end_only
+refused send            dropped, not retried          none
+  test_osc.py::test_refused_datagram_costs_one_send_and_is_not_an_error
+non-finite or out-of-   write_wav raises, leaving     none
+range samples, a failed the WAV's path as it was
+WAV write
+  test_synth.py::test_wav_refuses_bad_last_chunk_and_writes_no_file,
+  test_synth.py::test_wav_failing_mid_write_leaves_path_as_it_was
 """
 
 from __future__ import annotations
@@ -48,21 +74,6 @@ class PerformerPipeline:
         self.stream = protocol.BgapiStream()
         self.frames_out = self.rejected = 0
 
-    def decode(self, data: bytes, t_us: int) -> list[Frame]:
-        """The sensor frames of the notifications data completes, each
-        stamped t_us, the time the bytes arrived."""
-        out = []
-        wire_frames = self.stream.feed(data)
-        self.frames_out += len(wire_frames)
-        for wire_frame in wire_frames:
-            try:
-                _, handle, value = protocol.parse_attribute_value_event(
-                    wire_frame)
-                out += protocol.dispatch_attribute(handle, value, t_us)
-            except protocol.ProtocolError:
-                self.rejected += 1
-        return out
-
     def step(self, frame: Frame) -> Optional[Tick]:
         """Push an EMG frame (None); tick on an IMU frame:
         (MotionState, SynthParams, the seven OSC datagrams)."""
@@ -78,8 +89,19 @@ class PerformerPipeline:
         return state, params, [osc.encode_message(m) for m in msgs]
 
     def feed(self, data: bytes, t_us: int) -> list[bytes]:
-        """The datagrams of the ticks completed by data arriving at t_us."""
-        ticks = filter(None, map(self.step, self.decode(data, t_us)))
+        """The datagrams of the ticks completed by data arriving at t_us;
+        each sensor frame the data completes is stamped t_us."""
+        frames = []
+        wire_frames = self.stream.feed(data)
+        self.frames_out += len(wire_frames)
+        for wire_frame in wire_frames:
+            try:
+                _, handle, value = protocol.parse_attribute_value_event(
+                    wire_frame)
+                frames += protocol.dispatch_attribute(handle, value, t_us)
+            except protocol.ProtocolError:
+                self.rejected += 1
+        ticks = filter(None, map(self.step, frames))
         return [gram for _, _, grams in ticks for gram in grams]
 
 

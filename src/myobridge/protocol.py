@@ -14,15 +14,17 @@ remaining type bits are reserved and must be zero.
 
 A frame is its wire bytes, header included; nothing decodes it into fields.
 The bridge reads one event, the attribute-value notification, down one chain:
-feed -> parse_attribute_value_event -> dispatch_attribute.  The second reads
-the notification's payload (connection 1B, handle 2B little-endian, attribute
-type 1B, value length 1B, value) at fixed offsets of the frame; the third
-routes the value by handle.  An IMU value is 20 bytes: 10 little-endian int16
-values ordered quaternion (w,x,y,z), accelerometer (x,y,z), gyroscope (x,y,z).
-An EMG value is 16 bytes: two consecutive 8-channel int8 samples.  The
-sample layout block below is the one home of those counts and bounds; the
-structs, payload lengths and EMG split here, session's log layouts and
-generator bounds, and mapping's oscillators and EMG full scale derive from it.
+feed -> parse_attribute_value_event -> dispatch_attribute -> unpack_imu_raw
+and scale_imu_values, as for a logged IMU record, or parse_emg_packet.  The
+second reads the notification's payload (connection 1B, handle 2B
+little-endian, attribute type 1B, value length 1B, value) at fixed offsets
+of the frame; the third routes the value by handle.  An IMU value is 20
+bytes: 10 little-endian int16 values ordered quaternion (w,x,y,z),
+accelerometer (x,y,z), gyroscope (x,y,z).  An EMG value is 16 bytes: two
+consecutive 8-channel int8 samples.  The sample layout block below is the
+one home of those counts and bounds; the structs, payload lengths and EMG
+split here, session's log layouts and generator bounds, and mapping's
+oscillators and EMG full scale derive from it.
 
 ImuFrame and EmgFrame are NamedTuples: immutable and hashable, and they
 compare as the tuples of their fields.  A frozen dataclass would set each
@@ -146,7 +148,9 @@ def unpack_imu_raw(payload: bytes) -> tuple[int, ...]:
 
 
 def scale_imu_values(raw: Sequence[int], t_us: int) -> ImuFrame:
-    """Convert 10 raw integers (quat wxyz, accel xyz, gyro xyz) to an ImuFrame."""
+    """Convert 10 raw integers (quat wxyz, accel xyz, gyro xyz) to an
+    ImuFrame.  A zero-norm quaternion is not rejected here;
+    fusion.MotionTracker holds the last orientation for such a frame."""
     qw, qx, qy, qz, ax, ay, az, gx, gy, gz = raw
     return ImuFrame(
         t_us,
@@ -154,15 +158,6 @@ def scale_imu_values(raw: Sequence[int], t_us: int) -> ImuFrame:
         (ax / ACCEL_SCALE, ay / ACCEL_SCALE, az / ACCEL_SCALE),
         (gx / GYRO_SCALE, gy / GYRO_SCALE, gz / GYRO_SCALE),
     )
-
-
-def parse_imu_packet(payload: bytes, t_us: int) -> ImuFrame:
-    """Decode a 20-byte IMU notification into physical units.
-
-    A zero-norm quaternion is not rejected here; fusion.MotionTracker holds
-    the last orientation for such a frame.
-    """
-    return scale_imu_values(unpack_imu_raw(payload), t_us)
 
 
 def parse_emg_packet(payload: bytes, t_us: int) -> tuple[EmgFrame, EmgFrame]:
@@ -214,7 +209,7 @@ def dispatch_attribute(handle: int, value: bytes, t_us: int
     the classifier's, is skipped.
     """
     if handle == IMU_DATA_HANDLE:
-        return [parse_imu_packet(value, t_us)]
+        return [scale_imu_values(unpack_imu_raw(value), t_us)]
     if handle in EMG_DATA_HANDLES:
         return list(parse_emg_packet(value, t_us))
     return []

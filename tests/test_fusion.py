@@ -29,7 +29,7 @@ from myobridge.fusion import (
     smooth_ema,
     vector_magnitude,
 )
-from myobridge.protocol import ImuFrame, parse_imu_packet
+from myobridge.protocol import ImuFrame, scale_imu_values
 
 
 def rotation_matrix_from_quat(w, x, y, z):
@@ -320,7 +320,7 @@ def test_tracker_holds_orientation_over_degenerate_quaternion():
     tilted = ImuFrame(t_us=0, quat=(0.70710678, 0.70710678, 0.0, 0.0),
                       accel=(0.0, 0.0, 1.0), gyro=(0.0, 0.0, 0.0))
     before = tracker.update(tilted)
-    zero = parse_imu_packet(bytes(20), t_us=20_000)
+    zero = scale_imu_values((0,) * 10, t_us=20_000)
     after = tracker.update(zero)
     assert tracker.degenerate_frames == 1
     assert after.euler == before.euler
@@ -363,8 +363,7 @@ _INT16 = st.integers(-32768, 32767)
 def test_tracker_never_raises_on_arbitrary_imu_packets(packets):
     tracker = MotionTracker()
     for raw, t_us in packets:
-        state = tracker.update(parse_imu_packet(struct.pack("<10h", *raw),
-                                                t_us))
+        state = tracker.update(scale_imu_values(raw, t_us))
         assert 0.0 <= state.master_gain <= 1.0
         assert (state.master_gain == 0.0) == (state.stillness_s == 0.0)
 
@@ -469,7 +468,7 @@ def test_tracker_matches_reference_bitwise(threshold, t0, frames):
     t_us = t0
     for raw, gap in frames:
         t_us += gap
-        frame = parse_imu_packet(struct.pack("<10h", *raw), t_us)
+        frame = scale_imu_values(raw, t_us)
         got, want = tracker.update(frame), reference.update(frame)
         assert state_bits(got) == state_bits(want)
     assert tracker.degenerate_frames == reference.degenerate_frames

@@ -24,7 +24,8 @@ from myobridge.mapping import (
     assemble_params,
     map_orientation,
 )
-from myobridge.protocol import EmgFrame, ImuFrame, parse_imu_packet
+from myobridge.protocol import (
+    IMU_DATA_HANDLE, EmgFrame, ImuFrame, dispatch_attribute)
 from myobridge.session import SessionRecord
 
 
@@ -242,7 +243,8 @@ _EXTREME_INT16 = st.sampled_from([0, 32767, -32767, -32768])
 @example(struct.pack("<10h", *[32767] * 10))
 @example(struct.pack("<10h", *[-32767] * 10))
 def test_any_imu_payload_keeps_partials_in_range(payload):
-    state = MotionTracker().update(parse_imu_packet(payload, 0))
+    (frame,) = dispatch_attribute(IMU_DATA_HANDLE, payload, 0)
+    state = MotionTracker().update(frame)
     base, spread, drive = map_orientation(state.euler)
     params = assemble_params((0.0,) * 8, base, spread,
                              drive, state.master_gain, 44100)

@@ -8,10 +8,12 @@ performer, through records_to_frames and PerformerPipeline.  A hold is
 orientation and bursts the IMU during the transition before it.  Every
 failure names the performer, the pose and the quantity.
 A property then checks the same rules, within the same tolerances, on any
-one-performer scenario whose poses last long enough for the gate to reopen.
+one-performer scenario whose poses last long enough for the gate to reopen,
+and a short one-performer render checks them in the audio itself.
 """
 
 import math
+import wave
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from myobridge import session
+from myobridge import pipeline, session
 from myobridge.fusion import RAMP_S, EulerAngles
-from myobridge.mapping import EMG_FULL_SCALE, map_orientation
+from myobridge.mapping import EMG_FULL_SCALE, assemble_params, map_orientation
 from myobridge.pipeline import PerformerPipeline
 from myobridge.protocol import EMG_CHANNELS, INT8_MAX
 
@@ -182,3 +184,57 @@ def test_any_one_performer_scenario_plays_as_scored(poses, seed):
     failures = (_envelope_failures(rows) + _base_frequency_failures(rows)
                 + _gain_failures(rows))
     assert not failures, "\n".join(failures)
+
+
+# a move from the first pose into a held, tensed one, yaw fanning the
+# partials 78 Hz apart
+_MOVE_THEN_HOLD = session.PerformerScript((
+    session.Pose(1.0, (0.0, 0.3, -1.0), (0.0,) * EMG_CHANNELS),
+    session.Pose(5.0, (0.0, 0.0, 0.0), (0.0, 0.8, 0.0, 0.0, 0.6, 0.0, 0.9,
+                                        0.0))))
+
+
+def test_the_rendered_audio_is_silent_while_muted_and_holds_its_partials(
+        tmp_path):
+    (log,) = session.generate_scenario(session.Scenario((_MOVE_THEN_HOLD,)),
+                                       1)
+    session.record(log, tmp_path / "take.log")
+    pipeline.render([tmp_path / "take.log"], tmp_path / "take.wav")
+    with wave.open(str(tmp_path / "take.wav"), "rb") as w:
+        pcm = np.frombuffer(w.readframes(w.getnframes()), "<i2")
+    rate = pipeline.SAMPLE_RATE
+
+    # a block ramps from the previous tick's gain to its own tick's
+    ticks = _ticks(0, log)
+    ends = [pipeline._tick_end(round(t * 1e6)) for t in ticks.t_s]
+    muted = [(lo, hi) for lo, hi, before, gain in zip(
+        ends, ends[1:], ticks.gain, ticks.gain[1:])
+        if before == 0.0 and gain == 0.0]
+    assert len(muted) >= session.TRANSITION_S * 50  # the move mutes
+    loud = [lo for lo, hi in muted if pcm[lo:hi].any()]
+    assert not loud, f"{len(loud)} muted blocks sound, from sample {loud[0]}"
+
+    # the last second of the hold, gain open, against the partials
+    # assemble_params names for its pose
+    hold = _MOVE_THEN_HOLD.poses[-1]
+    start, stop = round(5.0 * rate), round(6.0 * rate)
+    assert ticks.gain[ticks.t_s >= 5.0].min() > 0.0
+    window = pcm[start:stop] * np.hanning(stop - start)
+    spectrum = np.abs(np.fft.rfft(window))
+    hz_per_bin = rate / (stop - start)
+    params = assemble_params(hold.tension, *map_orientation(
+        EulerAngles(*hold.orientation)), 1.0)
+    gap_bins = round((params.freqs[1] - params.freqs[0]) / hz_per_bin)
+    heights = []  # the spectrum's peak between each partial's neighbours
+    for ch, freq in enumerate(params.freqs):
+        at = freq / hz_per_bin
+        lo = round(at) - gap_bins // 2
+        peak = lo + int(np.argmax(spectrum[lo:lo + gap_bins]))
+        heights.append(spectrum[peak])
+        assert not hold.tension[ch] or abs(peak - at) <= 1.0, (
+            f"channel {ch}: spectrum peaks at {peak * hz_per_bin:.1f} Hz, "
+            f"partial at {freq:.1f} Hz")
+    # tension sets the mix: the jitter floor's envelope is about 0.016
+    tensed = [h for h, tension in zip(heights, hold.tension) if tension]
+    relaxed = [h for h, tension in zip(heights, hold.tension) if not tension]
+    assert min(tensed) > 10 * max(relaxed)

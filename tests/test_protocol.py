@@ -19,7 +19,6 @@ from myobridge.protocol import (
     dispatch_attribute,
     parse_attribute_value_event,
     parse_emg_packet,
-    parse_imu_packet,
 )
 
 
@@ -231,9 +230,16 @@ def _imu_payload(*values):
     return struct.pack("<10h", *values)
 
 
+def parse_imu(payload, t_us):
+    """The ImuFrame of an IMU notification's value, as the bridge reads
+    it."""
+    (frame,) = dispatch_attribute(protocol.IMU_DATA_HANDLE, payload, t_us)
+    return frame
+
+
 def test_imu_scaling_golden():
     payload = _imu_payload(16384, 0, 0, 0, 2048, 0, 0, 0, 0, 0)
-    frame = parse_imu_packet(payload, t_us=42)
+    frame = parse_imu(payload, t_us=42)
     assert frame.t_us == 42
     assert frame.quat == (1.0, 0.0, 0.0, 0.0)
     assert frame.accel == (1.0, 0.0, 0.0)
@@ -241,7 +247,7 @@ def test_imu_scaling_golden():
 
 
 def test_imu_zero_payload_not_rejected():
-    frame = parse_imu_packet(bytes(20), t_us=0)
+    frame = parse_imu(bytes(20), t_us=0)
     assert frame.quat == (0.0, 0.0, 0.0, 0.0)
     assert frame.accel == (0.0, 0.0, 0.0)
     assert frame.gyro == (0.0, 0.0, 0.0)
@@ -249,7 +255,7 @@ def test_imu_zero_payload_not_rejected():
 
 def test_imu_gyro_scaling_golden():
     payload = _imu_payload(16384, 0, 0, 0, 0, 0, 0, 16, -16, 32)
-    frame = parse_imu_packet(payload, t_us=0)
+    frame = parse_imu(payload, t_us=0)
     assert frame.gyro == (1.0, -1.0, 2.0)
 
 
@@ -259,18 +265,28 @@ def test_imu_scaling_is_linear():
         v = rng.randrange(-16384, 16384)
         single = _imu_payload(v, v, v, v, v, v, v, v, v, v)
         double = _imu_payload(*(2 * v,) * 10)
-        f1 = parse_imu_packet(single, 0)
-        f2 = parse_imu_packet(double, 0)
+        f1 = parse_imu(single, 0)
+        f2 = parse_imu(double, 0)
         for a, b in zip(f1.quat + f1.accel + f1.gyro,
                         f2.quat + f2.accel + f2.gyro):
             assert b == pytest.approx(2 * a, abs=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(raw=st.tuples(*[st.integers(-2**15, 2**15 - 1)] * 10),
+       t_us=st.integers(-2**63, 2**63 - 1))
+def test_wire_and_log_scale_an_imu_sample_alike(raw, t_us):
+    # one scaling for both routes: a notification's value and a log record
+    logged = session.SessionRecord(t_us, "imu", raw)
+    assert (parse_imu(struct.pack("<10h", *raw), t_us)
+            == next(session.records_to_frames([logged])))
+
+
 def test_imu_wrong_length():
     with pytest.raises(WrongLengthError):
-        parse_imu_packet(bytes(19), 0)
+        parse_imu(bytes(19), 0)
     with pytest.raises(WrongLengthError):
-        parse_imu_packet(bytes(21), 0)
+        parse_imu(bytes(21), 0)
 
 
 # --- EMG packets -----------------------------------------------------------

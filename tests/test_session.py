@@ -295,6 +295,32 @@ def test_iter_log_refuses_a_fault_naming_its_record_and_offset(tmp_path,
     assert message in str(error)
 
 
+_RECORD_SIZES = {"imu": 29, "emg": 17}
+
+
+@settings(max_examples=150, deadline=None)
+@given(meta=st.booleans(),
+       pieces=st.lists(st.binary(max_size=40)
+                       | st.integers(0, 99).map(_emg_bytes), max_size=8))
+@example(meta=True, pieces=[_emg_bytes(5), _emg_bytes(4)])
+@example(meta=True, pieces=[_emg_bytes(5), _emg_bytes(6)[:-1]])
+def test_any_bytes_give_records_then_at_most_one_refusal(meta, pieces):
+    data = (_META_LINE if meta else b"") + b"".join(pieces)
+    got = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "any.log"
+        path.write_bytes(data)
+        try:
+            got.extend(iter_log(path))
+        except LogParseError as error:
+            # the refused record starts where the records read end
+            assert error.record_no == len(got) + 1
+            read = data.index(b"\n") + 1 + sum(
+                _RECORD_SIZES[rec.kind] for rec in got[1:]) if got else 0
+            assert 0 <= error.offset == read < len(data)
+    assert all(rec.kind == "meta" for rec in got[:1])
+
+
 class Level(enum.IntEnum):
     LOW = -3
     HIGH = 40000
