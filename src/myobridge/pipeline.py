@@ -32,11 +32,16 @@ failed send             counted, logged, not raised   send_errors
   test_osc.py::test_send_outage_logs_its_start_and_its_end_only
 refused send            dropped, not retried          none
   test_osc.py::test_refused_datagram_costs_one_send_and_is_not_an_error
-non-finite or out-of-   write_wav raises, leaving     none
-range samples, a failed the WAV's path as it was
-WAV write
-  test_synth.py::test_wav_refuses_bad_last_chunk_and_writes_no_file,
-  test_synth.py::test_wav_failing_mid_write_leaves_path_as_it_was
+non-finite or out-of-   write_wav raises at the first none
+range samples, a failed bad chunk, leaving the WAV's
+WAV write               path as it was; its temporary
+                        file is named afresh per call,
+                        so no stale one is in the way
+  test_synth.py::test_wav_refusal_reads_no_chunk_past_the_bad_one,
+  test_synth.py::test_wav_failing_mid_write_leaves_path_as_it_was,
+  test_synth.py::test_wav_is_written_past_a_stale_temporary_file;
+  no log can reach the refusal of samples:
+  test_pipeline.py::test_no_log_makes_the_render_refuse_its_samples
 """
 
 from __future__ import annotations

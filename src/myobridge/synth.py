@@ -29,8 +29,9 @@ silence held for a whole piece takes no sample memory.
 
 Mixdown and PCM output take one path in bounded memory: mix_performers
 checks its blocks and returns a mix that is just their tracks, and
-write_wav reads any block or mix as the mean of its tracks, a chunk at a
-time, and only replaces its path once every chunk has passed; the mean
+write_wav, whose one input is that mix, reads it as the mean of its
+tracks, a chunk at a time, refuses it at the first chunk that fails its
+check, and only replaces its path once every chunk has passed; the mean
 is computed nowhere else.  OscillatorBank applies write_wav's rate rule,
 so a render at a rate it refuses fails at once.
 """
@@ -250,29 +251,28 @@ def mix_performers(blocks: Sequence[AudioBlock]) -> _Mix:
     return _Mix(tuple(b.samples for b in blocks), rate)
 
 
-def write_wav(block: AudioBlock | _Mix, path) -> None:
-    """Write mono 16-bit PCM, little-endian; byte-exact across runs.
+def write_wav(mix: _Mix, path) -> None:
+    """Write a mix_performers mix as mono 16-bit PCM, little-endian;
+    byte-exact across runs.
 
     Sample s maps to rint(s * 32767).  Samples must be finite and within
     [-1, 1]; the renderer guarantees that bound.  The sample rate must be
     a whole number of Hz that the header can hold (_whole_hz), the rule
-    OscillatorBank applies too.  The PCM goes to a sibling temporary file
-    that replaces path once every chunk is checked and written, so a
-    refused input (ValueError) or a failed write (a full disk) leaves path
-    as it was.  A mix is read as the mean of its tracks, and a block as
-    a mix of one track (its -0.0 reads +0.0; rint writes both as 0), the
-    mean computed chunk by chunk into one _PCM_CHUNK-sample buffer, so
-    working memory does not grow with the length and a mix is never
-    built whole.  That is all a track is asked for: len(), and t[lo:hi]
-    as a float array, each slice read once, front to back, in chunks.
-    So a track may render its samples as they are read (pipeline.render).
+    OscillatorBank applies too.  The mix is read as the mean of its tracks,
+    computed chunk by chunk into one _PCM_CHUNK-sample buffer, so memory
+    does not grow with the length; the first chunk with a sample that is
+    not finite or not in [-1, 1] raises ValueError, and no later chunk is
+    read.  The PCM goes to a temporary file beside path, named afresh per
+    call, that replaces path once every chunk is written, so a refused mix
+    or a failed write (a full disk) leaves path as it was.  A track is
+    asked for len(), and t[lo:hi] as a float array, each slice read once,
+    front to back, in chunks, so it may render its samples as they are
+    read (pipeline.render).
     """
-    rate = _whole_hz(block.sample_rate)
-    tracks = block.tracks if isinstance(block, _Mix) else (block.samples,)
-    n = len(tracks[0])
+    rate = _whole_hz(mix.sample_rate)
+    n = len(mix.tracks[0])
     buf = np.empty(min(n, _PCM_CHUNK))
-    out_of_range = False
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
     fh = open(tmp, "xb")
     try:
         with fh, wave.open(fh, "wb") as w:
@@ -281,18 +281,15 @@ def write_wav(block: AudioBlock | _Mix, path) -> None:
             w.setparams((1, 2, rate, n, "NONE", "not compressed"))
             for lo in range(0, n, _PCM_CHUNK):
                 hi = min(lo + _PCM_CHUNK, n)
-                c = _mean_of(tracks, lo, hi, buf[:hi - lo])
+                c = _mean_of(mix.tracks, lo, hi, buf[:hi - lo])
                 peak = max(c.max(), -c.min())  # both propagate NaN
                 if not math.isfinite(peak):
                     raise ValueError("samples must be finite")
-                # past a sample out of range, only look for a NaN
-                out_of_range = out_of_range or peak > 1.0
-                if not out_of_range:
-                    c *= PCM_FULL_SCALE
-                    np.rint(c, out=c)
-                    w.writeframesraw(c.astype("<i2"))
-        if out_of_range:
-            raise ValueError("samples must lie in [-1, 1]")
+                if peak > 1.0:
+                    raise ValueError("samples must lie in [-1, 1]")
+                c *= PCM_FULL_SCALE
+                np.rint(c, out=c)
+                w.writeframesraw(c.astype("<i2"))
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)

@@ -77,6 +77,13 @@ def test_console_scripts_resolve_to_callables():
         assert callable(obj), f"{name} = {target!r} is not callable"
 
 
+def test_package_version_is_the_declared_version():
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    with open(PYPROJECT, "rb") as fh:
+        declared = tomllib.load(fh)["project"]["version"]
+    assert importlib.import_module("myobridge").__version__ == declared
+
+
 def _package_modules():
     return {"myobridge"} | {f"myobridge.{path.stem}" for path in
                             (ROOT / "src" / "myobridge").glob("*.py")}

@@ -13,6 +13,7 @@ argument out of range.
 reference_track renders every tick into one whole preallocated track, as
 the pipeline did before its audio was pulled.  A track read in any slice
 sizes must give its bytes, in memory that does not grow with the length.
+No log may make the render refuse its samples.
 """
 
 import hashlib
@@ -20,7 +21,9 @@ import itertools
 import math
 import struct
 import sys
+import tempfile
 import tracemalloc
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -229,3 +232,38 @@ def test_render_memory_stays_under_one_whole_track(bundled_logs, tmp_path):
     # one whole float64 track is 10.6 MB; whole tracks, one per performer,
     # peaked at 22.6 MB, the pulled render at 3.4 MB
     assert peak < seconds * pipeline.SAMPLE_RATE * 8
+
+
+_INT16 = st.integers(-2**15, 2**15 - 1)
+_FULL_SCALE = st.sampled_from([-2**15, 2**15 - 1]) | _INT16
+# a zero quaternion, or any; accel and gyro often at full scale
+_IMU_DATA = st.builds(lambda quat, rest: quat + rest,
+                      st.just((0,) * 4) | st.tuples(*[_INT16] * 4),
+                      st.tuples(*[_FULL_SCALE] * 6))
+_EMG_DATA = st.tuples(*[st.integers(-128, 127)] * protocol.EMG_CHANNELS)
+# whole IMU periods repeat stamps often; any stamp leaves gaps over
+# MAX_GAP_S in a short log
+_STAMP = (st.integers(0, 150).map(lambda k: k * 20_000)
+          | st.integers(0, 3_000_000))
+_IMU = st.tuples(_STAMP, st.just("imu"), _IMU_DATA)
+_EMG = st.tuples(_STAMP, st.just("emg"), _EMG_DATA)
+
+
+@settings(max_examples=60, deadline=None)
+@given(imu=_IMU, others=st.lists(_IMU | _EMG, max_size=30))
+# full scale and a zero quaternion, a repeated stamp, then a 2 s dropout
+@example(imu=(0, "imu", (0,) * 4 + (2**15 - 1, -2**15) * 3),
+         others=[(0, "imu", (2**15 - 1,) * 10),
+                 (20_000, "emg", (-128, 127) * 4),
+                 (2_020_000, "imu", (-2**15,) * 10)])
+def test_no_log_makes_the_render_refuse_its_samples(imu, others):
+    records = sorted([imu, *others], key=lambda rec: rec[0])
+    with tempfile.TemporaryDirectory() as tmp:
+        log, path = Path(tmp) / "take.log", Path(tmp) / "take.wav"
+        session.record([session.make_meta_record(), *itertools.starmap(
+            session.SessionRecord, records)], log)
+        pipeline.render([log], path)
+        with wave.open(str(path)) as w:
+            assert w.getnframes() == max(pipeline._tick_end(t_us)
+                                         for t_us, kind, _ in records
+                                         if kind == "imu")

@@ -1,9 +1,11 @@
 """Renderer tests: FFT spectral oracle, output bound, phase continuity,
 a sample-major reference renderer, whole-array reference mix and WAV
 writers, an independent struct-level WAV reader oracle, and traced memory
-bounds for muted blocks and for writing a block or a mix."""
+bounds for muted blocks and for writing a mix."""
 
 import math
+import os
+import stat
 import struct
 import tempfile
 import tracemalloc
@@ -555,7 +557,7 @@ def test_mix_is_checked_when_written(tmp_path, last, message):
 
 def test_wav_golden_four_zero_samples(tmp_path):
     path = tmp_path / "zeros.wav"
-    write_wav(AudioBlock(np.zeros(4), 44100.0), path)
+    write_wav(mix_performers([AudioBlock(np.zeros(4), 44100.0)]), path)
     info = read_wav_oracle(path)
     assert info["file_len"] == 44 + 8
     assert info["data_size"] == 8
@@ -567,7 +569,7 @@ def test_wav_golden_four_zero_samples(tmp_path):
 
 def test_wav_full_scale_sample_encoding(tmp_path):
     path = tmp_path / "one.wav"
-    write_wav(AudioBlock(np.array([1.0]), 44100.0), path)
+    write_wav(mix_performers([AudioBlock(np.array([1.0]), 44100.0)]), path)
     raw = Path(path).read_bytes()
     assert raw[44:46] == b"\xff\x7f"
     assert read_wav_oracle(path)["samples"] == (32767,)
@@ -575,7 +577,7 @@ def test_wav_full_scale_sample_encoding(tmp_path):
 
 def test_wav_empty_block(tmp_path):
     path = tmp_path / "empty.wav"
-    write_wav(AudioBlock(np.zeros(0), 44100.0), path)
+    write_wav(mix_performers([AudioBlock(np.zeros(0), 44100.0)]), path)
     info = read_wav_oracle(path)
     assert info["data_size"] == 0
     assert info["file_len"] == 44
@@ -585,7 +587,7 @@ def test_wav_values_match_rint(tmp_path):
     rng = np.random.default_rng(4)
     samples = rng.uniform(-1, 1, 256)
     path = tmp_path / "r.wav"
-    write_wav(AudioBlock(samples, 44100.0), path)
+    write_wav(mix_performers([AudioBlock(samples, 44100.0)]), path)
     got = np.array(read_wav_oracle(path)["samples"])
     assert np.array_equal(got, np.rint(samples * 32767.0).astype(np.int64))
 
@@ -594,16 +596,18 @@ def test_wav_byte_exact_across_runs(tmp_path):
     rng = np.random.default_rng(9)
     samples = rng.uniform(-1, 1, 1024)
     p1, p2 = tmp_path / "a.wav", tmp_path / "b.wav"
-    write_wav(AudioBlock(samples, 44100.0), p1)
-    write_wav(AudioBlock(samples.copy(), 44100.0), p2)
+    write_wav(mix_performers([AudioBlock(samples, 44100.0)]), p1)
+    write_wav(mix_performers([AudioBlock(samples.copy(), 44100.0)]), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_wav_rejects_out_of_range(tmp_path):
     with pytest.raises(ValueError):
-        write_wav(AudioBlock(np.array([1.5]), 44100.0), tmp_path / "x.wav")
+        write_wav(mix_performers([AudioBlock(np.array([1.5]), 44100.0)]),
+                  tmp_path / "x.wav")
     with pytest.raises(ValueError):
-        write_wav(AudioBlock(np.array([np.nan]), 44100.0), tmp_path / "y.wav")
+        write_wav(mix_performers([AudioBlock(np.array([np.nan]), 44100.0)]),
+                  tmp_path / "y.wav")
 
 
 @pytest.mark.parametrize("n", [0, 1, _PCM_CHUNK - 1, _PCM_CHUNK,
@@ -617,14 +621,10 @@ def test_wav_chunked_bytes_equal_whole_array_reference(tmp_path, n):
         if 0 <= at < n:
             samples[at] = special[k]
     block = AudioBlock(samples, 44100.0)
-    got, mixed, want = (tmp_path / f"{name}.wav"
-                        for name in ("got", "mixed", "want"))
-    write_wav(block, got)
-    # the same block as a one-track mix
-    write_wav(mix_performers([block]), mixed)
+    got, want = tmp_path / "got.wav", tmp_path / "want.wav"
+    write_wav(mix_performers([block]), got)
     reference_write_wav(block, want)
     assert got.read_bytes() == want.read_bytes()
-    assert mixed.read_bytes() == want.read_bytes()
     assert read_wav_oracle(got)["data_size"] == 2 * n
 
 
@@ -633,8 +633,8 @@ def test_wav_chunked_bytes_equal_whole_array_reference(tmp_path, n):
     ({-1: math.inf}, "finite"),
     ({-1: 1.5}, r"\[-1, 1\]"),
     ({-1: -1.0000000000000002}, r"\[-1, 1\]"),
-    # out of range early and NaN late: reported as not finite
-    ({0: 1.5, -1: math.nan}, "finite"),
+    # out of range early and NaN late: refused at the first bad chunk
+    ({0: 1.5, -1: math.nan}, r"\[-1, 1\]"),
 ])
 def test_wav_refuses_bad_last_chunk_and_writes_no_file(tmp_path, bad,
                                                        message):
@@ -643,8 +643,38 @@ def test_wav_refuses_bad_last_chunk_and_writes_no_file(tmp_path, bad,
         samples[at] = value
     path = tmp_path / "refused.wav"
     with pytest.raises(ValueError, match=message):
-        write_wav(AudioBlock(samples, 44100.0), path)
+        write_wav(mix_performers([AudioBlock(samples, 44100.0)]), path)
     assert not path.exists()
+
+
+class CountedTrack:
+    """A track that counts the slices read from it."""
+
+    def __init__(self, samples):
+        self.samples, self.reads = samples, 0
+
+    def __len__(self):
+        return len(self.samples)
+
+    def __getitem__(self, s):
+        self.reads += 1
+        return self.samples[s]
+
+
+@pytest.mark.parametrize("value, message", [(1.5, r"\[-1, 1\]"),
+                                            (math.nan, "finite")])
+@pytest.mark.parametrize("k", [0, 2])
+def test_wav_refusal_reads_no_chunk_past_the_bad_one(tmp_path, k, value,
+                                                     message):
+    # for pipeline.render, every chunk read is a chunk rendered
+    samples = np.zeros(4 * _PCM_CHUNK)
+    samples[k * _PCM_CHUNK + 5] = value
+    track = CountedTrack(samples)
+    with pytest.raises(ValueError, match=message):
+        write_wav(mix_performers([AudioBlock(track, 44100.0)]),
+                  tmp_path / "refused.wav")
+    assert track.reads == k + 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("rate", [0.0, -44100.0, math.nan, math.inf,
@@ -653,7 +683,7 @@ def test_wav_refuses_bad_rate_and_writes_no_file(tmp_path, rate):
     # 44100.7 was cut to 44100; 2**31 Hz overflows the header's byte rate
     path = tmp_path / "refused.wav"
     with pytest.raises(ValueError, match="sample_rate"):
-        write_wav(AudioBlock(np.zeros(4), rate), path)
+        write_wav(mix_performers([AudioBlock(np.zeros(4), rate)]), path)
     assert not path.exists()
 
 
@@ -676,7 +706,8 @@ def test_wav_failing_mid_write_leaves_path_as_it_was(tmp_path, monkeypatch,
     if earlier is not None:
         path.write_bytes(earlier)
     with pytest.raises(OSError, match="No space"):
-        write_wav(AudioBlock(np.zeros(2 * _PCM_CHUNK + 1), 44100.0), path)
+        write_wav(mix_performers([AudioBlock(np.zeros(2 * _PCM_CHUNK + 1),
+                                             44100.0)]), path)
     assert len(calls) == 2
     if earlier is None:
         assert not path.exists()
@@ -686,16 +717,40 @@ def test_wav_failing_mid_write_leaves_path_as_it_was(tmp_path, monkeypatch,
                                                     else ["take.wav"])
 
 
+def test_wav_is_written_past_a_stale_temporary_file(tmp_path):
+    # a write killed mid-way left the temporary name once used, the path
+    # plus the pid; a container's entrypoint has the same pid every start
+    path = tmp_path / "take.wav"
+    stale = tmp_path / f"take.wav.{os.getpid()}.tmp"
+    stale.write_bytes(b"a killed write")
+    write_wav(mix_performers([AudioBlock(np.zeros(4), 44100.0)]), path)
+    assert read_wav_oracle(path)["samples"] == (0, 0, 0, 0)
+    assert stale.read_bytes() == b"a killed write"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name,
+                                                          stale.name]
+
+
+def test_wav_has_the_mode_of_any_new_file(tmp_path):
+    # the temporary file that becomes the WAV is created as open creates
+    # any file, under the umask; tempfile.mkstemp's would be 0600
+    plain = tmp_path / "plain"
+    plain.write_bytes(b"")
+    path = tmp_path / "take.wav"
+    write_wav(mix_performers([AudioBlock(np.zeros(4), 44100.0)]), path)
+    assert (stat.S_IMODE(path.stat().st_mode)
+            == stat.S_IMODE(plain.stat().st_mode))
+
+
 def test_wav_whole_float_rate_is_written(tmp_path):
     path = tmp_path / "float_rate.wav"
-    write_wav(AudioBlock(np.zeros(4), 48000.0), path)
+    write_wav(mix_performers([AudioBlock(np.zeros(4), 48000.0)]), path)
     with wave.open(str(path), "rb") as r:
         assert r.getframerate() == 48000
 
 
 def test_wav_peak_memory_is_bounded(tmp_path):
     samples = np.random.default_rng(5).uniform(-1, 1, 1 << 21)
-    block = AudioBlock(samples, 44100.0)
+    mix = mix_performers([AudioBlock(samples, 44100.0)])
     # the whole-array writer peaked near twice the samples' bytes
-    peak = traced_peak_bytes(write_wav, block, tmp_path / "long.wav")
+    peak = traced_peak_bytes(write_wav, mix, tmp_path / "long.wav")
     assert peak <= samples.nbytes / 8
