@@ -4,7 +4,9 @@ A PerformerPipeline is one performer's chain: frames decoded from the wire
 (feed) or scaled from a log go through fusion, mapping and osc, one
 control tick per IMU frame.  render writes the performers' mix, rendering
 each one's audio as the WAV writer reads it, in memory that does not grow
-with the length of the piece.
+with the length of the piece.  It grows by one float64 per sample of the
+longest gap between IMU ticks: the tick after a gap renders the gap as one
+span, which reads inside it take as views.
 
 Render timing: a tick renders its performer's track up to its own time
 plus one block (_tick_end): a lost tick lengthens the next block instead
@@ -20,6 +22,11 @@ degenerate quaternion   keeps the last orientation    motion.degenerate_frames
   test_fusion.py::test_tracker_holds_orientation_over_degenerate_quaternion
 IMU gap over MAX_GAP_S  advances the gate one period  motion.gap_frames
   test_fusion.py::test_tracker_dropout_is_not_stillness
+dropout in the render   renders the gap as one span   motion.gap_frames
+                        through the synth's fixed
+                        scratch, one float64 per gap
+                        sample, never copied whole
+  test_pipeline.py::test_a_dropout_renders_in_memory_bounded_by_the_gap
 corrupt serial bytes    drops bad type bytes, skips   stream.bytes_dropped,
                         frames not notifications      rejected
   test_pipeline.py::test_no_wire_bytes_can_stop_the_bridge
@@ -42,6 +49,10 @@ WAV write               path as it was; its temporary
   test_synth.py::test_wav_is_written_past_a_stale_temporary_file;
   no log can reach the refusal of samples:
   test_pipeline.py::test_no_log_makes_the_render_refuse_its_samples
+a WAV longer than its   write_wav raises before it    none
+header holds (13.5 h;   reads a chunk or opens a file
+a stray stamp)
+  test_synth.py::test_wav_longer_than_its_header_holds_is_refused_unread
 """
 
 from __future__ import annotations
@@ -117,7 +128,9 @@ class _Track:
     spans are not cut.  A read track[lo:hi] must start where the last one
     ended, or IndexError is raised.  It steps frames until it holds sample
     hi - 1 or they run out, returns [lo, hi), zeros past the last block,
-    and keeps only the samples after hi.
+    and keeps only the samples after hi.  Those are the tail of the last
+    span, kept as a view, so a long span is never copied whole and a read
+    inside it is a view of it (read-only if the span is muted).
     """
 
     def __init__(self, pid: int, frames: Iterable[Frame], total: int):
@@ -142,9 +155,12 @@ class _Track:
                 spans.append(synth.render_block(self.bank, tick[1],
                                                 end - done).samples)
                 done = end
-        rendered = np.concatenate(spans + [np.zeros(max(0, hi - done))])
-        self.read, self.ahead = hi, rendered[hi - lo:]
-        return rendered[:hi - lo]
+        if done < hi:
+            spans.append(np.zeros(hi - done))
+        last = spans[-1]
+        cut = len(last) - max(0, done - hi)
+        spans[-1], self.read, self.ahead = last[:cut], hi, last[cut:]
+        return spans[0] if len(spans) == 1 else np.concatenate(spans)
 
 
 def render(logs: Sequence, path) -> None:

@@ -11,12 +11,15 @@ waveshaper tanh(drive * s) / tanh(drive), then the master gain.  Parameters
 changing between blocks are linearly interpolated across the block.
 
 A block is computed oscillator-major, one contiguous row per path: the
-four parameter ramps are one (18, n) array (8 freqs, 8 amps, drive,
+four parameter ramps are one (18, m) array (8 freqs, 8 amps, drive,
 gain), the integer phase increments and their running sum one uint64
-(8, n) array, and the freq rows then hold the phases and their sines.
-These are scratch the bank owns, rebuilt only when the block length
-changes; the samples returned are always a fresh array, never a view of
-it, so a caller may keep every block.
+(8, m) array, and the freq rows then hold the phases and their sines.
+The bank allocates this scratch once, _WIDTH samples wide, as Bela renders
+into buffers allocated once; a longer block renders through it in pieces.
+Piece [a, b) of an n-sample block ramps at (k + a) / n, k = 1 .. b - a,
+each the float arange(1, n + 1) / n gives, and carries the phases on, so
+the bytes do not depend on the pieces.  The samples returned are always a
+fresh array, never a view of the scratch, so a caller may keep every block.
 
 A muted block, silent parameters at both ends (master gain exactly 0,
 amps in [0, 1] and a finite drive >= 1, as the mapping produces them),
@@ -50,16 +53,19 @@ from .mapping import N_OSCILLATORS, SynthParams
 # Phase lives in uint64 turns: 2**64 == one full cycle.
 _PHASE_MODULUS = 2.0 ** 64
 _PHASE_TO_RADIANS = 2.0 * math.pi / _PHASE_MODULUS
-# render_block's ramp rows: N_OSCILLATORS freqs, N_OSCILLATORS amps,
-# drive, gain
+# render_block's ramp rows: the 8 freqs, the 8 amps, drive and gain
 _RAMP_ROWS = 2 * N_OSCILLATORS + 2
 _DRIVE, _GAIN = 2 * N_OSCILLATORS, 2 * N_OSCILLATORS + 1
+# render_block's scratch width: any benchmark block renders in one piece
+_WIDTH = 1 << 13
 
 PCM_FULL_SCALE = 32767.0
 # samples per write_wav chunk: 512 KiB of float64 working memory
 _PCM_CHUNK = 1 << 16
-# the WAV header holds the byte rate, 2 bytes per mono sample, as a uint32
+# the WAV header holds, as uint32s, the byte rate, 2 bytes per mono
+# sample, and the RIFF size, 36 header bytes plus 2 per sample
 _WAV_MAX_RATE = 0xFFFFFFFF // 2
+_WAV_MAX_FRAMES = (0xFFFFFFFF - 36) // 2
 # the one +0.0 every muted block's stride-0 view reads; bytes are
 # immutable, so the views are read-only
 _SILENCE = bytes(8)
@@ -107,10 +113,9 @@ class OscillatorBank:
     float64 vector the next block ramps from, and whether they are
     silent (_silent).
 
-    Single-owner: one bank per performer, rendered in stream order.  The
-    bank also owns render_block's scratch buffers, sized for the last
-    block length and rebuilt only when it changes.  sample_rate must
-    pass write_wav's rule (_whole_hz), or ValueError is raised.
+    Single-owner: one bank per performer, rendered in stream order; it
+    also owns render_block's scratch.  sample_rate must pass write_wav's
+    rule (_whole_hz), or ValueError is raised.
     """
 
     def __init__(self, sample_rate: float = 44100.0):
@@ -118,21 +123,11 @@ class OscillatorBank:
         self._acc = np.zeros(N_OSCILLATORS, dtype=np.uint64)
         self._prev_vector: Optional[np.ndarray] = None
         self._prev_silent = False
-        self._scratch: Optional[_Scratch] = None
-
-
-class _Scratch:
-    """render_block's working arrays for blocks of n samples: the ramp
-    positions t = 1/n .. n/n, the (18, n) ramps, and grid, which holds
-    the ramp operands while the ramps are built and the increments (inc)
-    after."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.t = np.arange(1, n + 1, dtype=np.float64) / n
-        self.ramps = np.empty((_RAMP_ROWS, n))
-        self.grid = np.empty((_RAMP_ROWS, n))
-        self.inc = self.grid[:N_OSCILLATORS].view(np.uint64)
+        # the ramps and the grid (their operands, then the increments),
+        # each prefix a contiguous (rows, m); _t: positions for _t_n samples
+        self._ramps = np.empty(_RAMP_ROWS * _WIDTH)
+        self._grid = np.empty(_RAMP_ROWS * _WIDTH)
+        self._t, self._t_n = np.empty(_WIDTH), 0
 
 
 def _silent(p: SynthParams) -> bool:
@@ -175,55 +170,56 @@ def render_block(bank: OscillatorBank, params: SynthParams,
     # this block's end is the next block's start
     bank._prev_vector, bank._prev_silent = end, silent
 
-    w = bank._scratch
-    if w is None or w.n != n:
-        w = bank._scratch = _Scratch(n)
     # every ramp is start + (end - start) * t, rounded twice as written.
-    # Each operand is spread to the full (rows, n) by assignment first:
+    # Each operand is spread to the full (rows, m) by assignment first:
     # numpy buffers a ufunc that broadcasts over rows this short, which
     # costs more than the copy.  A muted block needs the freq rows only.
     rows = N_OSCILLATORS if muted else _RAMP_ROWS
-    ramps, grid = w.ramps[:rows], w.grid[:rows]
-    grid[...] = w.t
-    ramps[...] = (end - start)[:rows, None]
-    ramps *= grid
-    grid[...] = start[:rows, None]
-    ramps += grid
-
-    freqs, inc = w.ramps[:N_OSCILLATORS], w.inc
-    freqs *= _PHASE_MODULUS / bank.sample_rate
-    np.rint(freqs, out=freqs)
-    inc[...] = freqs
-    if muted:
-        bank._acc = bank._acc + inc.sum(axis=1, dtype=np.uint64)
-        silence = np.ndarray(n, np.float64, _SILENCE, strides=(0,))
-        return AudioBlock(samples=silence, sample_rate=bank.sample_rate)
-
-    # uint64 sums wrap mod 2**64, so the running sum from the accumulator
-    # plus the first increment equals the old running sum plus the
-    # accumulator
-    inc[:, 0] += bank._acc
-    np.cumsum(inc, axis=1, out=inc)
-    bank._acc = inc[:, -1].copy()
-
-    x = freqs
-    x[...] = inc
-    x *= _PHASE_TO_RADIANS
-    np.sin(x, out=x)
-    x *= w.ramps[N_OSCILLATORS:2 * N_OSCILLATORS]
-    # numpy's sum over a contiguous axis of 8 adds pairwise in exactly this
-    # order, ((x0+x1)+(x2+x3))+((x4+x5)+(x6+x7)), so the mix equals the
-    # row-major (n, 8).sum(axis=1) bit for bit
-    pairs = x[0::2] + x[1::2]
-    pairs = pairs[0::2] + pairs[1::2]
-    s = pairs[0] + pairs[1]
-    s /= N_OSCILLATORS
-    drive = w.ramps[_DRIVE]
-    s *= drive
-    np.tanh(s, out=s)
-    s /= np.tanh(drive, out=drive)
-    s *= w.ramps[_GAIN]
-    return AudioBlock(samples=s, sample_rate=bank.sample_rate)
+    delta, start = (end - start)[:rows, None], start[:rows, None]
+    out = (np.ndarray(n, np.float64, _SILENCE, strides=(0,)) if muted
+           else np.empty(n))
+    for a in range(0, n, _WIDTH):
+        m = min(n - a, _WIDTH)
+        if bank._t_n != n:  # an exact float64 arange, divided
+            np.divide(np.arange(a + 1.0, a + m + 1), n, out=bank._t[:m])
+            bank._t_n = n if m == n else 0
+        ramps = bank._ramps[:rows * m].reshape(rows, m)
+        grid = bank._grid[:rows * m].reshape(rows, m)
+        grid[...] = bank._t[:m]
+        ramps[...] = delta
+        ramps *= grid
+        grid[...] = start
+        ramps += grid
+        x = ramps[:N_OSCILLATORS]  # the freqs, then phases, then sines
+        inc = grid[:N_OSCILLATORS].view(np.uint64)
+        x *= _PHASE_MODULUS / bank.sample_rate
+        np.rint(x, out=x)
+        inc[...] = x
+        if muted:
+            bank._acc = bank._acc + inc.sum(axis=1, dtype=np.uint64)
+            continue
+        # uint64 sums wrap mod 2**64, so the accumulator added to the
+        # first increment is added to every running sum
+        inc[:, 0] += bank._acc
+        np.cumsum(inc, axis=1, out=inc)
+        bank._acc = inc[:, -1].copy()
+        x[...] = inc
+        x *= _PHASE_TO_RADIANS
+        np.sin(x, out=x)
+        x *= ramps[N_OSCILLATORS:2 * N_OSCILLATORS]
+        # numpy's sum over a contiguous axis of 8 adds pairwise in exactly
+        # this order, ((x0+x1)+(x2+x3))+((x4+x5)+(x6+x7)), so the mix
+        # equals the row-major (n, 8).sum(axis=1) bit for bit
+        pairs = x[0::2] + x[1::2]
+        pairs = pairs[0::2] + pairs[1::2]
+        s = np.add(pairs[0], pairs[1], out=out[a:a + m])
+        s /= N_OSCILLATORS
+        drive = ramps[_DRIVE]
+        s *= drive
+        np.tanh(s, out=s)
+        s /= np.tanh(drive, out=drive)
+        s *= ramps[_GAIN]
+    return AudioBlock(samples=out, sample_rate=bank.sample_rate)
 
 
 def mix_performers(blocks: Sequence[AudioBlock]) -> _Mix:
@@ -256,9 +252,10 @@ def write_wav(mix: _Mix, path) -> None:
     byte-exact across runs.
 
     Sample s maps to rint(s * 32767).  Samples must be finite and within
-    [-1, 1]; the renderer guarantees that bound.  The sample rate must be
-    a whole number of Hz that the header can hold (_whole_hz), the rule
-    OscillatorBank applies too.  The mix is read as the mean of its tracks,
+    [-1, 1], as the renderer gives them.  A rate that is not a whole number
+    of Hz the header can hold (_whole_hz, OscillatorBank's rule too), or
+    more than _WAV_MAX_FRAMES samples (13.5 h at 44.1 kHz), is refused
+    before any chunk is read.  The mix is read as the mean of its tracks,
     computed chunk by chunk into one _PCM_CHUNK-sample buffer, so memory
     does not grow with the length; the first chunk with a sample that is
     not finite or not in [-1, 1] raises ValueError, and no later chunk is
@@ -271,6 +268,8 @@ def write_wav(mix: _Mix, path) -> None:
     """
     rate = _whole_hz(mix.sample_rate)
     n = len(mix.tracks[0])
+    if n > _WAV_MAX_FRAMES:
+        raise ValueError(f"a WAV holds at most {_WAV_MAX_FRAMES} samples: {n}")
     buf = np.empty(min(n, _PCM_CHUNK))
     tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
     fh = open(tmp, "xb")

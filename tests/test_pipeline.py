@@ -218,6 +218,39 @@ def test_a_read_must_start_where_the_last_one_ended():
     assert track[1000:2000].tobytes() == whole[1000:2000].tobytes()
 
 
+def test_reads_inside_one_long_span_do_not_copy_it():
+    # a 0.3 s dropout: the tick after it renders one span of 13 230
+    # samples; reads inside it are views of one array, not a copy each
+    records = [r for r in _RECORDS if not 100_000 <= r.t_us < 400_000]
+    track = pipeline._Track(0, session.records_to_frames(records),
+                            _LAST_BLOCK_END)
+    track[0:6000]
+    second, third = track[6000:8000], track[8000:10000]
+    assert np.shares_memory(second.base, third)
+
+
+def test_a_dropout_renders_in_memory_bounded_by_the_gap(tmp_path):
+    # a 20 s dropout while the gain is open: the tick after it renders the
+    # gap as one span.  Scratch sized to the span peaked at 304.4 MB, 43
+    # float64 per gap sample, and the span's copy joined to the samples
+    # ahead at 17.3 MB, 2.5
+    gap_us = 20_000_000
+    records = [r if r.t_us < 300_000 else r._replace(t_us=r.t_us + gap_us)
+               for r in _RECORDS]
+    log, path = tmp_path / "dropout.log", tmp_path / "dropout.wav"
+    session.record(records, log)
+    tracemalloc.start()
+    try:
+        pipeline.render([log], path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * gap_us * pipeline.SAMPLE_RATE / 1e6
+    with wave.open(str(path)) as w:
+        assert w.getnframes() == pipeline._tick_end(max(
+            r.t_us for r in records if r.kind == "imu"))
+
+
 def test_render_memory_stays_under_one_whole_track(bundled_logs, tmp_path):
     seconds = 30
     logs = [tmp_path / f"p{p}.log" for p in range(2)]

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from myobridge.mapping import SynthParams
 from myobridge.synth import (
     _PCM_CHUNK,
+    _WIDTH,
     AudioBlock,
     OscillatorBank,
     _mean_of,
@@ -279,6 +280,12 @@ _PARAMS = st.builds(
 )
 
 
+# short blocks, and blocks around the scratch width and several widths
+# long, which render in pieces
+_LENGTHS = st.integers(1, 4000) | st.sampled_from(
+    [_WIDTH - 1, _WIDTH, _WIDTH + 1, 3 * _WIDTH + 5])
+
+
 def _p(gain, amp=0.5, drive=2.0):
     return make_params(freqs=[110.0 * (k + 1) for k in range(8)],
                        amps=[amp] * 8, drive=drive, master_gain=gain)
@@ -292,11 +299,16 @@ def renders_silent(p):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(_PARAMS, st.integers(1, 4000)),
-                min_size=1, max_size=8))
+@given(st.lists(st.tuples(_PARAMS, _LENGTHS), min_size=1, max_size=8))
 # muted at both ends, then unmuting, live, muting, and muted again
 @example([(_p(0.0), 882), (_p(0.0), 1), (_p(0.6), 4000), (_p(0.3), 7),
           (_p(0.0), 882), (_p(0.0), 3000)])
+# under, at and over the scratch width and four widths' pieces: open,
+# muted, unmuting, and a NaN amp in a block of pieces
+@example([(_p(0.3), _WIDTH - 1), (_p(0.6), _WIDTH), (_p(0.2), _WIDTH + 1),
+          (_p(0.5), 3 * _WIDTH + 5), (_p(0.0), 882), (_p(0.0), 3 * _WIDTH + 5),
+          (_p(0.0), _WIDTH), (_p(0.4), 3 * _WIDTH + 5),
+          (_p(0.0, amp=math.nan), _WIDTH + 1)])
 # non-finite amps or drive and drive 0 in muted blocks stay NaN
 @example([(_p(0.0), 100), (_p(0.0, amp=math.nan), 50), (_p(0.0), 50),
           (_p(0.0, drive=math.inf), 50), (_p(0.0, drive=0.0), 50),
@@ -335,11 +347,11 @@ def test_render_block_equals_reference(blocks):
 
 
 def test_block_is_not_changed_by_later_renders():
-    # the kernel works in per-bank scratch that follows the block length;
-    # a returned block must not share it
+    # the kernel works in per-bank scratch of a fixed width; a returned
+    # block, one rendered in pieces included, must not share it
     bank = OscillatorBank(44100.0)
     kept = []
-    for k, n in enumerate([882, 1, 4000, 882, 882]):
+    for k, n in enumerate([882, 1, 2 * _WIDTH + 3, 4000, 882, 882]):
         block = render_block(bank, _p(0.2 + 0.1 * k), n).samples
         kept.append((block, block.tobytes()))
     for block, bits in kept:
@@ -674,6 +686,21 @@ def test_wav_refusal_reads_no_chunk_past_the_bad_one(tmp_path, k, value,
         write_wav(mix_performers([AudioBlock(track, 44100.0)]),
                   tmp_path / "refused.wav")
     assert track.reads == k + 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n, message, reads", [(2_147_483_630, "at most", 0),
+                                                (2_147_483_629, "finite", 1)])
+def test_wav_longer_than_its_header_holds_is_refused_unread(tmp_path, n,
+                                                            message, reads):
+    # the RIFF size, 36 header bytes plus 2 per sample, is a uint32: one
+    # frame more raised struct.error writing the header, after a chunk.
+    # The NaN track holds no memory and refuses its first chunk
+    track = CountedTrack(np.broadcast_to(math.nan, n))
+    with pytest.raises(ValueError, match=message):
+        write_wav(mix_performers([AudioBlock(track, 44100.0)]),
+                  tmp_path / "long.wav")
+    assert track.reads == reads
     assert list(tmp_path.iterdir()) == []
 
 
