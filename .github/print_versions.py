@@ -8,9 +8,16 @@ this CPU has; and hypothesis's version when it is installed, since it
 sets which examples the property tests run.
 
     python .github/print_versions.py
+    python .github/print_versions.py --dispatch-targets
+
+The second form prints only the dispatch targets this CPU has, space
+separated: as NPY_DISABLE_CPU_FEATURES, they leave numpy at its compiled
+baseline.  A baseline feature named there fails numpy's import, so the
+value is built from what numpy reports, not written out.
 """
 
 import platform
+import sys
 
 import numpy
 
@@ -24,9 +31,13 @@ try:
 except ImportError:
     hypothesis = None
 
+targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+if sys.argv[1:] == ["--dispatch-targets"]:
+    print(*targets)
+    sys.exit()
+
 fields = ["numpy", numpy.__version__]
 if hypothesis is not None:
     fields += ["hypothesis", hypothesis.__version__]
 print(*fields, "libc", platform.libc_ver())
-print("cpu baseline", umath.__cpu_baseline__, "dispatch",
-      [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)])
+print("cpu baseline", umath.__cpu_baseline__, "dispatch", targets)

@@ -7,21 +7,30 @@
                                          a line, the meta line as written
 
 A refused log (session.LogParseError) or a file that cannot be read or
-written ends the command with its message and exit status 1.
+written ends the command with its message and exit status 1.  A reader
+that closes cat's output early ends it quietly, with exit status 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import pipeline, session
 
 
 def _cat(log) -> None:
-    for rec in session.iter_log(log):
-        print(json.dumps(rec._asdict(), separators=(",", ":")))
+    try:
+        for rec in session.iter_log(log):
+            print(json.dumps(rec._asdict(), separators=(",", ":")))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (myobridge cat LOG | head), a
+        # normal end: stdout goes to devnull, so that the interpreter's
+        # flush at exit does not fail on the pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def main(argv=None) -> int:

@@ -23,9 +23,10 @@ degenerate quaternion   keeps the last orientation    motion.degenerate_frames
 IMU gap over MAX_GAP_S  advances the gate one period  motion.gap_frames
   test_fusion.py::test_tracker_dropout_is_not_stillness
 dropout in the render   renders the gap as one span   motion.gap_frames
-                        through the synth's fixed
-                        scratch, one float64 per gap
-                        sample, never copied whole
+                        in 1024-sample pieces of the
+                        synth's fixed scratch, one
+                        float64 per gap sample, never
+                        copied whole
   test_pipeline.py::test_a_dropout_renders_in_memory_bounded_by_the_gap
 corrupt serial bytes    drops bad type bytes, skips   stream.bytes_dropped,
                         frames not notifications      rejected

@@ -15,7 +15,10 @@ four parameter ramps are one (18, m) array (8 freqs, 8 amps, drive,
 gain), the integer phase increments and their running sum one uint64
 (8, m) array, and the freq rows then hold the phases and their sines.
 The bank allocates this scratch once, _WIDTH samples wide, as Bela renders
-into buffers allocated once; a longer block renders through it in pieces.
+into buffers allocated once and one audio block long: a control block
+renders in one piece, and a longer one, such as the span after lost IMU
+ticks, renders through it in pieces.  The bank keeps the working views of
+the last piece length, so a run of equal blocks slices nothing anew.
 Piece [a, b) of an n-sample block ramps at (k + a) / n, k = 1 .. b - a,
 each the float arange(1, n + 1) / n gives, and carries the phases on, so
 the bytes do not depend on the pieces.  The samples returned are always a
@@ -56,8 +59,11 @@ _PHASE_TO_RADIANS = 2.0 * math.pi / _PHASE_MODULUS
 # render_block's ramp rows: the 8 freqs, the 8 amps, drive and gain
 _RAMP_ROWS = 2 * N_OSCILLATORS + 2
 _DRIVE, _GAIN = 2 * N_OSCILLATORS, 2 * N_OSCILLATORS + 1
-# render_block's scratch width: any benchmark block renders in one piece
-_WIDTH = 1 << 13
+# render_block's scratch width, the smallest power of two over a control
+# block (882 samples at 44.1 kHz): a tick's block, and up to 3.2 ms of
+# stamp jitter, renders in one piece; the longer block after lost ticks
+# renders in pieces
+_WIDTH = 1 << 10
 
 PCM_FULL_SCALE = 32767.0
 # samples per write_wav chunk: 512 KiB of float64 working memory
@@ -128,6 +134,8 @@ class OscillatorBank:
         self._ramps = np.empty(_RAMP_ROWS * _WIDTH)
         self._grid = np.empty(_RAMP_ROWS * _WIDTH)
         self._t, self._t_n = np.empty(_WIDTH), 0
+        # _views(self, _m), the working views of the last piece length
+        self._m, self._views = 0, ()
 
 
 def _silent(p: SynthParams) -> bool:
@@ -148,6 +156,18 @@ def _vector(p: SynthParams) -> np.ndarray:
     """The parameters in ramp-row order, as float64."""
     return np.array((*p.freqs, *p.amps, p.drive, p.master_gain),
                     dtype=np.float64)
+
+
+def _views(bank: OscillatorBank, m: int) -> tuple:
+    """The working views of an m-sample piece of bank's scratch, in the
+    order render_block unpacks them."""
+    ramps = bank._ramps[:_RAMP_ROWS * m].reshape(_RAMP_ROWS, m)
+    grid = bank._grid[:_RAMP_ROWS * m].reshape(_RAMP_ROWS, m)
+    x, x_grid = ramps[:N_OSCILLATORS], grid[:N_OSCILLATORS]
+    inc = x_grid.view(np.uint64)
+    return (ramps, grid, bank._t[:m], x, x_grid, inc, inc[:, 0], inc[:, -1],
+            x[0::2], x[1::2], ramps[N_OSCILLATORS:2 * N_OSCILLATORS],
+            ramps[_DRIVE], ramps[_GAIN])
 
 
 def render_block(bank: OscillatorBank, params: SynthParams,
@@ -180,18 +200,21 @@ def render_block(bank: OscillatorBank, params: SynthParams,
            else np.empty(n))
     for a in range(0, n, _WIDTH):
         m = min(n - a, _WIDTH)
+        if bank._m != m:
+            bank._m, bank._views = m, _views(bank, m)
+        (ramps, grid, t, x, x_grid, inc, first, last, even, odd, amps, drive,
+         gain) = bank._views
         if bank._t_n != n:  # an exact float64 arange, divided
-            np.divide(np.arange(a + 1.0, a + m + 1), n, out=bank._t[:m])
+            np.divide(np.arange(a + 1.0, a + m + 1), n, out=t)
             bank._t_n = n if m == n else 0
-        ramps = bank._ramps[:rows * m].reshape(rows, m)
-        grid = bank._grid[:rows * m].reshape(rows, m)
-        grid[...] = bank._t[:m]
+        if muted:  # the freq rows only
+            ramps, grid = x, x_grid
+        grid[...] = t
         ramps[...] = delta
         ramps *= grid
         grid[...] = start
         ramps += grid
-        x = ramps[:N_OSCILLATORS]  # the freqs, then phases, then sines
-        inc = grid[:N_OSCILLATORS].view(np.uint64)
+        # x: the freqs, then phases, then sines
         x *= _PHASE_MODULUS / bank.sample_rate
         np.rint(x, out=x)
         inc[...] = x
@@ -200,25 +223,24 @@ def render_block(bank: OscillatorBank, params: SynthParams,
             continue
         # uint64 sums wrap mod 2**64, so the accumulator added to the
         # first increment is added to every running sum
-        inc[:, 0] += bank._acc
+        first += bank._acc
         np.cumsum(inc, axis=1, out=inc)
-        bank._acc = inc[:, -1].copy()
+        bank._acc = last.copy()
         x[...] = inc
         x *= _PHASE_TO_RADIANS
         np.sin(x, out=x)
-        x *= ramps[N_OSCILLATORS:2 * N_OSCILLATORS]
+        x *= amps
         # numpy's sum over a contiguous axis of 8 adds pairwise in exactly
         # this order, ((x0+x1)+(x2+x3))+((x4+x5)+(x6+x7)), so the mix
         # equals the row-major (n, 8).sum(axis=1) bit for bit
-        pairs = x[0::2] + x[1::2]
+        pairs = even + odd
         pairs = pairs[0::2] + pairs[1::2]
         s = np.add(pairs[0], pairs[1], out=out[a:a + m])
         s /= N_OSCILLATORS
-        drive = ramps[_DRIVE]
         s *= drive
         np.tanh(s, out=s)
         s /= np.tanh(drive, out=drive)
-        s *= ramps[_GAIN]
+        s *= gain
     return AudioBlock(samples=out, sample_rate=bank.sample_rate)
 
 

@@ -1,7 +1,11 @@
 """The myobridge command: render and cat."""
 
 import json
+import os
+import subprocess
+import sys
 import wave
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +58,28 @@ def test_cat_prints_the_records_iter_log_reads(tmp_path, capsys):
     assert back == list(session.iter_log(path))
     # the meta line is printed as the log holds it
     assert lines[0].encode() == path.read_bytes().split(b"\n", 1)[0]
+
+
+def test_cat_into_a_pipe_closed_early_ends_quietly(tmp_path):
+    # myobridge cat LOG | head -1: the log's JSON lines fill the pipe many
+    # times over, so cat is still writing when the reader closes it
+    (path,) = _logs(tmp_path, 1, 20.0)
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "myobridge.cli", "cat", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline().startswith(b"{")
+        proc.stdout.close()
+        status = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
+    assert status == 0
 
 
 @pytest.mark.parametrize("command", ["render", "cat"])

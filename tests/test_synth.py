@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from myobridge import protocol
 from myobridge.mapping import SynthParams
 from myobridge.synth import (
     _PCM_CHUNK,
@@ -356,6 +357,20 @@ def test_block_is_not_changed_by_later_renders():
         kept.append((block, block.tobytes()))
     for block, bits in kept:
         assert block.tobytes() == bits
+
+
+def test_scratch_holds_a_control_block_and_does_not_grow():
+    # a tick's block renders in one piece
+    assert _WIDTH >= round(44100 / protocol.IMU_RATE_HZ)
+    bank = OscillatorBank(44100.0)
+    # a lost tick's block (5292 samples on the benchmark's corrupt wire),
+    # a tick's, and a dropout's many widths: the bank's own arrays stay
+    # the 2 * 18 + 1 rows of scratch and a few parameters
+    for n in (5292, 882, 20 * _WIDTH + 7):
+        render_block(bank, _p(0.5), n)
+        held = sum(v.nbytes for v in vars(bank).values()
+                   if isinstance(v, np.ndarray))
+        assert held <= 40 * _WIDTH * 8, n
 
 
 def test_interleaved_banks_equal_banks_rendered_alone():
