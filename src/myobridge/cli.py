@@ -5,10 +5,17 @@
                                          tick's block ends (pipeline.render)
     myobridge cat LOG                    the log as JSON lines, one record
                                          a line, the meta line as written
+    myobridge generate SCENARIO.json --seed N -o DIR
+                                         one log per performer of the
+                                         scenario file, DIR/p0.log,
+                                         DIR/p1.log, ... in its order
+                                         (session.generate_scenario)
 
-A refused log (session.LogParseError) or a file that cannot be read or
-written ends the command with its message and exit status 1.  A reader
-that closes cat's output early ends it quietly, with exit status 0.
+A refused log (session.LogParseError), a refused scenario
+(session.InvalidScenarioError, naming the performer and pose) or a file
+that cannot be read or written ends the command with its message and exit
+status 1; a refused scenario writes no file.  A reader that closes cat's
+output early ends it quietly, with exit status 0.
 """
 
 from __future__ import annotations
@@ -33,6 +40,15 @@ def _cat(log) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def _generate(scenario_path, seed: int, out_dir) -> None:
+    with open(scenario_path, encoding="utf-8") as fh:
+        scenario = session.scenario_from_dict(json.load(fh))
+    logs = session.generate_scenario(scenario, seed)
+    os.makedirs(out_dir, exist_ok=True)
+    for p, records in enumerate(logs):
+        session.record(records, os.path.join(out_dir, f"p{p}.log"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="myobridge")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -41,13 +57,22 @@ def main(argv=None) -> int:
     render.add_argument("-o", dest="out", required=True, metavar="OUT.wav")
     cat = commands.add_parser("cat", help="print a log as JSON lines")
     cat.add_argument("log", metavar="LOG")
+    generate = commands.add_parser(
+        "generate", help="write a scenario's logs, one per performer")
+    generate.add_argument("scenario", metavar="SCENARIO.json")
+    generate.add_argument("--seed", type=int, required=True, metavar="N")
+    generate.add_argument("-o", dest="out", required=True, metavar="DIR")
     args = parser.parse_args(argv)
     try:
         if args.command == "render":
             pipeline.render(args.logs, args.out)
-        else:
+        elif args.command == "cat":
             _cat(args.log)
-    except (OSError, ValueError) as exc:  # LogParseError is a ValueError
+        else:
+            _generate(args.scenario, args.seed, args.out)
+    # LogParseError, InvalidScenarioError and a JSON syntax error are
+    # ValueErrors
+    except (OSError, ValueError) as exc:
         print(f"myobridge {args.command}: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -19,6 +19,15 @@ the gate compares it.  A motionless sensor scores ~0.
 EulerAngles and MotionState are NamedTuples: immutable and hashable, and
 they compare as the tuples of their fields, so EulerAngles(0.0, 0.0, 0.0)
 equals (0.0, 0.0, 0.0).  A tracker's state cannot change behind its back.
+
+quat_to_euler and MotionTracker.update run once per IMU frame, so they are
+written for the live tick's cost, with the same floats as the plain forms:
+- values are built with tuple.__new__(Cls, (...)), the same value as
+  Cls(...) without a call of the NamedTuple's generated __new__, a Python
+  function;
+- clamps are comparisons, not builtin min and max calls, ordered to return
+  what min(1.0, ...) and max(-1.0, ...) return for every input, NaN
+  included: min(1.0, nan) is 1.0, and so is the comparisons' answer.
 """
 
 from __future__ import annotations
@@ -85,9 +94,11 @@ def quat_to_euler(quat: Sequence[float]) -> EulerAngles:
     w, x, y, z = w / norm, x / norm, y / norm, z / norm
     roll = math.atan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
     sinp = 2.0 * (w * y - x * z)
-    pitch = math.asin(max(-1.0, min(1.0, sinp)))
+    if not -1.0 < sinp < 1.0:  # max(-1.0, min(1.0, sinp)), NaN to 1.0
+        sinp = -1.0 if sinp <= -1.0 else 1.0
+    pitch = math.asin(sinp)
     yaw = math.atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
-    return EulerAngles(roll, pitch, yaw)
+    return tuple.__new__(EulerAngles, (roll, pitch, yaw))
 
 
 def euler_to_quat(roll, pitch, yaw) -> np.ndarray:
@@ -178,7 +189,9 @@ class MotionTracker:
             stillness_s = master_gain = 0.0
         else:
             stillness_s = self._state.stillness_s + dt
-            master_gain = min(1.0, stillness_s / RAMP_S)
-        self._state = MotionState(euler, accel_mag, gyro_mag, qom,
-                                  stillness_s, master_gain)
+            master_gain = stillness_s / RAMP_S
+            if not master_gain < 1.0:  # min(1.0, master_gain)
+                master_gain = 1.0
+        self._state = tuple.__new__(MotionState, (
+            euler, accel_mag, gyro_mag, qom, stillness_s, master_gain))
         return self._state

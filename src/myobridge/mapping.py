@@ -17,6 +17,13 @@ SynthParams is a NamedTuple: immutable and hashable, and it compares as
 the tuple of its fields, so a bank's previous parameters cannot change
 behind its back.
 
+assemble_params and EnvelopeTracker.envelopes run every control tick, so
+they are written for its cost, with the same floats as the plain forms:
+assemble_params builds SynthParams with tuple.__new__, the same value as
+SynthParams(...) without a call of the generated __new__, a Python
+function, and envelopes compares each sum with _FULL_SUM instead of
+calling min(1.0, ...) per channel, NaN included.
+
 The mapping's ranges are module constants, not options: the base frequency
 spans F_LO..F_HI (110-880 Hz, three octaves), yaw fans the partials out by
 up to SPREAD_MAX, roll drives the waveshaper up to DRIVE_MAX, and the EMG
@@ -49,6 +56,10 @@ DRIVE_MAX = 4.0
 WINDOW_SAMPLES = round(0.04 * EMG_RATE_HZ)  # 8
 F_TOP = F_HI * (1.0 + (N_OSCILLATORS - 1) * SPREAD_MAX)  # 3960.0
 _OCTAVES = math.log2(F_HI / F_LO)
+# The window sum of squares at full scale: sqrt(_FULL_SUM / WINDOW_SAMPLES)
+# / EMG_FULL_SCALE is exactly 1.0, and every sum at or above it (or NaN)
+# reads 1.0, as min(1.0, ...) would give.
+_FULL_SUM = WINDOW_SAMPLES * INT8_MIN ** 2  # 131 072
 
 
 class SynthParams(NamedTuple):
@@ -79,8 +90,8 @@ class EnvelopeTracker:
         accumulator would reach.
         """
         sums = list(map(sum, zip(*self._window))) or [0] * N_OSCILLATORS
-        return tuple([min(1.0, math.sqrt(acc / WINDOW_SAMPLES)
-                          / EMG_FULL_SCALE) for acc in sums])
+        return tuple([math.sqrt(acc / WINDOW_SAMPLES) / EMG_FULL_SCALE
+                      if acc < _FULL_SUM else 1.0 for acc in sums])
 
 
 def map_orientation(euler: EulerAngles) -> tuple[float, float, float]:
@@ -112,4 +123,5 @@ def assemble_params(env: tuple[float, ...], base_freq: float, spread: float,
             f"{F_TOP / NYQUIST_FRACTION:.0f} Hz to keep F_TOP under "
             f"{NYQUIST_FRACTION} of it, got {sample_rate!r}")
     freqs = [base_freq * (1.0 + k * spread) for k in range(N_OSCILLATORS)]
-    return SynthParams(tuple(freqs), env, drive, master_gain)
+    return tuple.__new__(SynthParams, (tuple(freqs), env, drive,
+                                       master_gain))

@@ -29,6 +29,14 @@ oscillators and EMG full scale derive from it.
 ImuFrame and EmgFrame are NamedTuples: immutable and hashable, and they
 compare as the tuples of their fields.  A frozen dataclass would set each
 field through object.__setattr__, a cost the live path pays per frame.
+The decoders build them with tuple.__new__(Cls, (...)), the same value as
+Cls(...) without a call of the NamedTuple's generated __new__, a Python
+function that a class body cannot override; each such site passes a fixed
+number of fields, so that __new__ would have nothing to check.
+
+BgapiStream keeps the bytes it has not framed as immutable bytes and
+returns each frame as a slice of them, so a notification that arrives
+whole is returned as the chunk object itself, with no copy.
 """
 
 from __future__ import annotations
@@ -113,14 +121,18 @@ class BgapiStream:
     """
 
     def __init__(self):
-        self._buf = bytearray()
+        self._buf = b""
         self.bytes_dropped = 0
 
     def feed(self, chunk: bytes) -> list[bytes]:
         """Append raw bytes; return the wire bytes of every complete frame
-        now available, in stream order."""
-        buf = self._buf
-        buf.extend(chunk)
+        now available, in stream order, each of type bytes.
+
+        chunk is any bytes-like object that bytes + chunk takes: bytes,
+        bytearray or memoryview.  Anything else, a list of ints say, raises
+        TypeError and leaves the stream as it was.
+        """
+        buf = self._buf + chunk
         frames: list[bytes] = []
         end = len(buf)
         pos = dropped = 0
@@ -132,10 +144,10 @@ class BgapiStream:
             nxt = pos + HEADER_LEN + buf[pos + 1]
             if nxt > end:
                 break
-            frames.append(bytes(buf[pos:nxt]))
+            frames.append(buf[pos:nxt])
             pos = nxt
         self.bytes_dropped += dropped
-        del buf[:pos]
+        self._buf = buf[pos:]
         return frames
 
 
@@ -152,12 +164,12 @@ def scale_imu_values(raw: Sequence[int], t_us: int) -> ImuFrame:
     ImuFrame.  A zero-norm quaternion is not rejected here;
     fusion.MotionTracker holds the last orientation for such a frame."""
     qw, qx, qy, qz, ax, ay, az, gx, gy, gz = raw
-    return ImuFrame(
+    return tuple.__new__(ImuFrame, (
         t_us,
         (qw / QUAT_SCALE, qx / QUAT_SCALE, qy / QUAT_SCALE, qz / QUAT_SCALE),
         (ax / ACCEL_SCALE, ay / ACCEL_SCALE, az / ACCEL_SCALE),
         (gx / GYRO_SCALE, gy / GYRO_SCALE, gz / GYRO_SCALE),
-    )
+    ))
 
 
 def parse_emg_packet(payload: bytes, t_us: int) -> tuple[EmgFrame, EmgFrame]:
@@ -173,8 +185,9 @@ def parse_emg_packet(payload: bytes, t_us: int) -> tuple[EmgFrame, EmgFrame]:
         raise WrongLengthError(
             f"EMG payload must be {EMG_PAYLOAD_LEN} bytes, got {len(payload)}")
     values = _EMG_STRUCT.unpack(payload)
-    return (EmgFrame(t_us, values[:EMG_CHANNELS]),
-            EmgFrame(t_us + EMG_PERIOD_US // 2, values[EMG_CHANNELS:]))
+    return (tuple.__new__(EmgFrame, (t_us, values[:EMG_CHANNELS])),
+            tuple.__new__(EmgFrame, (t_us + EMG_PERIOD_US // 2,
+                                     values[EMG_CHANNELS:])))
 
 
 def parse_attribute_value_event(frame: bytes) -> tuple[int, int, bytes]:
@@ -185,20 +198,20 @@ def parse_attribute_value_event(frame: bytes) -> tuple[int, int, bytes]:
     its header, its payload is under 5 bytes or its value does not end
     exactly where the payload ends.
     """
-    if (len(frame) < HEADER_LEN or frame[0] != TYPE_EVENT_BIT
+    n = len(frame)
+    if (n < HEADER_LEN or frame[0] != TYPE_EVENT_BIT
             or frame[2] != ATTCLIENT_CLASS
             or frame[3] != ATTCLIENT_ATTRIBUTE_VALUE_EVENT):
         raise ProtocolError("not an attribute-value event")
-    if len(frame) != HEADER_LEN + frame[1]:
+    if n != HEADER_LEN + frame[1]:
         raise WrongLengthError("frame length disagrees with its header")
-    if len(frame) < _VALUE_AT:
+    if n < _VALUE_AT:
         raise WrongLengthError("attribute-value event payload too short")
-    end = _VALUE_AT + frame[_VALUE_AT - 1]
-    if len(frame) != end:
+    if n != _VALUE_AT + frame[_VALUE_AT - 1]:
         raise WrongLengthError("attribute value length disagrees with its "
                                "payload")
     # connection, then the little-endian uint16 handle
-    return frame[4], frame[5] | frame[6] << 8, bytes(frame[_VALUE_AT:end])
+    return frame[4], frame[5] | frame[6] << 8, bytes(frame[_VALUE_AT:])
 
 
 def dispatch_attribute(handle: int, value: bytes, t_us: int
@@ -211,5 +224,5 @@ def dispatch_attribute(handle: int, value: bytes, t_us: int
     if handle == IMU_DATA_HANDLE:
         return [scale_imu_values(unpack_imu_raw(value), t_us)]
     if handle in EMG_DATA_HANDLES:
-        return list(parse_emg_packet(value, t_us))
+        return [*parse_emg_packet(value, t_us)]
     return []

@@ -105,3 +105,38 @@ def test_render_refuses_logs_without_an_imu_record(tmp_path, capsys):
         assert cli.main(["render", str(path), "-o", str(out)]) == 1
         assert "no IMU record" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _scenario_json(tension):
+    """A two-performer, 2 s scenario in its JSON form; performer 1's first
+    pose holds tension."""
+    return {"name": "duo", "performers": [
+        {"poses": [{"duration_s": 1.0, "orientation": [0.1, -0.2, 0.3],
+                    "tension": [0.5] * 8},
+                   {"duration_s": 1.0, "orientation": [0.4, 0.2, -0.3],
+                    "tension": [0.0] * 7 + [0.9]}]},
+        {"poses": [{"duration_s": 2.0, "orientation": [-0.5, 0.0, 1.0],
+                    "tension": [tension] * 8}]}]}
+
+
+def test_generate_writes_the_scenarios_logs(tmp_path):
+    obj = _scenario_json(0.25)
+    path = tmp_path / "duo.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    out = tmp_path / "logs"
+    assert cli.main(["generate", str(path), "--seed", "7",
+                     "-o", str(out)]) == 0
+    want = session.generate_scenario(session.scenario_from_dict(obj), 7)
+    assert sorted(p.name for p in out.iterdir()) == ["p0.log", "p1.log"]
+    for p, records in enumerate(want):
+        assert list(session.iter_log(out / f"p{p}.log")) == records
+
+
+def test_generate_refuses_a_scenario_and_writes_no_file(tmp_path, capsys):
+    path = tmp_path / "tense.json"
+    path.write_text(json.dumps(_scenario_json(2)), encoding="utf-8")
+    out = tmp_path / "logs"
+    assert cli.main(["generate", str(path), "--seed", "7",
+                     "-o", str(out)]) == 1
+    assert "performer 1 pose 0: tension" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]

@@ -473,3 +473,52 @@ def test_tracker_matches_reference_bitwise(threshold, t0, frames):
         assert state_bits(got) == state_bits(want)
     assert tracker.degenerate_frames == reference.degenerate_frames
     assert tracker.gap_frames == reference.gap_frames
+
+
+def reference_quat_to_euler(quat):
+    """quat_to_euler as first written, its pitch clamped by builtin min and
+    max: (roll, pitch, yaw, the unclamped sine of the pitch)."""
+    w, x, y, z = quat
+    norm = math.sqrt(w * w + x * x + y * y + z * z)
+    w, x, y, z = w / norm, x / norm, y / norm, z / norm
+    roll = math.atan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
+    sinp = 2.0 * (w * y - x * z)
+    pitch = math.asin(max(-1.0, min(1.0, sinp)))
+    yaw = math.atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
+    return roll, pitch, yaw, sinp
+
+
+@pytest.mark.parametrize("quat, clamped", [
+    # sinp rounds to 1 + 2**-52 and to -1 - 2**-52
+    ((0.9, 0.0, 0.9, 0.0), True),
+    ((0.9, 0.0, -0.9, 0.0), True),
+    ((3 / 16384, 0.0, 3 / 16384, 0.0), True),
+    # a NaN component: min(1.0, nan) is 1.0, so the pitch is asin(1.0)
+    ((math.nan, 0.0, 0.0, 0.0), True),
+    ((0.5, 0.5, math.nan, 0.5), True),
+    ((1.0, 0.0, 0.0, 0.0), False),
+    ((0.9, 0.1, -0.3, 0.2), False),
+])
+def test_pitch_clamp_returns_what_min_and_max_returned(quat, clamped):
+    """The reference tests draw only finite int16 quaternions, and need
+    not draw one whose pitch's sine rounds past +-1."""
+    *want, sinp = reference_quat_to_euler(quat)
+    assert (not -1.0 < sinp < 1.0) == clamped
+    got = quat_to_euler(quat)
+    assert struct.pack("<3d", *got) == struct.pack("<3d", *want)
+    if math.isnan(sinp):
+        assert got.pitch == math.pi / 2
+
+
+def test_gain_clamp_past_the_ramp_returns_what_min_returned():
+    # a still sensor, a frame every MAX_GAP_S (taken at face value), for
+    # twice RAMP_S
+    tracker, reference = MotionTracker(), ReferenceTracker(0.35)
+    step_us = round(MAX_GAP_S * 1e6)
+    for k in range(2 * round(RAMP_S / MAX_GAP_S) + 1):
+        frame = ImuFrame(k * step_us, (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0),
+                         (0.0, 0.0, 0.0))
+        got, want = tracker.update(frame), reference.update(frame)
+        assert state_bits(got) == state_bits(want)
+    assert got.stillness_s > RAMP_S and got.master_gain == 1.0
+    assert tracker.gap_frames == 0

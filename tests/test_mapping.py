@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from myobridge.fusion import EulerAngles, MotionState, MotionTracker
+from myobridge.fusion import (
+    EulerAngles, MotionState, MotionTracker, quat_to_euler)
 from myobridge.mapping import (
     DRIVE_MAX,
     F_HI,
@@ -25,7 +26,7 @@ from myobridge.mapping import (
     map_orientation,
 )
 from myobridge.protocol import (
-    IMU_DATA_HANDLE, EmgFrame, ImuFrame, dispatch_attribute)
+    EMG_DATA_HANDLES, IMU_DATA_HANDLE, EmgFrame, ImuFrame, dispatch_attribute)
 from myobridge.session import SessionRecord
 
 
@@ -116,6 +117,34 @@ def test_envelope_matches_float_reference_on_8_channel_windows(rows):
     got = envelopes_of(frames)
     assert [struct.pack("<d", e) for e in got] == [
         struct.pack("<d", e) for e in reference_emg_envelope(frames)]
+
+
+@pytest.mark.parametrize("channels, pushes", [
+    # outside int8: the window's sums pass full scale
+    ((200,) * 8, WINDOW_SAMPLES),
+    ((200, -200, 129, -129, 300, 0, 1, -1), 1),
+    # exactly full scale: sqrt(131072 / 8) / 128 is 1.0
+    ((-128,) * 8, WINDOW_SAMPLES),
+    ((127,) * 8, WINDOW_SAMPLES),
+    # floats: min(1.0, nan) is 1.0
+    ((math.nan, math.inf, -math.inf, 128.0, 127.5, 181.1, -1e300, 0.0),
+     WINDOW_SAMPLES),
+    ((math.nan, 0.5, 2.5, 1e-300, -0.0, 90.5, 181.0, 182.0), 3),
+])
+def test_envelope_clamp_returns_what_min_returned(channels, pushes):
+    """The reference tests draw only int8 channels; the clamp must also
+    return min(1.0, ...)'s float on channels outside them."""
+    frames = [EmgFrame(t_us=i * 5000, channels=channels)
+              for i in range(pushes)]
+    got = envelopes_of(frames)
+    assert [struct.pack("<d", e) for e in got] == [
+        struct.pack("<d", e) for e in reference_emg_envelope(frames)]
+
+
+def test_envelope_of_a_window_past_full_scale_is_exactly_one():
+    frames = [EmgFrame(t_us=i * 5000, channels=(200,) * 8)
+              for i in range(WINDOW_SAMPLES)]
+    assert envelopes_of(frames) == (1.0,) * 8
 
 
 def test_envelope_tracker_empty_is_silent():
@@ -320,3 +349,32 @@ def test_value_types_are_immutable_values(cls, fields):
     changed = value._replace(**{last: None})
     assert getattr(changed, last) is None
     assert changed != value and value == twin
+
+
+def _live_tick_values():
+    """(class, value) of each value a live tick builds, from the function
+    that builds it."""
+    imu_payload = struct.pack("<10h", 16384, 0, 0, 0, 2048, 0, 0,
+                              160, 0, -160)
+    (imu,) = dispatch_attribute(IMU_DATA_HANDLE, imu_payload, 20_000)
+    emg_a, emg_b = dispatch_attribute(EMG_DATA_HANDLES[0],
+                                      bytes(range(0, 256, 16)), 20_000)
+    state = MotionTracker().update(imu)
+    params = assemble_params((0.5,) * N_OSCILLATORS, 220.0, 0.3, 2.0,
+                             state.master_gain)
+    return [(ImuFrame, imu), (EmgFrame, emg_a), (EmgFrame, emg_b),
+            (EulerAngles, quat_to_euler(imu.quat)),
+            (MotionState, state), (EulerAngles, state.euler),
+            (SynthParams, params)]
+
+
+@pytest.mark.parametrize(
+    "cls, value", _live_tick_values(),
+    ids=["ImuFrame", "EmgFrame-a", "EmgFrame-b", "EulerAngles",
+         "MotionState", "MotionState.euler", "SynthParams"])
+def test_live_tick_values_are_exactly_their_types(cls, value):
+    """The pipeline routes frames by isinstance, and a value built with
+    tuple.__new__ and the wrong class would still be a tuple."""
+    assert type(value) is cls
+    twin = cls(*value)
+    assert value == twin and hash(value) == hash(twin)

@@ -215,13 +215,34 @@ def test_feed_matches_reference_after_every_chunk(wire, cuts):
     stream = BgapiStream()
     ref_buf = bytearray()
     ref_dropped = 0
-    for a, b in zip(bounds, bounds[1:]):
-        frames = stream.feed(wire[a:b])
+    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        # every bytes-like kind of chunk feed takes, in turn
+        chunk = (bytes, bytearray, memoryview)[k % 3](wire[a:b])
+        frames = stream.feed(chunk)
         want, dropped = reference_feed(ref_buf, wire[a:b])
         ref_dropped += dropped
+        # a bytearray frame would compare equal to its bytes
+        assert all(type(frame) is bytes for frame in frames)
         assert frames == want
         assert stream.bytes_dropped == ref_dropped
         assert bytes(stream._buf) == bytes(ref_buf)
+
+
+def test_feed_returns_a_whole_notification_as_its_chunk():
+    event = frame_bytes(0x80, 4, 5, bytes.fromhex("011c001b01aa"))
+    stream = BgapiStream()
+    (frame,) = stream.feed(event)
+    assert frame is event
+
+
+def test_feed_refuses_a_chunk_that_is_not_bytes_like():
+    stream = BgapiStream()
+    event = frame_bytes(0x80, 4, 5, bytes.fromhex("011c001b01aa"))
+    assert stream.feed(event[:3]) == []
+    with pytest.raises(TypeError):
+        stream.feed(list(event[3:]))
+    # the refused chunk left the stream as it was
+    assert stream.feed(event[3:]) == [event]
 
 
 # --- IMU packets -----------------------------------------------------------
