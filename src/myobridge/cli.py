@@ -9,7 +9,8 @@
                                          one log per performer of the
                                          scenario file, DIR/p0.log,
                                          DIR/p1.log, ... in its order
-                                         (session.generate_scenario)
+                                         (session.iter_scenario), each
+                                         written before the next is made
 
 A refused log (session.LogParseError), a refused scenario
 (session.InvalidScenarioError, naming the performer and pose) or a file
@@ -43,10 +44,12 @@ def _cat(log) -> None:
 def _generate(scenario_path, seed: int, out_dir) -> None:
     with open(scenario_path, encoding="utf-8") as fh:
         scenario = session.scenario_from_dict(json.load(fh))
-    logs = session.generate_scenario(scenario, seed)
+    logs = session.iter_scenario(scenario, seed)
     os.makedirs(out_dir, exist_ok=True)
-    for p, records in enumerate(logs):
-        session.record(records, os.path.join(out_dir, f"p{p}.log"))
+    # each log is recorded and let go before the next is made: no name
+    # holds it, as a loop's target would while the next is made
+    for p in range(len(scenario.performers)):
+        session.record(next(logs), os.path.join(out_dir, f"p{p}.log"))
 
 
 def main(argv=None) -> int:

@@ -3,16 +3,15 @@
 A PerformerPipeline is one performer's chain: frames decoded from the wire
 (feed) or scaled from a log go through fusion, mapping and osc, one
 control tick per IMU frame.  render writes the performers' mix, rendering
-each one's audio as the WAV writer reads it, in memory that does not grow
-with the length of the piece.  It grows by one float64 per sample of the
-longest gap between IMU ticks: the tick after a gap renders the gap as one
-span, which reads inside it take as views.
+each one's audio into each buffer the WAV writer reads, so its memory is
+one read's buffer and the synth's fixed scratch per performer: it grows
+neither with the length of the piece nor with a gap between IMU ticks.
 
 Render timing: a tick renders its performer's track up to its own time
 plus one block (_tick_end): a lost tick lengthens the next block instead
 of shifting the track.  The WAV lasts until the latest IMU tick's block
-ends, so no span is cut.  A block ramps over its whole length, so it is
-rendered whole however the reads slice it.
+ends, so no block is cut.  A block ramps over its whole length, and its
+bytes do not depend on where the reads cut it.
 
 Failure ledger: on each fault, what the bridge does, the counter that
 shows it (PerformerPipeline's or UdpSender's) and the test that pins it.
@@ -22,12 +21,12 @@ degenerate quaternion   keeps the last orientation    motion.degenerate_frames
   test_fusion.py::test_tracker_holds_orientation_over_degenerate_quaternion
 IMU gap over MAX_GAP_S  advances the gate one period  motion.gap_frames
   test_fusion.py::test_tracker_dropout_is_not_stillness
-dropout in the render   renders the gap as one span   motion.gap_frames
-                        in 1024-sample pieces of the
-                        synth's fixed scratch, one
-                        float64 per gap sample, never
-                        copied whole
-  test_pipeline.py::test_a_dropout_renders_in_memory_bounded_by_the_gap
+dropout in the render   renders the gap as one block, motion.gap_frames
+                        each read's samples of it
+                        into the read's own buffer,
+                        so memory does not grow with
+                        the gap
+  test_pipeline.py::test_a_dropout_renders_in_memory_independent_of_the_gap
 corrupt serial bytes    drops bad type bytes, skips   stream.bytes_dropped,
                         frames not notifications      rejected
   test_pipeline.py::test_no_wire_bytes_can_stop_the_bridge
@@ -126,20 +125,22 @@ class _Track:
     """One performer's audio, rendered as it is read (timing rule above).
 
     len() is total, which must be no less than any tick's _tick_end, as
-    spans are not cut.  A read track[lo:hi] must start where the last one
-    ended, or IndexError is raised.  It steps frames until it holds sample
-    hi - 1 or they run out, returns [lo, hi), zeros past the last block,
-    and keeps only the samples after hi.  Those are the tail of the last
-    span, kept as a view, so a long span is never copied whole and a read
-    inside it is a view of it (read-only if the span is muted).
+    blocks are not cut.  A read track[lo:hi] must start where the last one
+    ended, or IndexError is raised.  It returns [lo, hi) as a fresh array,
+    zeros past the last block: it renders the pending block into it, as
+    far as hi, and steps frames to start the next ticks' blocks as it
+    reaches them, until they run out.  Between reads it holds no samples,
+    only where the last read ended and where the pending block ends; the
+    bank holds the block's ramps.  So a read takes memory for its own
+    samples, however long the block it reads from.
     """
 
     def __init__(self, pid: int, frames: Iterable[Frame], total: int):
         self.pipeline = PerformerPipeline(pid)
         self.bank = synth.OscillatorBank(SAMPLE_RATE)
         self.frames, self.total = iter(frames), total
-        # where the last read ended, and the samples rendered past it
-        self.read, self.ahead = 0, np.empty(0)
+        # where the last read ended, and where the pending block ends
+        self.read = self.end = 0
 
     def __len__(self) -> int:
         return self.total
@@ -148,20 +149,23 @@ class _Track:
         lo, hi, _ = s.indices(self.total)
         if lo != self.read:
             raise IndexError(f"read from {lo}, not from {self.read}")
-        spans, done = [self.ahead], lo + len(self.ahead)
-        while done < hi and (frame := next(self.frames, None)) is not None:
-            tick = self.pipeline.step(frame)
-            end = _tick_end(frame.t_us)
-            if tick is not None and end > done:
-                spans.append(synth.render_block(self.bank, tick[1],
-                                                end - done).samples)
-                done = end
-        if done < hi:
-            spans.append(np.zeros(hi - done))
-        last = spans[-1]
-        cut = len(last) - max(0, done - hi)
-        spans[-1], self.read, self.ahead = last[:cut], hi, last[cut:]
-        return spans[0] if len(spans) == 1 else np.concatenate(spans)
+        # zeros: a muted block writes none, and nothing is written past
+        # the last block
+        out = np.zeros(hi - lo)
+        while self.read < hi:
+            if self.read < self.end:
+                cut = min(hi, self.end)
+                synth._render_next(self.bank, out[self.read - lo:cut - lo])
+                self.read = cut
+            elif (frame := next(self.frames, None)) is None:
+                break
+            else:
+                tick, end = self.pipeline.step(frame), _tick_end(frame.t_us)
+                if tick is not None and end > self.end:
+                    synth._start_block(self.bank, tick[1], end - self.end)
+                    self.end = end
+        self.read = hi
+        return out
 
 
 def render(logs: Sequence, path) -> None:

@@ -469,17 +469,21 @@ def generate_performer_records(script: PerformerScript,
     return [meta] + records
 
 
-def generate_scenario(scenario: Scenario, seed: int
-                      ) -> list[list[SessionRecord]]:
-    """Synthesize one log per performer.
+def iter_scenario(scenario: Scenario, seed: int
+                  ) -> Iterator[list[SessionRecord]]:
+    """Synthesize one log per performer, in order, each as it is asked for.
 
     Identical (scenario, seed) pairs produce identical logs; per-performer
     streams use independent child seeds so adding a performer never
     perturbs the others.
     """
     children = np.random.SeedSequence(seed).spawn(len(scenario.performers))
-    logs = []
     for idx, (script, child) in enumerate(zip(scenario.performers, children)):
         rng = np.random.Generator(np.random.PCG64(child))
-        logs.append(generate_performer_records(script, rng, idx, seed))
-    return logs
+        yield generate_performer_records(script, rng, idx, seed)
+
+
+def generate_scenario(scenario: Scenario, seed: int
+                      ) -> list[list[SessionRecord]]:
+    """iter_scenario's logs, all of them at once."""
+    return list(iter_scenario(scenario, seed))

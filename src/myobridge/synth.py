@@ -16,13 +16,18 @@ gain), the integer phase increments and their running sum one uint64
 (8, m) array, and the freq rows then hold the phases and their sines.
 The bank allocates this scratch once, _WIDTH samples wide, as Bela renders
 into buffers allocated once and one audio block long: a control block
-renders in one piece, and a longer one, such as the span after lost IMU
-ticks, renders through it in pieces.  The bank keeps the working views of
-the last piece length, so a run of equal blocks slices nothing anew.
-Piece [a, b) of an n-sample block ramps at (k + a) / n, k = 1 .. b - a,
-each the float arange(1, n + 1) / n gives, and carries the phases on, so
-the bytes do not depend on the pieces.  The samples returned are always a
-fresh array, never a view of the scratch, so a caller may keep every block.
+renders in one piece, and a longer one, such as the block after lost IMU
+ticks, renders through it in pieces.  Rendering takes two steps:
+_start_block starts a block (its ramps' ends, and whether it is muted),
+and _render_next renders its next samples into a caller's buffer.
+render_block takes both for a whole block; pipeline's tracks render a
+block a read at a time, into each read's own buffer.  The bank keeps the
+working views of the last piece length, so a run of equal blocks slices
+nothing anew.  Piece [a, b) of an n-sample block ramps at (k + a) / n,
+k = 1 .. b - a, each the float arange(1, n + 1) / n gives, and carries
+the phases on, so the bytes do not depend on the pieces, nor on where the
+reads cut the block.  render_block's samples are always a fresh array,
+never a view of the scratch, so a caller may keep every block.
 
 A muted block, silent parameters at both ends (master gain exactly 0,
 amps in [0, 1] and a finite drive >= 1, as the mapping produces them),
@@ -30,8 +35,10 @@ renders exact zeros without computing sin, mix or waveshaper; its phases
 still advance by the same integer increments, so whatever follows is
 unchanged.  A block with gain 0 outside that range is rendered in full,
 so a NaN it makes still reaches write_wav's finite check.  A muted
-block's samples are a read-only, stride-0 view of one immutable +0.0:
-silence held for a whole piece takes no sample memory.
+block's samples from render_block are a read-only, stride-0 view of one
+immutable +0.0: silence held for a whole piece takes no sample memory.
+_render_next writes nothing for a muted block, so a caller's buffer
+keeps the zeros it holds.
 
 Mixdown and PCM output take one path in bounded memory: mix_performers
 checks its blocks and returns a mix that is just their tracks, and
@@ -129,11 +136,14 @@ class OscillatorBank:
         self._acc = np.zeros(N_OSCILLATORS, dtype=np.uint64)
         self._prev_vector: Optional[np.ndarray] = None
         self._prev_silent = False
+        # the started block (_start_block) and its samples rendered so far
+        self._block, self._a = None, 0
         # the ramps and the grid (their operands, then the increments),
-        # each prefix a contiguous (rows, m); _t: positions for _t_n samples
+        # each prefix a contiguous (rows, m); _t: the positions of the
+        # piece _t_at names, (a, m, n): m samples from a of an n-sample block
         self._ramps = np.empty(_RAMP_ROWS * _WIDTH)
         self._grid = np.empty(_RAMP_ROWS * _WIDTH)
-        self._t, self._t_n = np.empty(_WIDTH), 0
+        self._t, self._t_at = np.empty(_WIDTH), None
         # _views(self, _m), the working views of the last piece length
         self._m, self._views = 0, ()
 
@@ -160,7 +170,7 @@ def _vector(p: SynthParams) -> np.ndarray:
 
 def _views(bank: OscillatorBank, m: int) -> tuple:
     """The working views of an m-sample piece of bank's scratch, in the
-    order render_block unpacks them."""
+    order _render_next unpacks them."""
     ramps = bank._ramps[:_RAMP_ROWS * m].reshape(_RAMP_ROWS, m)
     grid = bank._grid[:_RAMP_ROWS * m].reshape(_RAMP_ROWS, m)
     x, x_grid = ramps[:N_OSCILLATORS], grid[:N_OSCILLATORS]
@@ -181,6 +191,17 @@ def render_block(bank: OscillatorBank, params: SynthParams,
     Any other block's samples are a fresh array that later renders do
     not touch.
     """
+    muted = _start_block(bank, params, n)
+    out = (np.ndarray(n, np.float64, _SILENCE, strides=(0,)) if muted
+           else np.empty(n))
+    _render_next(bank, out)
+    return AudioBlock(samples=out, sample_rate=bank.sample_rate)
+
+
+def _start_block(bank: OscillatorBank, params: SynthParams, n: int) -> bool:
+    """Start an n-sample block that ramps from the bank's previous
+    parameters to params, for _render_next to render; True if it is
+    muted.  The block's samples are rendered by later calls, in order."""
     if n <= 0:
         raise ValueError("sample count must be positive")
     end, silent = _vector(params), _silent(params)
@@ -189,26 +210,36 @@ def render_block(bank: OscillatorBank, params: SynthParams,
     start, muted = bank._prev_vector, silent and bank._prev_silent
     # this block's end is the next block's start
     bank._prev_vector, bank._prev_silent = end, silent
-
-    # every ramp is start + (end - start) * t, rounded twice as written.
-    # Each operand is spread to the full (rows, m) by assignment first:
-    # numpy buffers a ufunc that broadcasts over rows this short, which
-    # costs more than the copy.  A muted block needs the freq rows only.
+    # a muted block needs the freq rows only
     rows = N_OSCILLATORS if muted else _RAMP_ROWS
-    delta, start = (end - start)[:rows, None], start[:rows, None]
-    out = (np.ndarray(n, np.float64, _SILENCE, strides=(0,)) if muted
-           else np.empty(n))
-    for a in range(0, n, _WIDTH):
-        m = min(n - a, _WIDTH)
+    bank._block = ((end - start)[:rows, None], start[:rows, None], n, muted)
+    bank._a = 0
+    return muted
+
+
+def _render_next(bank: OscillatorBank, out: np.ndarray) -> None:
+    """Render the started block's next len(out) samples, [a, a + len(out))
+    where a is 0 or where the last call for the block ended, into out, a
+    float64 array, in pieces of at most _WIDTH.  A muted block writes nothing:
+    out must hold +0.0 there already.  The bytes do not depend on where
+    the calls, or the pieces, cut the block."""
+    delta, start, n, muted = bank._block
+    a0, bank._a = bank._a, bank._a + len(out)
+    for a in range(a0, bank._a, _WIDTH):
+        m = min(bank._a - a, _WIDTH)
         if bank._m != m:
             bank._m, bank._views = m, _views(bank, m)
         (ramps, grid, t, x, x_grid, inc, first, last, even, odd, amps, drive,
          gain) = bank._views
-        if bank._t_n != n:  # an exact float64 arange, divided
+        if bank._t_at != (a, m, n):  # an exact float64 arange, divided
             np.divide(np.arange(a + 1.0, a + m + 1), n, out=t)
-            bank._t_n = n if m == n else 0
+            bank._t_at = (a, m, n)
         if muted:  # the freq rows only
             ramps, grid = x, x_grid
+        # every ramp is start + (end - start) * t, rounded twice as
+        # written.  Each operand is spread to the full (rows, m) by
+        # assignment first: numpy buffers a ufunc that broadcasts over
+        # rows this short, which costs more than the copy
         grid[...] = t
         ramps[...] = delta
         ramps *= grid
@@ -235,13 +266,12 @@ def render_block(bank: OscillatorBank, params: SynthParams,
         # equals the row-major (n, 8).sum(axis=1) bit for bit
         pairs = even + odd
         pairs = pairs[0::2] + pairs[1::2]
-        s = np.add(pairs[0], pairs[1], out=out[a:a + m])
+        s = np.add(pairs[0], pairs[1], out=out[a - a0:a - a0 + m])
         s /= N_OSCILLATORS
         s *= drive
         np.tanh(s, out=s)
         s /= np.tanh(drive, out=drive)
         s *= gain
-    return AudioBlock(samples=out, sample_rate=bank.sample_rate)
 
 
 def mix_performers(blocks: Sequence[AudioBlock]) -> _Mix:

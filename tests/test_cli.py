@@ -1,9 +1,10 @@
-"""The myobridge command: render and cat."""
+"""The myobridge command: render, cat and generate."""
 
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import wave
 from pathlib import Path
 
@@ -130,6 +131,33 @@ def test_generate_writes_the_scenarios_logs(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["p0.log", "p1.log"]
     for p, records in enumerate(want):
         assert list(session.iter_log(out / f"p{p}.log")) == records
+
+
+def _generate_peak(tmp_path, performers):
+    """Peak traced bytes while myobridge generate writes the logs of a
+    scenario of these performers."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"performers": performers}), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        assert cli.main(["generate", str(path), "--seed", "7",
+                         "-o", str(tmp_path / "logs")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generate_holds_one_performers_log_at_a_time(tmp_path):
+    # four performers of 10 s: making every log before writing any peaked
+    # at 2.8 times the first performer's cut, one log at a time at 1.1.
+    # The cut runs once first, so that the modules the command imports on
+    # its first run are not counted
+    performers = [{"poses": [{"duration_s": 10.0,
+                              "orientation": [0.1 * k, -0.2, 0.3],
+                              "tension": [0.5] * 8}]} for k in range(4)]
+    _generate_peak(tmp_path, performers[:1])
+    one = _generate_peak(tmp_path, performers[:1])
+    assert _generate_peak(tmp_path, performers) < 1.5 * one
 
 
 def test_generate_refuses_a_scenario_and_writes_no_file(tmp_path, capsys):

@@ -25,6 +25,8 @@ from myobridge.synth import (
     AudioBlock,
     OscillatorBank,
     _mean_of,
+    _render_next,
+    _start_block,
     mix_performers,
     render_block,
     write_wav,
@@ -345,6 +347,34 @@ def test_render_block_equals_reference(blocks):
             # bit patterns, so that -0.0 and +0.0 differ
             assert np.array_equal(got[~nan].view(np.uint64),
                                   want[~nan].view(np.uint64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(first=_PARAMS, params=_PARAMS, n=st.integers(1, 3 * _WIDTH),
+       cuts=st.lists(st.integers(1, 3 * _WIDTH), max_size=6))
+# a tick's block cut once, open and muted, and a long block cut off the
+# scratch width's multiples
+@example(first=_p(0.3), params=_p(0.6), n=882, cuts=[5])
+@example(first=_p(0.0), params=_p(0.0), n=882, cuts=[300, 600])
+@example(first=_p(0.4), params=_p(0.0), n=3 * _WIDTH, cuts=[_WIDTH + 7, 7])
+def test_a_started_block_in_any_pieces_equals_render_block(first, params,
+                                                            n, cuts):
+    # each bank first renders a block of the same n, so positions cached
+    # for a piece from sample 0 are there to be wrongly reused
+    whole, pieces = OscillatorBank(44100.0), OscillatorBank(44100.0)
+    got = np.zeros(n)
+    bounds = sorted({0, n, *(c % n for c in cuts)})
+    with np.errstate(all="ignore"):
+        render_block(whole, first, n)
+        render_block(pieces, first, n)
+        want = render_block(whole, params, n).samples
+        muted = _start_block(pieces, params, n)
+        for a, b in zip(bounds, bounds[1:]):
+            _render_next(pieces, got[a:b])
+    assert muted == (want.strides == (0,))
+    assert np.array_equal(pieces._acc, whole._acc)
+    # bit patterns, so that -0.0 and +0.0 differ
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_block_is_not_changed_by_later_renders():
