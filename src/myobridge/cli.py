@@ -10,7 +10,9 @@
                                          scenario file, DIR/p0.log,
                                          DIR/p1.log, ... in its order
                                          (session.iter_scenario), each
-                                         written before the next is made
+                                         written before the next is made,
+                                         as the bytes the generator packed
+                                         from its arrays
 
 A refused log (session.LogParseError), a refused scenario
 (session.InvalidScenarioError, naming the performer and pose) or a file
@@ -46,10 +48,10 @@ def _generate(scenario_path, seed: int, out_dir) -> None:
         scenario = session.scenario_from_dict(json.load(fh))
     logs = session.iter_scenario(scenario, seed)
     os.makedirs(out_dir, exist_ok=True)
-    # each log is recorded and let go before the next is made: no name
+    # each log is written and let go before the next is made: no name
     # holds it, as a loop's target would while the next is made
     for p in range(len(scenario.performers)):
-        session.record(next(logs), os.path.join(out_dir, f"p{p}.log"))
+        next(logs).write(os.path.join(out_dir, f"p{p}.log"))
 
 
 def main(argv=None) -> int:

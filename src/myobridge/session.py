@@ -54,16 +54,25 @@ gyro x and accel x carry a rectangular burst (BURST_GYRO_DPS,
 BURST_ACCEL_G) that trips the stillness gate.  EMG alternates sign
 sample by sample at tension * INT8_MAX raw units, plus EMG_JITTER_RAW
 jitter.
+
+The generator packs each performer's log from its arrays: it builds no
+record per sample, but writes the records' bytes, in the log layout, into
+one body.  It returns a Log, a read-only sequence of SessionRecords held
+as the bytes record writes for them.  The records are in stamp order, and
+an EMG sample comes before the IMU sample of the same stamp, so a control
+tick sees the coincident sample.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import struct
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
-from operator import attrgetter
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 import numpy as np
@@ -168,14 +177,7 @@ def record(records: Iterable[SessionRecord], path) -> int:
         first = next(records, None)
         if first is None:
             return 0
-        t_us, kind, data = first
-        if kind != "meta":
-            raise ValueError(f"record 1: a log starts with its meta record, "
-                             f"not {kind!r}")
-        line = json.dumps({"t_us": t_us, "kind": kind, "data": data},
-                          separators=(",", ":")).encode("ascii") + b"\n"
-        _read_meta(line)  # refused now, not when the take is rendered
-        fh.write(line)
+        fh.write(_meta_line(first))
         count = 1
         buf = bytearray()
         try:
@@ -199,6 +201,19 @@ def record(records: Iterable[SessionRecord], path) -> int:
             # the records packed so far reach the file even if the source
             # or a record raises
             fh.write(buf)
+
+
+def _meta_line(meta: SessionRecord) -> bytes:
+    """The meta record's line, checked as iter_log checks it, so a bad one
+    is refused before the take, not when it is rendered."""
+    t_us, kind, data = meta
+    if kind != "meta":
+        raise ValueError(f"record 1: a log starts with its meta record, "
+                         f"not {kind!r}")
+    line = json.dumps({"t_us": t_us, "kind": kind, "data": data},
+                      separators=(",", ":")).encode("ascii") + b"\n"
+    _read_meta(line)
+    return line
 
 
 def _read_meta(line: bytes) -> SessionRecord:
@@ -258,31 +273,105 @@ def iter_log(path) -> Iterator[SessionRecord]:
         base, buf = len(line), b""  # buf[0] is at file offset base
         while chunk := fh.read(_IO_BYTES):
             buf += chunk
-            pos, end = 0, len(buf)
-            while pos + _KIND_AT < end:
-                try:
-                    kind, layout = _KINDS[buf[pos + _KIND_AT]]
-                except KeyError:
-                    raise LogParseError(
-                        record_no + 1, base + pos,
-                        f"unknown kind byte {buf[pos + _KIND_AT]}") from None
-                if pos + layout.size > end:
-                    break
-                values = layout.unpack_from(buf, pos)
-                t_us = values[0]
-                record_no += 1
-                if t_us < last_t:
-                    raise LogParseError(record_no, base + pos,
-                                        f"timestamp {t_us} precedes {last_t}")
-                last_t = t_us
-                pos += layout.size
-                yield SessionRecord(t_us, kind, values[2:])
+            pos, record_no, last_t = yield from _decode(buf, base, record_no,
+                                                        last_t)
             base += pos
             buf = buf[pos:]
         if buf:
             raise LogParseError(record_no + 1, base,
                                 f"truncated record: the log ends "
                                 f"{len(buf)} bytes into it")
+
+
+def _decode(buf, base: int, record_no: int, last_t: int):
+    """Yield the whole records at the start of buf, which is at byte offset
+    base of its log, past record number record_no stamped last_t.  Returns
+    (bytes read, record_no, last_t) as they are after the last record.
+
+    Raises LogParseError for an unknown kind byte or a decreasing stamp;
+    a record cut by buf's end is left unread.
+    """
+    pos, end = 0, len(buf)
+    while pos + _KIND_AT < end:
+        try:
+            kind, layout = _KINDS[buf[pos + _KIND_AT]]
+        except KeyError:
+            raise LogParseError(
+                record_no + 1, base + pos,
+                f"unknown kind byte {buf[pos + _KIND_AT]}") from None
+        if pos + layout.size > end:
+            break
+        values = layout.unpack_from(buf, pos)
+        t_us = values[0]
+        record_no += 1
+        if t_us < last_t:
+            raise LogParseError(record_no, base + pos,
+                                f"timestamp {t_us} precedes {last_t}")
+        last_t = t_us
+        pos += layout.size
+        yield tuple.__new__(SessionRecord, (t_us, kind, values[2:]))
+    return pos, record_no, last_t
+
+
+class Log(Sequence):
+    """One performer's generated log, held as the bytes of its file.
+
+    line is the meta record's line and body the records after it, the
+    bytes record writes for them; starts holds each body record's offset
+    in body (int64), for random access.  A Log reads as a sequence of
+    SessionRecords, the meta record first, each decoded as it is read by
+    iter_log's decoder, so data reads back as a tuple of plain ints and
+    every read of the meta record gets a dict of its own.  A slice is a
+    list.  A Log equals a list or tuple of the same records, and a Log of
+    the same bytes.
+    """
+
+    __slots__ = ("_line", "_body", "_starts")
+
+    def __init__(self, line: bytes, body: bytes, starts: np.ndarray):
+        self._line, self._body, self._starts = line, body, starts
+
+    def __len__(self) -> int:
+        return len(self._starts) + 1
+
+    def __iter__(self) -> Iterator[SessionRecord]:
+        return self._records_from(0)
+
+    def __getitem__(self, index):
+        rows = range(len(self))[index]  # an int, or a range for a slice
+        if isinstance(rows, int):
+            return next(self._records_from(rows))
+        if not rows:
+            return []
+        first, last = sorted((rows[0], rows[-1]))
+        return list(islice(self._records_from(first),
+                           last - first + 1))[::rows.step]
+
+    def __eq__(self, other):
+        if isinstance(other, Log):
+            return self._line == other._line and self._body == other._body
+        if isinstance(other, (list, tuple)):
+            return (len(other) == len(self)
+                    and all(map(operator.eq, self, other)))
+        return NotImplemented
+
+    def _records_from(self, index: int) -> Iterator[SessionRecord]:
+        if index == 0:
+            meta = _read_meta(self._line)
+            yield meta
+            start, last_t = 0, meta.t_us
+        else:  # from a record in the body, whose stamp no earlier one bounds
+            start, last_t = int(self._starts[index - 1]), -1 << 63
+        yield from _decode(memoryview(self._body)[start:],
+                           len(self._line) + start, index, last_t)
+
+    def write(self, path) -> int:
+        """Write the log file, the bytes record writes for these records;
+        returns how many."""
+        with open(path, "wb") as fh:
+            fh.write(self._line)
+            fh.write(self._body)
+        return len(self)
 
 
 def records_to_frames(records: Iterable[SessionRecord]
@@ -399,15 +488,47 @@ def _gravity_from_euler(roll: np.ndarray, pitch: np.ndarray) -> np.ndarray:
     ], axis=1)
 
 
+# the records' layouts in _LAYOUTS as numpy dtypes, unpadded: 29 and 17 bytes
+_IMU_RECORD = np.dtype([("t_us", "<i8"), ("kind", "u1"),
+                        ("values", "<i2", (IMU_VALUES,))])
+_EMG_RECORD = np.dtype([("t_us", "<i8"), ("kind", "u1"),
+                        ("values", "i1", (EMG_CHANNELS,))])
+
+
 def _clip_round(values: np.ndarray, scale: float, lo: int, hi: int) -> np.ndarray:
-    return np.clip(np.rint(values * scale), lo, hi).astype(np.int64)
+    """values * scale rounded and clipped to [lo, hi], in one new float
+    array: whole numbers that a record field's assignment casts exactly."""
+    rounded = values * scale
+    np.rint(rounded, out=rounded)
+    return np.clip(rounded, lo, hi, out=rounded)
 
 
 def generate_performer_records(script: PerformerScript,
                                rng: np.random.Generator,
                                performer_index: int,
-                               seed: int) -> list[SessionRecord]:
+                               seed: int) -> Log:
     """Synthesize one performer's raw IMU (50 Hz) and EMG (200 Hz) log."""
+    imu, emg = _samples(script, rng)
+    # each record's offset in the body is the bytes of the records before
+    # it, in the order the module docstring gives
+    emg_before = np.searchsorted(emg["t_us"], imu["t_us"], side="right")
+    imu_before = np.searchsorted(imu["t_us"], emg["t_us"], side="left")
+    imu_at = np.arange(len(imu)) * imu.itemsize + emg_before * emg.itemsize
+    emg_at = np.arange(len(emg)) * emg.itemsize + imu_before * imu.itemsize
+    body = np.empty(imu.nbytes + emg.nbytes, np.uint8)
+    for recs, at in ((imu, imu_at), (emg, emg_at)):
+        body[at[:, None] + np.arange(recs.itemsize)] = (
+            recs.view(np.uint8).reshape(-1, recs.itemsize))
+    meta = make_meta_record(device_id=f"synthetic-{performer_index}")
+    meta.data.update(seed=seed, performer=performer_index)
+    return Log(_meta_line(meta), body.tobytes(),
+               np.sort(np.concatenate([imu_at, emg_at])))
+
+
+def _samples(script: PerformerScript, rng: np.random.Generator
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """One performer's IMU and EMG records, as _IMU_RECORD and _EMG_RECORD
+    arrays, each in stamp order."""
     durations = np.array([p.duration_s for p in script.poses])
     starts_us = np.concatenate([[0.0], np.cumsum(durations)[:-1]]) * 1e6
     total_s = float(durations.sum())
@@ -453,24 +574,17 @@ def generate_performer_records(script: PerformerScript,
     amp_per_sample = tensions[emg_pose] * INT8_MAX
     signs = np.where(np.arange(n_emg)[:, None] % 2 == 0, 1.0, -1.0)
     emg_values = signs * amp_per_sample + emg_noise * EMG_JITTER_RAW
-    emg_raw = _clip_round(emg_values, 1.0, INT8_MIN, INT8_MAX)
 
-    imu_data = np.concatenate([quat_raw, accel_raw, gyro_raw], axis=1)
-    records = (
-        [SessionRecord(t, "emg", tuple(row))
-         for t, row in zip(emg_t.tolist(), emg_raw.tolist())]
-        + [SessionRecord(t, "imu", tuple(row))
-           for t, row in zip(imu_t.tolist(), imu_data.tolist())])
-    # a stable sort keeps EMG before IMU at equal timestamps, so a control
-    # tick sees the coincident sample
-    records.sort(key=attrgetter("t_us"))
-    meta = make_meta_record(device_id=f"synthetic-{performer_index}")
-    meta.data.update(seed=seed, performer=performer_index)
-    return [meta] + records
+    imu = np.empty(n_imu, _IMU_RECORD)
+    imu["t_us"], imu["kind"] = imu_t, _LAYOUTS["imu"][0]
+    imu["values"] = np.concatenate([quat_raw, accel_raw, gyro_raw], axis=1)
+    emg = np.empty(n_emg, _EMG_RECORD)
+    emg["t_us"], emg["kind"] = emg_t, _LAYOUTS["emg"][0]
+    emg["values"] = _clip_round(emg_values, 1.0, INT8_MIN, INT8_MAX)
+    return imu, emg
 
 
-def iter_scenario(scenario: Scenario, seed: int
-                  ) -> Iterator[list[SessionRecord]]:
+def iter_scenario(scenario: Scenario, seed: int) -> Iterator[Log]:
     """Synthesize one log per performer, in order, each as it is asked for.
 
     Identical (scenario, seed) pairs produce identical logs; per-performer
@@ -483,7 +597,6 @@ def iter_scenario(scenario: Scenario, seed: int
         yield generate_performer_records(script, rng, idx, seed)
 
 
-def generate_scenario(scenario: Scenario, seed: int
-                      ) -> list[list[SessionRecord]]:
+def generate_scenario(scenario: Scenario, seed: int) -> list[Log]:
     """iter_scenario's logs, all of them at once."""
     return list(iter_scenario(scenario, seed))

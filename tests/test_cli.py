@@ -148,16 +148,19 @@ def _generate_peak(tmp_path, performers):
 
 
 def test_generate_holds_one_performers_log_at_a_time(tmp_path):
-    # four performers of 10 s: making every log before writing any peaked
-    # at 2.8 times the first performer's cut, one log at a time at 1.1.
-    # The cut runs once first, so that the modules the command imports on
-    # its first run are not counted
+    # four performers of 10 s: one log at a time peaks at 1.002 times the
+    # first performer's cut.  A log is held as its packed bytes, a small
+    # part of what making it takes, so making every log before writing any
+    # would peak at 1.21 times (2.8 times when a log was one record object
+    # per sample), and the bound must sit below that.  The cut runs once
+    # first, so that the modules the command imports on its first run are
+    # not counted
     performers = [{"poses": [{"duration_s": 10.0,
                               "orientation": [0.1 * k, -0.2, 0.3],
                               "tension": [0.5] * 8}]} for k in range(4)]
     _generate_peak(tmp_path, performers[:1])
     one = _generate_peak(tmp_path, performers[:1])
-    assert _generate_peak(tmp_path, performers) < 1.5 * one
+    assert _generate_peak(tmp_path, performers) < 1.1 * one
 
 
 def test_generate_refuses_a_scenario_and_writes_no_file(tmp_path, capsys):

@@ -605,13 +605,14 @@ def test_default_scenario_spans_nine_minutes_per_performer(bundled_logs):
     # the seed moves no value asserted here: timestamps are sample index
     # times period, and counts are the pose durations times the rate
     assert len(bundled_logs) == 4
-    for recs in bundled_logs:
-        imu = [r for r in recs if r.kind == "imu"]
-        assert len(imu) == 27000
-        span_s = (imu[-1].t_us - imu[0].t_us) / 1e6
+    for log in bundled_logs:
+        # one pass, as each pass over a Log decodes its records afresh
+        imu_t = [t_us for t_us, kind, _ in log if kind == "imu"]
+        assert len(imu_t) == 27000
+        # past its meta record a log holds only IMU and EMG records
+        assert log[0].kind == "meta" and len(log) - 1 - 27000 == 108000
+        span_s = (imu_t[-1] - imu_t[0]) / 1e6
         assert abs(span_s - 540.0) <= 0.02  # one frame period
-        emg = [r for r in recs if r.kind == "emg"]
-        assert len(emg) == 108000
 
 
 def test_recorded_scenario_matches_golden_hash(tmp_path):
@@ -788,3 +789,74 @@ def test_every_accepted_scenario_generates_logs_that_read_back(poses, seed):
         path = Path(tmp) / "p0.log"
         record(logs[0], path)
         assert list(iter_log(path)) == logs[0]
+
+
+def _per_sample_log(script, seed):
+    """Performer 0's log as the generator built it before it packed its
+    arrays: one SessionRecord per sample, EMG then IMU, sorted stably by
+    t_us, so EMG comes first at equal stamps."""
+    child = np.random.SeedSequence(seed).spawn(1)[0]
+    imu, emg = session._samples(script, np.random.Generator(
+        np.random.PCG64(child)))
+    records = (
+        [SessionRecord(t, "emg", tuple(row))
+         for t, row in zip(emg["t_us"].tolist(), emg["values"].tolist())]
+        + [SessionRecord(t, "imu", tuple(row))
+           for t, row in zip(imu["t_us"].tolist(), imu["values"].tolist())])
+    records.sort(key=lambda rec: rec.t_us)
+    meta = make_meta_record(device_id="synthetic-0")
+    meta.data.update(seed=seed, performer=0)
+    return [meta] + records
+
+
+@settings(max_examples=60, deadline=None)
+@given(poses=_poses, seed=st.integers(0, 2**32 - 1))
+# no record at all, then one EMG sample and no IMU sample
+@example(poses=[still_pose(duration_s=0.001)], seed=0)
+@example(poses=[still_pose(duration_s=0.005)], seed=0)
+def test_a_generated_log_is_the_bytes_record_writes_for_its_records(poses,
+                                                                    seed):
+    script = PerformerScript(poses=tuple(poses))
+    (log,) = generate_scenario(Scenario(performers=(script,)), seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        packed, written, oracle = (Path(tmp) / name
+                                   for name in ("packed", "written", "oracle"))
+        assert log.write(packed) == len(log)
+        record(list(log), written)
+        record(_per_sample_log(script, seed), oracle)
+        assert packed.read_bytes() == written.read_bytes() \
+            == oracle.read_bytes()
+
+
+def test_a_log_reads_as_the_list_of_its_records():
+    (log,) = generate_scenario(tiny_scenario(), seed=1)
+    records = list(log)
+    assert len(log) == len(records) == 251
+    for i in (0, 1, 2, 7, 250, -1, -2, -251):
+        assert log[i] == records[i]
+    for i in (251, -252):
+        with pytest.raises(IndexError):
+            log[i]
+    for rows in (slice(None), slice(0, 5), slice(1, None), slice(3, 17),
+                 slice(-5, None), slice(None, -1), slice(5, 5), slice(9, 2),
+                 slice(1, 200, 7), slice(None, None, -3), slice(40, 3, -2)):
+        assert log[rows] == records[rows], rows
+    # each read decodes a record of its own: changing one changes no other
+    log[0].data["seed"] = 2
+    assert log[0].data["seed"] == 1
+
+
+def test_a_log_equals_the_same_records_in_any_sequence():
+    (log,) = generate_scenario(tiny_scenario(), seed=1)
+    records = list(log)
+    (again,) = generate_scenario(tiny_scenario(), seed=1)
+    (other,) = generate_scenario(tiny_scenario(), seed=2)
+    later = records[:-1] + [records[-1]._replace(t_us=records[-1].t_us + 1)]
+    for same in (records, tuple(records), again):
+        assert log == same and same == log
+        assert not (log != same or same != log)
+    for different in (later, tuple(later), records[:-1], records + records[:1],
+                      other):
+        assert log != different and different != log
+        assert not (log == different or different == log)
+    assert log != "p0.log" and log != iter(records)
